@@ -34,7 +34,7 @@ def main():
                 d = sg.generate_toy(sg.ToySpec(shape, noise, n, seed=args.seed))
                 pool = rt.build_pool(d, np.arange(d.n_rows), cfg)
                 grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool),
-                                        cfg, resolution=args.resolution)
+                                        resolution=args.resolution)
                 stem = f"{shape}_noise{noise}_n{n}"
                 sg.write_grid(grid, out / f"{stem}.csv", out / f"{stem}.json")
                 print(f"wrote {stem}")

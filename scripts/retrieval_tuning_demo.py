@@ -27,7 +27,7 @@ def nmae_for(d, cfg):
     test = np.arange(N_TRAIN, N_TRAIN + N_TEST)
     pool = rt.build_pool(d, train, cfg)
     labels = [float(d.labels()[i]) for i in test]
-    ests = [knn_predict(rt.retrieve(pool, d.feature_row(int(i)), cfg), pool).point_estimate
+    ests = [knn_predict(rt.retrieve(pool, d.feature_row(int(i))), pool).point_estimate
             for i in test]
     return mt.nmae(labels, ests)
 

@@ -23,9 +23,9 @@ from . import dataset as ds
 from . import metrics as mt
 from . import normalize as nz
 from .importance import IMPORTANCE_MODES
-from .predictors import (EndpointConfig, LlmClient, PredictionRecord, PromptTemplate,
-                         context_rows_for_prompt, ensemble, fit_prompt, ingest_predictions,
-                         knn_predict)
+from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient, PredictionRecord,
+                         PromptOverflowError, PromptTemplate, context_rows_for_prompt, ensemble,
+                         fallback_record, fit_prompt, ingest_predictions, knn_predict)
 from .retrieval import ContextPool, RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 from .util import dump_json, fmt_float, load_json, subseed
@@ -87,8 +87,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("no datasets configured")
     if not cfg.predictors:
         problems.append("no predictors configured")
-    if not cfg.context_sizes:
-        problems.append("context_sizes must be non-empty")
+    if not cfg.context_sizes or min(cfg.context_sizes) < 1:
+        problems.append("context_sizes must be non-empty and each at least 1")
     if cfg.train_sizes is not None and not cfg.train_sizes:
         problems.append("train_sizes must be non-empty when given")
     seen = set()
@@ -128,12 +128,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
     return problems
 
 
-def _resolve_retrieval(base: dict, overrides: dict, quota: int | None = None) -> RetrievalConfig:
+def _resolve_retrieval(base: dict, overrides: dict) -> RetrievalConfig:
     merged = {**base, **{k: v for k, v in overrides.items() if k not in ("id", "type")}}
-    if quota is not None:
-        merged["quota"] = quota
-    if "match_constraints" in merged:
-        merged["match_constraints"] = tuple(merged["match_constraints"])
     return RetrievalConfig(**merged)
 
 
@@ -207,20 +203,19 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
         for pol in cfg.policies:
             pol_id = pol.get("id", pol.get("type", "rag"))
             pol_type = pol.get("type", "rag")
-            base = _resolve_retrieval(cfg.retrieval, pol if pol_type == "rag" else {"importance_mode": "uniform"})
-            pool = build_pool(d, subset, base)
+            rcfg = _resolve_retrieval(cfg.retrieval, pol if pol_type == "rag" else {"importance_mode": "uniform"})
+            pool = build_pool(d, subset, rcfg)
             if pol_type == "rag" and (pool.pearson_weights or pool.pps_weights):
                 weights_out[f"{pol_id}/n{train_size}"] = {
                     "pearson": pool.pearson_weights, "pps": pool.pps_weights}
             for ctx_size in cfg.context_sizes:
-                rcfg = replace(base, quota=ctx_size)
                 contexts = {}
                 for row in test_rows:
                     if pol_type == "random":
                         rseed = subseed(cfg.seed, "random-policy", entry.id, train_size, ctx_size, int(row))
                         contexts[int(row)] = retrieve_random(pool, ctx_size, rseed)
                     else:
-                        contexts[int(row)] = retrieve(pool, d.feature_row(int(row)), rcfg)
+                        contexts[int(row)] = retrieve(pool, d.feature_row(int(row)), ctx_size)
                 if cfg.write_traces:
                     traces.extend({"dataset": entry.id, "policy": pol_id, "train_size": train_size,
                                    "context_size": ctx_size, **context_trace(c, r)}
@@ -260,21 +255,29 @@ def _llm_records(p: dict, d: ds.Dataset, pool: ContextPool, contexts, test_rows,
     client = LlmClient(endpoint)
     features = [c.name for c in d.feature_columns]
     label_name = d.label_column.name
-    jobs = []
+    jobs, overflowed = [], {}
     for row in test_rows:
         ctx = contexts[int(row)]
         seed = subseed(run_seed, "prompt-order", int(row)) if shuffle_ctx else None
         rows_lab = context_rows_for_prompt(ctx, pool, shuffle_seed=seed)
-        text, used = fit_prompt(tmpl, rows_lab, d.feature_row(int(row)), features,
-                                label_name, token_budget)
+        try:
+            text, used = fit_prompt(tmpl, rows_lab, d.feature_row(int(row)), features,
+                                    label_name, token_budget)
+        except PromptOverflowError:
+            text, used = None, 0
         if d.task == ds.TASK_REGRESSION:
             ctx_labels = [float(v) for _, v in rows_lab[:used]]
             ctx_mean = float(np.mean(ctx_labels)) if ctx_labels else pool.train_label_mean()
         else:
             ctx_mean = 0.0
+        if text is None:
+            overflowed[int(row)] = fallback_record(d.task, d.class_labels, ctx_mean, int(row), 0,
+                                                   p["id"], FLAG_PROMPT_OVERFLOW)
+            continue
         jobs.append({"prompt": text, "task": d.task, "class_labels": d.class_labels,
                      "context_mean": ctx_mean, "row_index": int(row), "context_size": used})
-    return client.predict_many(jobs, predictor_id=p["id"])
+    answered = iter(client.predict_many(jobs, predictor_id=p["id"]))
+    return [overflowed.get(int(row)) or next(answered) for row in test_rows]
 
 
 def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
@@ -416,8 +419,8 @@ def ablate(cfg: RunConfig, output_dir: str | Path) -> Path:
     return out
 
 
-def _median_errors(run_dir: Path) -> dict[tuple[str, int, int], list[tuple[int, float]]]:
-    """(policy, context_size) -> [(train_size, median error across datasets)]."""
+def _median_errors(run_dir: Path) -> dict[tuple[str, int, str], list[tuple[int, float]]]:
+    """(policy, context_size, predictor) -> [(train_size, median error across datasets)]."""
     rows = load_json(Path(run_dir) / "metrics.json")["metrics"]
     grouped: dict = {}
     for r in rows:
@@ -432,6 +435,21 @@ def _median_errors(run_dir: Path) -> dict[tuple[str, int, int], list[tuple[int, 
     return out
 
 
+def fit_run_dir(run_dir: str | Path) -> dict:
+    """Power-law fit of median error against train size for each
+    ``policy/predictor/c<context_size>`` group of a run's metrics. Groups
+    with fewer than 2 positive-error points record why instead of a fit."""
+    fits = {}
+    for (policy, ctx_size, predictor), pts in sorted(_median_errors(Path(run_dir)).items()):
+        usable = [(d, l) for d, l in pts if l > 0]
+        key = f"{policy}/{predictor}/c{ctx_size}"
+        if len(usable) >= 2:
+            fits[key] = mt.fit_power_law(usable).to_dict()
+        else:
+            fits[key] = {"error": "fewer than 2 positive-error points", "points": pts}
+    return fits
+
+
 def scaling(cfg: RunConfig, sizes: list[int], output_dir: str | Path) -> Path:
     """Sweep nested training-pool sizes for the retrieval policy and the
     random baseline, then fit the error-vs-size power law per group."""
@@ -439,15 +457,7 @@ def scaling(cfg: RunConfig, sizes: list[int], output_dir: str | Path) -> Path:
     vcfg = replace(cfg, train_sizes=sorted(sizes),
                    policies=[{"id": "rag", "type": "rag"}, {"id": "random", "type": "random"}])
     run(vcfg, out)
-    fits = {}
-    for (policy, ctx_size, predictor), pts in sorted(_median_errors(out).items()):
-        usable = [(d, l) for d, l in pts if l > 0]
-        key = f"{policy}/{predictor}/c{ctx_size}"
-        if len(usable) >= 2:
-            fits[key] = mt.fit_power_law(usable).to_dict()
-        else:
-            fits[key] = {"error": "fewer than 2 positive-error points", "points": pts}
-    dump_json(out / "fits.json", fits)
+    dump_json(out / "fits.json", fit_run_dir(out))
     return out
 
 
@@ -555,11 +565,7 @@ def main(argv=None) -> int:
             fit = mt.fit_power_law(load_json(args.points))
             payload = fit.to_dict()
         elif args.run_dir:
-            payload = {}
-            for (policy, ctx, predictor), pts in sorted(_median_errors(Path(args.run_dir)).items()):
-                usable = [(d, l) for d, l in pts if l > 0]
-                if len(usable) >= 2:
-                    payload[f"{policy}/{predictor}/c{ctx}"] = mt.fit_power_law(usable).to_dict()
+            payload = fit_run_dir(args.run_dir)
         else:
             print("error: need --points or --run-dir", file=sys.stderr)
             return 1
@@ -575,7 +581,7 @@ def main(argv=None) -> int:
                                numeric_norm=args.numeric_norm,
                                distance_minmax_rescale=not args.no_rescale)
         pool = build_pool(d, np.arange(d.n_rows), rcfg)
-        grid = boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), rcfg, args.resolution)
+        grid = boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), args.resolution)
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_grid(grid, out / "grid.csv", out / "grid.json")

@@ -128,9 +128,6 @@ class Dataset:
     def feature_row(self, i: int) -> dict:
         return {c.name: self._columns[c.name][i] for c in self.feature_columns}
 
-    def row(self, i: int) -> dict:
-        return {c.name: self._columns[c.name][i] for c in self.schema}
-
 
 def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:
     raw = load_json(schema_file)

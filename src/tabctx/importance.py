@@ -21,7 +21,7 @@ reproducibility):
   the count of rows not in the leaf's majority class, ties to the lowest
   class index (classification). An empty leaf costs 0.
 * The fitted tree is the global minimizer of total training cost over all
-  trees of the configured depth. Ties are resolved by preferring a leaf
+  trees of depth ``TREE_DEPTH``. Ties are resolved by preferring a leaf
   over an equal-cost split, then the smallest candidate threshold,
   applied recursively from the root.
 * Empty leaves and rows with a missing feature value predict the fold's
@@ -38,7 +38,6 @@ with weighted F1; a perfect naive baseline scores 0.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,10 @@ from .util import kfold_indices, subseed
 
 IMPORTANCE_MODES = ("dual", "pearson_only", "pps_only", "uniform")
 
-DEFAULT_TREE_DEPTH = 4
+TREE_DEPTH = 4
 DEFAULT_CV_FOLDS = 4
-DEFAULT_QUANTILE_STEP = 0.02
+QUANTILE_STEP = 0.02
+_QUANTILES = np.linspace(QUANTILE_STEP, 1.0 - QUANTILE_STEP, int(round(1.0 / QUANTILE_STEP)) - 1)
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,8 @@ def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
 # Single-feature trees
 
 
-def quantile_candidates(values: np.ndarray, step: float = DEFAULT_QUANTILE_STEP) -> np.ndarray:
-    n_steps = int(round(1.0 / step)) - 1
-    qs = np.linspace(step, 1.0 - step, n_steps)
-    return np.unique(np.quantile(values, qs))
+def quantile_candidates(values: np.ndarray) -> np.ndarray:
+    return np.unique(np.quantile(values, _QUANTILES))
 
 
 def _leaf_value_reg(y: np.ndarray, fallback: float) -> float:
@@ -164,10 +162,10 @@ def _segment_costs_cls(codes_sorted: np.ndarray, pos: np.ndarray, n_classes: int
     return C
 
 
-def _depth_tables(C: np.ndarray, depth: int) -> list[np.ndarray]:
+def _depth_tables(C: np.ndarray) -> list[np.ndarray]:
     tables = [C]
     M = C
-    for _ in range(depth):
+    for _ in range(TREE_DEPTH):
         S = np.min(M[:, :, None] + M[None, :, :], axis=1)
         M = np.minimum(C, S)
         tables.append(M)
@@ -203,7 +201,7 @@ class _NumericTree:
         return out
 
 
-def fit_numeric_tree(x: np.ndarray, y: np.ndarray, thresholds: np.ndarray, depth: int,
+def fit_numeric_tree(x: np.ndarray, y: np.ndarray, thresholds: np.ndarray,
                      n_classes: int | None, fallback) -> _NumericTree:
     """Optimal depth-limited quantile tree on one numeric feature; x must be
     finite. Classification when n_classes is given (y holds class codes)."""
@@ -214,9 +212,9 @@ def fit_numeric_tree(x: np.ndarray, y: np.ndarray, thresholds: np.ndarray, depth
         C = _segment_costs_reg(ysrt, pos)
     else:
         C = _segment_costs_cls(ysrt, pos, n_classes)
-    tables = _depth_tables(C, depth)
+    tables = _depth_tables(C)
     chosen: list[int] = []
-    _extract_boundaries(C, tables, 0, len(pos) - 1, depth, chosen)
+    _extract_boundaries(C, tables, 0, len(pos) - 1, TREE_DEPTH, chosen)
     bounds = np.asarray([thresholds[k - 1] for k in chosen], dtype=np.float64)
     edges = [0] + [pos[k] for k in chosen] + [len(xs)]
     leaves = []
@@ -249,14 +247,14 @@ def _cat_cost(y: np.ndarray, n_classes: int | None) -> float:
     return float(len(y) - counts.max())
 
 
-def fit_categorical_tree(tokens: np.ndarray, y: np.ndarray, depth: int,
-                         n_classes: int | None, fallback) -> _CategoricalTree:
+def fit_categorical_tree(tokens: np.ndarray, y: np.ndarray, n_classes: int | None,
+                         fallback) -> _CategoricalTree:
     cats = sorted(set(tokens.tolist()))
     iso_cost = {c: _cat_cost(y[tokens == c], n_classes) for c in cats}
     isolated: list[str] = []
     rest_mask = np.ones(len(tokens), dtype=bool)
     current = _cat_cost(y, n_classes)
-    for _ in range(depth):
+    for _ in range(TREE_DEPTH):
         best_cat, best_cost = None, current
         for c in cats:
             if c in isolated:
@@ -317,8 +315,7 @@ def _score_from_folds(y, tree_preds, naive_preds, n_classes: int | None) -> floa
 
 
 def _pps_single(col: ds.ColumnSchema, values: np.ndarray, y: np.ndarray,
-                folds: list[np.ndarray], depth: int, step: float,
-                n_classes: int | None) -> float:
+                folds: list[np.ndarray], n_classes: int | None) -> float:
     n = len(y)
     tree_preds = np.empty(n, dtype=np.float64 if n_classes is None else np.int64)
     naive_preds = np.empty_like(tree_preds)
@@ -328,7 +325,7 @@ def _pps_single(col: ds.ColumnSchema, values: np.ndarray, y: np.ndarray,
         finite_all = x[np.isfinite(x)]
         if len(finite_all) == 0:
             return 0.0
-        thresholds = quantile_candidates(finite_all, step)
+        thresholds = quantile_candidates(finite_all)
     for val_idx in folds:
         val_mask = np.zeros(n, dtype=bool)
         val_mask[val_idx] = True
@@ -344,21 +341,17 @@ def _pps_single(col: ds.ColumnSchema, values: np.ndarray, y: np.ndarray,
             if ft.sum() == 0 or len(thresholds) == 0:
                 tree_preds[val_mask] = fallback
             else:
-                tree = fit_numeric_tree(xt[ft], yt[ft], thresholds, depth, n_classes, fallback)
+                tree = fit_numeric_tree(xt[ft], yt[ft], thresholds, n_classes, fallback)
                 tree_preds[val_mask] = tree.predict(x[val_mask])
         else:
-            tree = fit_categorical_tree(values[~val_mask], yt, depth, n_classes, fallback)
+            tree = fit_categorical_tree(values[~val_mask], yt, n_classes, fallback)
             tree_preds[val_mask] = [tree.predict_one(t) for t in values[val_mask]]
     return _score_from_folds(y, tree_preds, naive_preds, n_classes)
 
 
 def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
-                   seed: int = 0, depth: int = DEFAULT_TREE_DEPTH,
-                   quantile_step: float = DEFAULT_QUANTILE_STEP,
-                   workers: int = 1) -> dict[str, float]:
-    """Cross-validated tree-vs-naive score per feature, clipped to [0, 1].
-    Per-feature computation is independent; workers > 1 parallelizes it while
-    keeping deterministic output."""
+                   seed: int = 0) -> dict[str, float]:
+    """Cross-validated tree-vs-naive score per feature, clipped to [0, 1]."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if cv_folds < 2:
         raise ValueError("cv_folds must be at least 2")
@@ -372,38 +365,5 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
         code = {c: i for i, c in enumerate(d.class_labels)}
         y = np.asarray([code[v] for v in d.labels()[rows]], dtype=np.int64)
         n_classes = len(d.class_labels)
-
-    cols = d.feature_columns
-
-    def one(col):
-        return _pps_single(col, d.column(col.name)[rows], y, folds, depth, quantile_step, n_classes)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(one, cols))
-    else:
-        scores = [one(c) for c in cols]
-    return {c.name: float(min(1.0, s)) for c, s in zip(cols, scores)}
-
-
-def compute_feature_weights(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
-                            seed: int = 0, **pps_kwargs) -> FeatureWeights:
-    return FeatureWeights(pearson=pearson_importance(d, train_rows),
-                          pps=pps_importance(d, train_rows, cv_folds, seed=seed, **pps_kwargs))
-
-
-def combine(weights: FeatureWeights, mode: str, features) -> tuple[np.ndarray, np.ndarray | None]:
-    """Resolve the weight vectors used for distance aggregation, ordered by
-    ``features``. Dual mode keeps both rankings; uniform is all ones."""
-    names = list(features)
-    if mode == "dual":
-        return (np.asarray([weights.pearson[f] for f in names]),
-                np.asarray([weights.pps[f] for f in names]))
-    if mode == "pearson_only":
-        return np.asarray([weights.pearson[f] for f in names]), None
-    if mode == "pps_only":
-        return np.asarray([weights.pps[f] for f in names]), None
-    if mode == "uniform":
-        ones = np.ones(len(names))
-        return ones, ones.copy()
-    raise ValueError(f"unknown importance mode {mode!r}")
+    return {col.name: float(min(1.0, _pps_single(col, d.column(col.name)[rows], y, folds, n_classes)))
+            for col in d.feature_columns}

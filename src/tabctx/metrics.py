@@ -67,7 +67,8 @@ def auroc(labels, prob_matrix, class_labels) -> float | None:
 
 def nmae(labels, estimates) -> float | None:
     """Mean absolute error over the test set divided by |mean(label)|;
-    undefined (None) when the label mean is zero."""
+    undefined (None) when the label mean is zero or the ratio is not finite
+    (a subnormal label mean can overflow it)."""
     y = np.asarray(labels, dtype=np.float64)
     est = np.asarray(estimates, dtype=np.float64)
     if len(y) != len(est):
@@ -75,7 +76,8 @@ def nmae(labels, estimates) -> float | None:
     denom = abs(float(np.mean(y)))
     if denom == 0.0:
         return None
-    return float(np.mean(np.abs(est - y))) / denom
+    value = float(np.mean(np.abs(est - y))) / denom
+    return value if math.isfinite(value) else None
 
 
 def minmax_normalize(values, higher_better: bool = True) -> list[float]:

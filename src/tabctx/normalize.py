@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds
-from .util import dump_json, load_json
 
 MODE_QUANTILE = "quantile"
 MODE_STANDARD = "standard"
@@ -100,39 +99,3 @@ def apply_array(stats: ColumnStats, values) -> np.ndarray:
 def apply(stats: ColumnStats, v: float) -> float:
     return float(apply_array(stats, np.asarray([v]))[0])
 
-
-def stats_to_dict(stats: ColumnStats) -> dict:
-    return {
-        "column": stats.column,
-        "mode": stats.mode,
-        "n_seen": stats.n_seen,
-        "degenerate": stats.degenerate,
-        "quantile_knots": None if stats.quantile_knots is None else stats.quantile_knots.tolist(),
-        "mean": stats.mean,
-        "stddev": stats.stddev,
-        "vmin": stats.vmin,
-        "vmax": stats.vmax,
-    }
-
-
-def stats_from_dict(raw: dict) -> ColumnStats:
-    knots = raw.get("quantile_knots")
-    return ColumnStats(column=raw["column"], mode=raw["mode"], n_seen=raw["n_seen"],
-                       degenerate=raw["degenerate"],
-                       quantile_knots=None if knots is None else np.asarray(knots, dtype=np.float64),
-                       mean=raw.get("mean", 0.0), stddev=raw.get("stddev", 0.0),
-                       vmin=raw.get("vmin", 0.0), vmax=raw.get("vmax", 0.0))
-
-
-def save_stats(stats: dict[str, ColumnStats], path) -> None:
-    dump_json(path, {k: stats_to_dict(v) for k, v in sorted(stats.items())})
-
-
-def load_stats(path) -> dict[str, ColumnStats]:
-    return {k: stats_from_dict(v) for k, v in load_json(path).items()}
-
-
-def stats_cache_path(cache_dir, dataset_id: str, split_seed: int, mode: str):
-    """Conventional location for a between-run stats cache file."""
-    from pathlib import Path
-    return Path(cache_dir) / f"{dataset_id}.seed{split_seed}.{mode}.stats.json"

@@ -25,6 +25,7 @@ from .util import rng_for
 
 FLAG_PARSE_FAILURE = "parse_failure"
 FLAG_TRANSPORT_ERROR = "transport_error"
+FLAG_PROMPT_OVERFLOW = "prompt_overflow"
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -89,8 +90,8 @@ class PromptTemplate:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, float):
-        return "" if math.isnan(v) else repr(v)
+    if isinstance(v, (float, np.floating)):
+        return "" if math.isnan(v) else repr(float(v))
     return str(v)
 
 
@@ -119,18 +120,23 @@ def estimate_tokens(text: str, chars_per_token: float = 4.0) -> int:
     return math.ceil(len(text) / chars_per_token)
 
 
+class PromptOverflowError(ValueError):
+    pass
+
+
 def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dict,
                features: list[str], label_name: str,
                token_budget: int = 16384) -> tuple[str, int]:
     """Render within the token budget, dropping context rows from the far end
-    (rows are ordered nearest first). Raises if the bare query overflows."""
+    (rows are ordered nearest first). Raises PromptOverflowError if the bare
+    query overflows."""
     kept = list(rows)
     while True:
         text = serialize_prompt(tmpl, kept, query, features, label_name)
         if estimate_tokens(text, tmpl.chars_per_token) <= token_budget:
             return text, len(kept)
         if not kept:
-            raise ValueError("query row alone exceeds the token budget")
+            raise PromptOverflowError("query row alone exceeds the token budget")
         kept.pop()
 
 
@@ -184,6 +190,19 @@ def parse_number(completion: str) -> float | int | None:
     if re.fullmatch(r"[-+]?\d+", text):
         return int(text)
     return float(text)
+
+
+def fallback_record(task: str, class_labels: tuple[str, ...], context_mean: float,
+                    row_index: int, context_size: int, predictor_id: str,
+                    flag: str) -> PredictionRecord:
+    """Flagged stand-in when the model gives no usable answer: a uniform
+    distribution (classification) or the context label mean (regression)."""
+    if task == ds.TASK_CLASSIFICATION:
+        k = len(class_labels)
+        return PredictionRecord(row_index, task, predictor_id, context_size,
+                                class_probabilities=(1.0 / k,) * k, flag=flag)
+    return PredictionRecord(row_index, task, predictor_id, context_size,
+                            point_estimate=context_mean, flag=flag)
 
 
 class LlmClient:
@@ -246,30 +265,26 @@ class LlmClient:
         then falls back to a uniform distribution; unparseable regression
         output falls back to the context label mean. Transport failures are
         recorded on the row and do not abort the run."""
-        k = len(class_labels)
         try:
             completion = self.complete(prompt)
             if task == ds.TASK_CLASSIFICATION:
                 match = parse_class(completion, class_labels)
                 if match is None:
                     match = parse_class(self.complete(prompt), class_labels)
-                if match is None:
+                if match is not None:
+                    probs = tuple(1.0 if c == match else 0.0 for c in class_labels)
                     return PredictionRecord(row_index, task, predictor_id, context_size,
-                                            class_probabilities=(1.0 / k,) * k, flag=FLAG_PARSE_FAILURE)
-                probs = tuple(1.0 if c == match else 0.0 for c in class_labels)
-                return PredictionRecord(row_index, task, predictor_id, context_size,
-                                        class_probabilities=probs)
-            est = parse_number(completion)
-            if est is None:
-                return PredictionRecord(row_index, task, predictor_id, context_size,
-                                        point_estimate=context_mean, flag=FLAG_PARSE_FAILURE)
-            return PredictionRecord(row_index, task, predictor_id, context_size, point_estimate=est)
+                                            class_probabilities=probs)
+            else:
+                est = parse_number(completion)
+                if est is not None:
+                    return PredictionRecord(row_index, task, predictor_id, context_size,
+                                            point_estimate=est)
+            flag = FLAG_PARSE_FAILURE
         except TransportError:
-            if task == ds.TASK_CLASSIFICATION:
-                return PredictionRecord(row_index, task, predictor_id, context_size,
-                                        class_probabilities=(1.0 / k,) * k, flag=FLAG_TRANSPORT_ERROR)
-            return PredictionRecord(row_index, task, predictor_id, context_size,
-                                    point_estimate=context_mean, flag=FLAG_TRANSPORT_ERROR)
+            flag = FLAG_TRANSPORT_ERROR
+        return fallback_record(task, class_labels, context_mean, row_index, context_size,
+                               predictor_id, flag)
 
     def predict_many(self, jobs: list[dict], predictor_id: str = "llm") -> list[PredictionRecord]:
         """Run predict() for each job dict concurrently (bounded by the
@@ -288,44 +303,49 @@ def ingest_predictions(path: str | Path, d: ds.Dataset, predictor_id: str = "ext
     """Load a prediction CSV: ``row_index,estimate`` for regression or
     ``row_index,p_<class>,...`` for classification. Probability vectors with
     sums within [0.99, 1.01] are renormalized; anything further off is an
-    error."""
+    error, as is a row index that is out of range, not a test row, or
+    repeated."""
     valid = None if valid_rows is None else set(int(i) for i in valid_rows)
+    seen: set[int] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         records = []
         if d.task == ds.TASK_REGRESSION:
             if header != ["row_index", "estimate"]:
-                raise ValueError(f"bad regression header {header}")
+                raise ValueError(f"{path}: bad regression header {header}")
             for row in reader:
                 idx = int(row[0])
-                _check_index(idx, d, valid)
+                _check_index(idx, d, valid, seen, path)
                 records.append(PredictionRecord(idx, d.task, predictor_id, 0,
                                                 point_estimate=float(row[1])))
             return records
         expected = ["row_index"] + [f"p_{c}" for c in d.class_labels]
         if header[0] != "row_index" or sorted(header[1:]) != sorted(expected[1:]):
-            raise ValueError(f"bad classification header {header}, expected columns {expected}")
+            raise ValueError(f"{path}: bad classification header {header}, expected columns {expected}")
         col_order = [header.index(f"p_{c}") for c in d.class_labels]
         for row in reader:
             idx = int(row[0])
-            _check_index(idx, d, valid)
+            _check_index(idx, d, valid, seen, path)
             probs = [float(row[c]) for c in col_order]
             if min(probs) < 0:
-                raise ValueError(f"negative probability on row {idx}")
+                raise ValueError(f"{path}: negative probability on row {idx}")
             total = sum(probs)
             if not 0.99 <= total <= 1.01:
-                raise ValueError(f"probabilities on row {idx} sum to {total}")
+                raise ValueError(f"{path}: probabilities on row {idx} sum to {total}")
             records.append(PredictionRecord(idx, d.task, predictor_id, 0,
                                             class_probabilities=tuple(p / total for p in probs)))
         return records
 
 
-def _check_index(idx: int, d: ds.Dataset, valid) -> None:
+def _check_index(idx: int, d: ds.Dataset, valid, seen: set[int], path) -> None:
     if not 0 <= idx < d.n_rows:
-        raise ValueError(f"row index {idx} out of range")
+        raise ValueError(f"{path}: row index {idx} out of range")
     if valid is not None and idx not in valid:
-        raise ValueError(f"row index {idx} is not a test row")
+        raise ValueError(f"{path}: row index {idx} is not a test row")
+    if idx in seen:
+        raise ValueError(f"{path}: duplicate row index {idx}")
+    seen.add(idx)
 
 
 def ensemble(per_predictor: list[list[PredictionRecord]],

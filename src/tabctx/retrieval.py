@@ -31,8 +31,6 @@ TAG_PEARSON = "pearson-half"
 TAG_PPS = "pps-half"
 TAG_MERGED = "merged"
 
-TIE_BREAKS = ("distance_then_index",)
-
 
 @dataclass(frozen=True)
 class RetrievalConfig:
@@ -42,7 +40,6 @@ class RetrievalConfig:
     per_feature_norm: dict = field(default_factory=dict)
     distance_minmax_rescale: bool = True
     match_constraints: tuple[str, ...] = ()
-    tie_break: str = "distance_then_index"
     pps_folds: int = 4
     seed: int = 0
 
@@ -56,8 +53,6 @@ class RetrievalConfig:
         for mode in self.per_feature_norm.values():
             if mode not in nz.MODES:
                 raise ValueError(f"unknown normalization mode {mode!r}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
         object.__setattr__(self, "match_constraints", tuple(self.match_constraints))
 
 
@@ -122,11 +117,6 @@ class ContextPool:
         return (np.asarray([self.pearson_weights[f] for f in self.features]),
                 np.asarray([self.pps_weights[f] for f in self.features]))
 
-    def feature_weights(self) -> FeatureWeights:
-        if self.pearson_weights is None or self.pps_weights is None:
-            raise ValueError("pool was built without both importance measures")
-        return FeatureWeights(pearson=self.pearson_weights, pps=self.pps_weights)
-
     def train_label_mean(self) -> float:
         return float(np.mean(np.asarray(self.dataset.labels()[self.rows], dtype=np.float64)))
 
@@ -153,14 +143,12 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
 
 
 def feature_distance(pool: ContextPool, query: dict, feature: str,
-                     eligible: np.ndarray | None = None, rescale: bool | None = None) -> np.ndarray:
+                     eligible: np.ndarray | None = None) -> np.ndarray:
     """Distance vector from the query to every (eligible) pool row for one feature."""
     if feature not in pool.feature_kinds:
         raise KeyError(f"unknown feature {feature!r}")
     if eligible is None:
         eligible = np.arange(pool.size)
-    if rescale is None:
-        rescale = pool.cfg.distance_minmax_rescale
 
     if pool.feature_kinds[feature] == ds.KIND_CATEGORICAL:
         qv = str(query.get(feature, ds.MISSING_TOKEN))
@@ -175,7 +163,7 @@ def feature_distance(pool: ContextPool, query: dict, feature: str,
     present = ~missing
     if present.any():
         vals = raw[present]
-        if not rescale:
+        if not pool.cfg.distance_minmax_rescale:
             out[present] = vals
         else:
             lo, hi = vals.min(), vals.max()
@@ -213,21 +201,24 @@ def _ranking(distances: np.ndarray, eligible: np.ndarray) -> np.ndarray:
     return np.lexsort((eligible, distances))
 
 
-def retrieve(pool: ContextPool, query: dict, cfg: RetrievalConfig | None = None) -> RetrievedContext:
-    """Select up to ``cfg.quota`` supporting rows for the query row."""
-    cfg = cfg or pool.cfg
+def retrieve(pool: ContextPool, query: dict, quota: int | None = None) -> RetrievedContext:
+    """Select up to ``quota`` supporting rows for the query row (default
+    ``pool.cfg.quota``); everything else comes from the pool's config."""
+    cfg = pool.cfg
+    quota = cfg.quota if quota is None else quota
+    if quota < 1:
+        raise ValueError("quota must be at least 1")
     eligible = _eligible_rows(pool, query, cfg.match_constraints)
     if len(eligible) == 0:
         return RetrievedContext(np.empty(0, dtype=np.int64), np.empty(0), ())
 
     D = np.column_stack([
-        feature_distance(pool, query, f, eligible, cfg.distance_minmax_rescale)
-        for f in pool.features
+        feature_distance(pool, query, f, eligible) for f in pool.features
     ]) if pool.features else np.zeros((len(eligible), 0))
 
     w_primary, w_secondary = pool.weight_vectors()
     d_primary = aggregate(D, w_primary)
-    target = min(cfg.quota, len(eligible))
+    target = min(quota, len(eligible))
 
     if cfg.importance_mode != "dual":
         tag = {"pearson_only": TAG_PEARSON, "pps_only": TAG_PPS, "uniform": TAG_MERGED}[cfg.importance_mode]
@@ -235,8 +226,8 @@ def retrieve(pool: ContextPool, query: dict, cfg: RetrievalConfig | None = None)
         return RetrievedContext(pool.rows[eligible[order]], d_primary[order], (tag,) * target)
 
     d_secondary = aggregate(D, w_secondary)
-    k_primary = (cfg.quota + 1) // 2
-    k_secondary = cfg.quota - k_primary
+    k_primary = (quota + 1) // 2
+    k_secondary = quota - k_primary
 
     order_p = _ranking(d_primary, eligible)
     order_s = _ranking(d_secondary, eligible)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataset as ds
 from .predictors import PredictionRecord
-from .retrieval import ContextPool, RetrievalConfig, retrieve
+from .retrieval import ContextPool, retrieve
 from .util import dump_json, rng_for
 
 SHAPES = ("circle", "moon", "linear_rotation")
@@ -121,7 +121,7 @@ class BoundaryGrid:
     probabilities: np.ndarray  # (ny, nx, n_classes), row-major over (y, x)
 
 
-def boundary_grid(pool: ContextPool, predict_fn, cfg: RetrievalConfig,
+def boundary_grid(pool: ContextPool, predict_fn,
                   resolution: int | tuple[int, int] = 100) -> BoundaryGrid:
     """Class probabilities at every cell center of a grid covering the
     training bounding box with a 10% margin; needs exactly 2 numerical
@@ -148,7 +148,7 @@ def boundary_grid(pool: ContextPool, predict_fn, cfg: RetrievalConfig,
     probs = np.empty((ny, nx, k))
     for iy, gy in enumerate(ys):
         for ix, gx in enumerate(xs):
-            ctx = retrieve(pool, {fx: gx, fy: gy}, cfg)
+            ctx = retrieve(pool, {fx: gx, fy: gy})
             rec: PredictionRecord = predict_fn(ctx, {fx: gx, fy: gy})
             probs[iy, ix, :] = rec.class_probabilities
     return BoundaryGrid(x_range, y_range, (nx, ny), d.class_labels, probs)

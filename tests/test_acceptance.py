@@ -67,7 +67,7 @@ def test_c01_retrieval_matches_brute_force_on_100_datasets():
         query = d.feature_row(int(rng.choice(holdout))) if holdout else d.feature_row(0)
         if rng.random() < 0.3 and d.numerical_features:
             query[d.numerical_features[0]] = math.nan
-        got = rt.retrieve(pool, query, cfg)
+        got = rt.retrieve(pool, query)
         want = retrieval_oracle(d, train, query, cfg, pw, sw)
         assert got.indices.tolist() == [r for r, _, _ in want], f"seed {seed}"
         assert list(got.provenance) == [t for _, _, t in want], f"seed {seed}"
@@ -167,7 +167,7 @@ def test_c05_scaling_rag_improves_with_pool_size_and_beats_random():
         for size, subset in zip(sizes, subsets):
             cfg = rt.RetrievalConfig(quota=16, importance_mode="dual")
             pool = rt.build_pool(train, subset, cfg)
-            probs = [knn_predict(rt.retrieve(pool, q, cfg), pool).class_probabilities
+            probs = [knn_predict(rt.retrieve(pool, q), pool).class_probabilities
                      for q in queries]
             a = mt.auroc(labels, probs, train.class_labels)
             rag_err[size].append(1.0 - a)
@@ -202,7 +202,7 @@ def test_c06_dual_quota_split_contract():
     pool = rt.build_pool(d, range(256), cfg,
                          weights=FeatureWeights(pearson={"a": 1.0, "b": 0.0},
                                                 pps={"a": 0.0, "b": 1.0}))
-    ctx = rt.retrieve(pool, {"a": 0.0, "b": 0.0}, cfg)
+    ctx = rt.retrieve(pool, {"a": 0.0, "b": 0.0})
     assert len(ctx) == 128
     by_tag = {}
     for idx, tag in zip(ctx.indices.tolist(), ctx.provenance):
@@ -238,7 +238,7 @@ def test_c07_feature_weighting_beats_uniform_under_injected_noise():
             pool = rt.build_pool(train, np.arange(train.n_rows), cfg)
             labels, probs = [], []
             for i in range(test.n_rows):
-                ctx = rt.retrieve(pool, test.feature_row(i), cfg)
+                ctx = rt.retrieve(pool, test.feature_row(i))
                 labels.append(test.labels()[i])
                 probs.append(knn_predict(ctx, pool).class_probabilities)
             scores[mode] = mt.auroc(labels, probs, ("0", "1"))
@@ -262,7 +262,7 @@ def test_c08_boundary_grid_reproduces_nearest_neighbor_partition():
         cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform", numeric_norm="none",
                                  distance_minmax_rescale=False)
         pool = rt.build_pool(d, np.arange(n), cfg)
-        grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), cfg, resolution=8)
+        grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=8)
         xs = np.linspace(grid.x_range[0], grid.x_range[1], 8)
         ys = np.linspace(grid.y_range[0], grid.y_range[1], 8)
         for iy, gy in enumerate(ys):

@@ -42,6 +42,8 @@ def test_validate_config_catches_problems(tmp_path):
     cfg["datasets"][0]["schema"] = str(tmp_path / "missing.json")
     path = write_config(tmp_path, cfg)
     assert cli.main(["validate-config", str(path)]) == 1
+    zero = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 0]), "zero.json")
+    assert cli.main(["validate-config", str(zero)]) == 1
     ok = base_config(tmp_path)
     path2 = write_config(tmp_path, ok, "ok.json")
     assert cli.main(["validate-config", str(path2)]) == 0
@@ -197,6 +199,21 @@ def test_scaling_writes_fits(tmp_path):
     assert any(k.startswith("random/") for k in fits)
 
 
+def test_fit_run_dir_groups_and_verb_agree(tmp_path, capsys):
+    def report(policy, size, value):
+        return {"dataset": "a", "predictor": "knn", "metric": "nmae", "value": value, "n_test": 5,
+                "flag": None, "policy": policy, "train_size": size, "context_size": 4}
+    rows = [report("rag", 100, 0.5), report("rag", 1000, 0.3), report("rag", 10000, 0.18),
+            report("random", 100, 0.4), report("random", 1000, 0.0)]
+    dump_json(tmp_path / "metrics.json", {"metrics": rows})
+    fits = cli.fit_run_dir(tmp_path)
+    assert fits["rag/knn/c4"]["alpha"] > 0
+    assert fits["random/knn/c4"] == {"error": "fewer than 2 positive-error points",
+                                     "points": [(100, 0.4), (1000, 0.0)]}
+    assert cli.main(["fit-powerlaw", "--run-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(fits))
+
+
 def test_boundary_verb_writes_grid(tmp_path):
     rc = cli.main(["boundary", "--shape", "circle", "--noise", "0.1", "--n-train", "16",
                    "--resolution", "5", "--quota", "3", "--importance-mode", "uniform",
@@ -214,6 +231,34 @@ def test_fit_powerlaw_verb(tmp_path, capsys):
     assert rc == 0
     fit = load_json(tmp_path / "fit.json")
     assert fit["alpha"] > 0 and fit["d_c"] is not None
+
+
+def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
+    from llm_stub import stub_server
+    from tabctx.predictors import PromptTemplate, estimate_tokens, serialize_prompt
+    d = write_toy_files(tmp_path, n=40)
+    split = ds.make_split(d, (0.8, 0.1, 0.1), 3)
+    bare = {int(i): estimate_tokens(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
+                                                     ["x1", "x2"], "label"))
+            for i in split.test}
+    budget = min(bare.values())  # only the shortest query rows fit, with no context
+    over = {i for i, t in bare.items() if t > budget}
+    assert over and len(over) < len(bare)
+    with stub_server() as (state, url):
+        state.default = (200, "1")
+        cfg = base_config(tmp_path, prompt={"token_budget": budget}, predictors=[
+            {"id": "llm", "type": "llm", "base_url": url, "model": "stub", "max_retries": 0}])
+        out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    assert load_json(out / "manifest.json")["datasets"]["toy"]["status"] == "ok"
+    with open(out / "predictions.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["row_index"]) for r in rows] == [int(i) for i in split.test]
+    for r in rows:
+        if int(r["row_index"]) in over:
+            assert (r["flag"], r["context_used"], r["probs"]) == ("prompt_overflow", "0", "0.5|0.5")
+        else:
+            assert (r["flag"], r["probs"]) == ("", "0.0|1.0")
+    assert len(state.requests) == len(bare) - len(over)
 
 
 def test_run_with_llm_predictor_against_stub(tmp_path):

@@ -111,32 +111,12 @@ def test_pps_matches_exhaustive_tree_search():
         assert abs(got - want) <= 1e-9, f"seed {seed}: {got} vs {want}"
 
 
-def test_pps_parallel_matches_serial():
-    rng = rng_for(5, "par")
-    x1, x2 = rng.normal(size=80), rng.normal(size=80)
-    d = make_dataset(num={"f1": x1, "f2": x2}, label=x1 + x2, task="regression")
-    assert imp.pps_importance(d, range(80), seed=0) == imp.pps_importance(d, range(80), seed=0, workers=4)
-
-
 def test_pps_preconditions():
     d = make_dataset(num={"f": [1, 2, 3]}, label=[1, 2, 3], task="regression")
     with pytest.raises(ValueError):
         imp.pps_importance(d, [0, 1, 2], cv_folds=1)
     with pytest.raises(ValueError):
         imp.pps_importance(d, [0, 1], cv_folds=4)
-
-
-def test_combine_modes():
-    w = imp.FeatureWeights(pearson={"a": 0.3, "b": 0.9}, pps={"a": 0.5, "b": 0.1})
-    features = ["a", "b"]
-    p, s = imp.combine(w, "dual", features)
-    assert p.tolist() == [0.3, 0.9] and s.tolist() == [0.5, 0.1]
-    p, s = imp.combine(w, "pps_only", features)
-    assert p.tolist() == [0.5, 0.1] and s is None
-    p, s = imp.combine(w, "uniform", ["a", "b", "c"])
-    assert p.tolist() == [1, 1, 1] and s.tolist() == [1, 1, 1]
-    with pytest.raises(ValueError):
-        imp.combine(w, "nope", features)
 
 
 def test_feature_weights_validation():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabctx import metrics as mt
@@ -69,11 +69,13 @@ def test_nmae_examples():
     assert mt.nmae([1, 3], [2, 2]) == 0.5
     assert mt.nmae([10], [12]) == pytest.approx(0.2, abs=1e-12)
     assert mt.nmae([1, -1], [0, 0]) is None
+    assert mt.nmae([2.2250738585e-313], [1.0]) is None  # the ratio overflows
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=1, max_size=30),
        st.floats(0.001, 1000))
+@example(pairs=[(2.2250738585e-313, 1.0)], c=1.0)  # subnormal label mean
 def test_nmae_scale_equivariance(pairs, c):
     y = [p[0] for p in pairs]
     est = [p[1] for p in pairs]

@@ -86,12 +86,3 @@ def test_train_only_dependence():
     s2 = nz.fit_stats(d2, [0, 1, 2])["a"]
     assert s1.quantile_knots.tolist() == s2.quantile_knots.tolist()
 
-
-def test_stats_json_round_trip(tmp_path):
-    d = make_dataset(num={"a": [1, 2, 3], "b": [5, 5, 5]}, label=[0, 1, 0], task="regression")
-    stats = nz.fit_stats(d, [0, 1, 2], overrides={"b": nz.MODE_STANDARD})
-    nz.save_stats(stats, tmp_path / "stats.json")
-    loaded = nz.load_stats(tmp_path / "stats.json")
-    assert loaded["b"].degenerate
-    assert np.array_equal(loaded["a"].quantile_knots, stats["a"].quantile_knots)
-    assert nz.apply(loaded["a"], 2.5) == nz.apply(stats["a"], 2.5)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tabctx import dataset as ds
 from tabctx import predictors as pr
 from tabctx import retrieval as rt
+from tabctx import synthgen as sg
 from conftest import make_dataset
 
 
@@ -96,6 +97,15 @@ def test_prompt_truncates_farthest_rows():
     assert "size: 0.0" in text and f"size: {float(used - 1)}" in text
 
 
+def test_prompt_renders_numpy_scalars_as_plain_numbers():
+    d = sg.generate_toy(sg.ToySpec("circle", 0.1, 8, 0))
+    query = d.feature_row(0)
+    text = pr.serialize_prompt(pr.PromptTemplate(), [(d.feature_row(1), np.float64(2.5))],
+                               query, ["x1", "x2"], "y")
+    assert "np." not in text
+    assert f"x1: {float(query['x1'])!r}" in text and "y: 2.5\n" in text
+
+
 def test_prompt_query_alone_over_budget():
     tmpl = pr.PromptTemplate()
     with pytest.raises(ValueError, match="budget"):
@@ -157,6 +167,10 @@ def test_ingest_rejects_bad_sums_and_indices(tmp_path):
     write_pred_csv(f, ["row_index", "p_a", "p_b"], [[1, 0.5, 0.5]])
     with pytest.raises(ValueError, match="test row"):
         pr.ingest_predictions(f, d, valid_rows=[0])
+    write_pred_csv(f, ["row_index", "p_a", "p_b"], [[1, 0.5, 0.5], [0, 0.5, 0.5], [1, 0.4, 0.6]])
+    with pytest.raises(ValueError, match="duplicate row index 1") as err:
+        pr.ingest_predictions(f, d)
+    assert str(f) in str(err.value)
 
 
 def test_ingest_regression(tmp_path):

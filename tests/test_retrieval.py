@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,7 +90,7 @@ def test_dual_quota_split_disjoint_rankings():
     cfg = rt.RetrievalConfig(quota=8, importance_mode="dual", numeric_norm="none",
                              distance_minmax_rescale=False)
     pool = pool_for(d, range(32), cfg, pearson={"a": 1.0, "b": 0.0}, pps={"a": 0.0, "b": 1.0})
-    ctx = rt.retrieve(pool, {"a": 0.0, "b": 0.0}, cfg)
+    ctx = rt.retrieve(pool, {"a": 0.0, "b": 0.0})
     tags = dict(zip(ctx.indices.tolist(), ctx.provenance))
     assert sum(1 for t in ctx.provenance if t == rt.TAG_PEARSON) == 4
     assert sum(1 for t in ctx.provenance if t == rt.TAG_PPS) == 4
@@ -101,7 +103,7 @@ def test_dual_identical_rankings_dedup_and_top_up():
     cfg = rt.RetrievalConfig(quota=4, importance_mode="dual", numeric_norm="none",
                              distance_minmax_rescale=False)
     pool = pool_for(d, range(10), cfg, pearson={"a": 1.0}, pps={"a": 1.0})
-    ctx = rt.retrieve(pool, {"a": 0.0}, cfg)
+    ctx = rt.retrieve(pool, {"a": 0.0})
     assert ctx.indices.tolist() == [0, 1, 2, 3]
     assert ctx.provenance.count(rt.TAG_PEARSON) == 2
     assert ctx.provenance.count(rt.TAG_MERGED) == 2
@@ -112,9 +114,11 @@ def test_quota_saturation_returns_everything():
     cfg = rt.RetrievalConfig(quota=50, importance_mode="uniform", numeric_norm="none",
                              distance_minmax_rescale=False)
     pool = rt.build_pool(d, range(3), cfg)
-    ctx = rt.retrieve(pool, {"a": 0.0}, cfg)
+    ctx = rt.retrieve(pool, {"a": 0.0})
     assert len(ctx) == 3
     assert ctx.indices.tolist() == [1, 2, 0]  # ascending |a - 0|
+    with pytest.raises(ValueError, match="quota"):
+        rt.retrieve(pool, {"a": 0.0}, 0)
 
 
 def test_match_constraint_soundness():
@@ -123,7 +127,7 @@ def test_match_constraint_soundness():
                      label=np.zeros(12), task="regression")
     cfg = rt.RetrievalConfig(quota=4, importance_mode="uniform", match_constraints=("g",))
     pool = rt.build_pool(d, range(12), cfg)
-    ctx = rt.retrieve(pool, {"x": 5.0, "g": "v"}, cfg)
+    ctx = rt.retrieve(pool, {"x": 5.0, "g": "v"})
     assert len(ctx) == 4
     assert all(d.column("g")[i] == "v" for i in ctx.indices)
 
@@ -132,7 +136,7 @@ def test_constraint_filtering_can_empty_pool():
     d = make_dataset(cat={"g": ["u", "u"]}, label=["a", "b"])
     cfg = rt.RetrievalConfig(quota=2, importance_mode="uniform", match_constraints=("g",))
     pool = rt.build_pool(d, [0, 1], cfg)
-    ctx = rt.retrieve(pool, {"g": "zzz"}, cfg)
+    ctx = rt.retrieve(pool, {"g": "zzz"})
     assert len(ctx) == 0
 
 
@@ -143,7 +147,7 @@ def test_self_retrieval_duplicate_row():
     cfg = rt.RetrievalConfig(quota=3, importance_mode="uniform")
     pool = rt.build_pool(d, range(30), cfg)
     query = {"x": float(x[7]), "c": "a"}
-    ctx = rt.retrieve(pool, query, cfg)
+    ctx = rt.retrieve(pool, query)
     assert 7 in ctx.indices.tolist()
     assert ctx.distances[ctx.indices.tolist().index(7)] == 0.0
 
@@ -168,7 +172,7 @@ def test_uniform_mode_reproduces_equal_weight_brute_force():
                              distance_minmax_rescale=False)
     pool = rt.build_pool(d, range(40), cfg)
     q = {"x1": 0.3, "x2": -0.2}
-    ctx = rt.retrieve(pool, q, cfg)
+    ctx = rt.retrieve(pool, q)
     brute = sorted(range(40), key=lambda i: (np.hypot(x1[i] - 0.3, x2[i] + 0.2), i))[:6]
     assert ctx.indices.tolist() == brute
 
@@ -186,7 +190,13 @@ def test_matches_naive_oracle_small(mode):
         cfg = rt.RetrievalConfig(quota=int(rng.integers(1, 12)), importance_mode=mode)
         pool = pool_for(d, train, cfg, pearson=pw, pps=sw)
         query = d.feature_row(int(rng.choice([i for i in range(n) if i not in set(train.tolist())] or [0])))
-        got = rt.retrieve(pool, query, cfg)
+        got = rt.retrieve(pool, query)
         want = retrieval_oracle(d, train, query, cfg, pw, sw)
+        assert got.indices.tolist() == [r for r, _, _ in want]
+        assert list(got.provenance) == [t for _, _, t in want]
+        # a per-call quota overrides only the pool's context size
+        quota = int(rng.integers(1, 12))
+        got = rt.retrieve(pool, query, quota)
+        want = retrieval_oracle(d, train, query, replace(cfg, quota=quota), pw, sw)
         assert got.indices.tolist() == [r for r, _, _ in want]
         assert list(got.provenance) == [t for _, _, t in want]

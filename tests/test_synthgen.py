@@ -97,7 +97,7 @@ def test_noiseless_circle_perfectly_classified():
     labels, probs = [], []
     for i in range(test.n_rows):
         q = {"x1": float(test.column("x1")[i]), "x2": float(test.column("x2")[i])}
-        ctx = rt.retrieve(pool, q, cfg)
+        ctx = rt.retrieve(pool, q)
         rec = knn_predict(ctx, pool, row_index=i)
         labels.append(test.labels()[i])
         probs.append(rec.class_probabilities)
@@ -109,7 +109,7 @@ def test_boundary_grid_matches_voronoi_three_points():
     pts = np.column_stack([d.column("x1"), d.column("x2")])
     cfg = euclid_config(quota=1)
     pool = rt.build_pool(d, np.arange(3), cfg)
-    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), cfg, resolution=3)
+    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=3)
     xs = np.linspace(grid.x_range[0], grid.x_range[1], 3)
     ys = np.linspace(grid.y_range[0], grid.y_range[1], 3)
     for iy, gy in enumerate(ys):
@@ -123,7 +123,7 @@ def test_boundary_grid_margin_and_shape():
     d = sg.generate_toy(sg.ToySpec("circle", 0.0, 16, seed=0))
     cfg = euclid_config(quota=1)
     pool = rt.build_pool(d, np.arange(16), cfg)
-    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), cfg, resolution=(4, 5))
+    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=(4, 5))
     x = d.column("x1")
     span = x.max() - x.min()
     assert grid.x_range[0] == pytest.approx(x.min() - 0.1 * span)
@@ -138,7 +138,7 @@ def test_boundary_grid_constant_predictor_uniform():
     pool = rt.build_pool(d, np.arange(8), cfg)
     const = lambda ctx, q: PredictionRecord(0, ds.TASK_CLASSIFICATION, "const", len(ctx),
                                             class_probabilities=(0.5, 0.5))
-    grid = sg.boundary_grid(pool, const, cfg, resolution=3)
+    grid = sg.boundary_grid(pool, const, resolution=3)
     assert np.all(grid.probabilities == 0.5)
 
 
@@ -148,14 +148,14 @@ def test_boundary_grid_requires_two_numeric_features():
     cfg = euclid_config(quota=1)
     pool = rt.build_pool(d, [0, 1], cfg)
     with pytest.raises(ValueError, match="2 numerical"):
-        sg.boundary_grid(pool, lambda ctx, q: None, cfg, resolution=2)
+        sg.boundary_grid(pool, lambda ctx, q: None, resolution=2)
 
 
 def test_grid_export_files(tmp_path):
     d = sg.generate_toy(sg.ToySpec("circle", 0.1, 12, seed=0))
     cfg = euclid_config(quota=2)
     pool = rt.build_pool(d, np.arange(12), cfg)
-    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), cfg, resolution=4)
+    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=4)
     sg.write_grid(grid, tmp_path / "g.csv", tmp_path / "g.json")
     import csv, json
     with open(tmp_path / "g.csv") as fh:
