@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,8 @@ from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient, Predic
 from .retrieval import ContextPool, RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 from .util import dump_json, fmt_float, load_json, subseed
+
+log = logging.getLogger(__name__)
 
 ABLATION_VARIANTS = {
     "full": {},
@@ -58,7 +61,7 @@ class RunConfig:
     predictors: list[dict]
     retrieval: dict = field(default_factory=dict)
     policies: list[dict] = field(default_factory=lambda: [{"id": "rag"}])
-    context_sizes: list[int] = field(default_factory=lambda: [128])
+    context_sizes: list[int] | None = None
     train_sizes: list[int] | None = None
     seed: int = 0
     output_dir: str = "run_out"
@@ -87,7 +90,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("no datasets configured")
     if not cfg.predictors:
         problems.append("no predictors configured")
-    if not cfg.context_sizes or min(cfg.context_sizes) < 1:
+    if cfg.context_sizes is not None and (not cfg.context_sizes or min(cfg.context_sizes) < 1):
         problems.append("context_sizes must be non-empty and each at least 1")
     if cfg.train_sizes is not None and not cfg.train_sizes:
         problems.append("train_sizes must be non-empty when given")
@@ -131,6 +134,17 @@ def validate_config(cfg: RunConfig) -> list[str]:
 def _resolve_retrieval(base: dict, overrides: dict) -> RetrievalConfig:
     merged = {**base, **{k: v for k, v in overrides.items() if k not in ("id", "type")}}
     return RetrievalConfig(**merged)
+
+
+def _context_sizes(cfg: RunConfig) -> list[int]:
+    """``context_sizes`` when the config gives them, else ``retrieval.quota``
+    (itself defaulting to ``RetrievalConfig.quota``)."""
+    if cfg.context_sizes is None:
+        return [_resolve_retrieval(cfg.retrieval, {}).quota]
+    if "quota" in cfg.retrieval:
+        log.warning("retrieval.quota %s is ignored: context_sizes %s sets the context sizes",
+                    cfg.retrieval["quota"], cfg.context_sizes)
+    return cfg.context_sizes
 
 
 def _load_split(entry: DatasetEntry, d: ds.Dataset, run_seed: int) -> ds.SplitAssignment:
@@ -208,14 +222,17 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
             if pol_type == "rag" and (pool.pearson_weights or pool.pps_weights):
                 weights_out[f"{pol_id}/n{train_size}"] = {
                     "pearson": pool.pearson_weights, "pps": pool.pps_weights}
-            for ctx_size in cfg.context_sizes:
+            if pol_type == "rag":
+                ranked = {int(row): retrieve(pool, d.feature_row(int(row)), tuple(cfg.context_sizes))
+                          for row in test_rows}
+            for i, ctx_size in enumerate(cfg.context_sizes):
                 contexts = {}
                 for row in test_rows:
                     if pol_type == "random":
                         rseed = subseed(cfg.seed, "random-policy", entry.id, train_size, ctx_size, int(row))
                         contexts[int(row)] = retrieve_random(pool, ctx_size, rseed)
                     else:
-                        contexts[int(row)] = retrieve(pool, d.feature_row(int(row)), ctx_size)
+                        contexts[int(row)] = ranked[int(row)][i]
                 if cfg.write_traces:
                     traces.extend({"dataset": entry.id, "policy": pol_id, "train_size": train_size,
                                    "context_size": ctx_size, **context_trace(c, r)}
@@ -284,6 +301,7 @@ def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
     problems = validate_config(cfg)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
+    cfg = replace(cfg, context_sizes=_context_sizes(cfg))
     out = Path(output_dir or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()

@@ -91,7 +91,7 @@ class Dataset:
             if col.kind == KIND_NUMERICAL:
                 self._columns[col.name] = np.asarray(raw, dtype=np.float64)
             else:
-                self._columns[col.name] = np.asarray([str(v) for v in raw], dtype=object)
+                self._columns[col.name] = np.asarray([category_token(v) for v in raw], dtype=object)
 
         if task == TASK_CLASSIFICATION:
             known = set(self.class_labels)
@@ -127,6 +127,18 @@ class Dataset:
 
     def feature_row(self, i: int) -> dict:
         return {c.name: self._columns[c.name][i] for c in self.feature_columns}
+
+
+def category_token(value) -> str:
+    """The categorical token of a cell or query value: ``None`` is the missing token."""
+    return MISSING_TOKEN if value is None else str(value)
+
+
+def category_codes(tokens: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Encode categorical tokens over their sorted vocabulary: returns the
+    token -> code map (in vocabulary order) and the int32 code of each token."""
+    lookup = {t: i for i, t in enumerate(sorted(set(tokens)))}
+    return lookup, np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int32, count=len(tokens))
 
 
 def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:

@@ -94,30 +94,35 @@ def _label_matrix(d: ds.Dataset, rows: np.ndarray) -> np.ndarray:
     return np.stack([(y == c).astype(np.float64) for c in d.class_labels], axis=1)
 
 
-def _category_matrix(tokens: np.ndarray) -> np.ndarray:
-    cats = sorted(set(tokens.tolist()))
-    return np.stack([(tokens == c).astype(np.float64) for c in cats], axis=1)
+def _indicator_matrix(codes: np.ndarray) -> np.ndarray:
+    """One indicator column per category code, in code order."""
+    return (codes[:, None] == np.arange(codes.max() + 1)).astype(np.float64)
 
 
-def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
+def pearson_importance(d: ds.Dataset, train_rows,
+                       codes: dict[str, np.ndarray] | None = None) -> dict[str, float]:
     """Per-feature weight in [0, 1]: max |r| over indicator encodings.
-    Undefined correlations (constant columns, fewer than 2 pairs) score 0."""
+    Undefined correlations (constant columns, fewer than 2 pairs) score 0.
+    ``codes`` maps each categorical feature to its codes over ``train_rows``
+    as ``dataset.category_codes`` gives them; they are encoded here if absent."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValueError("training rows must be non-empty")
     out: dict[str, float] = {}
+    labels = _label_matrix(d, rows)
     for col in d.feature_columns:
-        vals = d.column(col.name)[rows]
         if col.kind == ds.KIND_NUMERICAL:
+            vals = d.column(col.name)[rows]
             keep = np.isfinite(np.asarray(vals, dtype=np.float64))
             if keep.sum() < 2:
                 out[col.name] = 0.0
                 continue
             F = np.asarray(vals, dtype=np.float64)[keep].reshape(-1, 1)
-            L = _label_matrix(d, rows[keep])
+            L = labels[keep]
         else:
-            F = _category_matrix(vals)
-            L = _label_matrix(d, rows)
+            F = _indicator_matrix(codes[col.name] if codes is not None
+                                  else ds.category_codes(d.column(col.name)[rows].tolist())[1])
+            L = labels
         out[col.name] = _max_abs_corr(F, L)
     return out
 

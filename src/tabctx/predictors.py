@@ -304,7 +304,7 @@ def ingest_predictions(path: str | Path, d: ds.Dataset, predictor_id: str = "ext
     ``row_index,p_<class>,...`` for classification. Probability vectors with
     sums within [0.99, 1.01] are renormalized; anything further off is an
     error, as is a row index that is out of range, not a test row, or
-    repeated."""
+    repeated, and a file that leaves out any of ``valid_rows``."""
     valid = None if valid_rows is None else set(int(i) for i in valid_rows)
     seen: set[int] = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -319,23 +319,26 @@ def ingest_predictions(path: str | Path, d: ds.Dataset, predictor_id: str = "ext
                 _check_index(idx, d, valid, seen, path)
                 records.append(PredictionRecord(idx, d.task, predictor_id, 0,
                                                 point_estimate=float(row[1])))
-            return records
-        expected = ["row_index"] + [f"p_{c}" for c in d.class_labels]
-        if header[0] != "row_index" or sorted(header[1:]) != sorted(expected[1:]):
-            raise ValueError(f"{path}: bad classification header {header}, expected columns {expected}")
-        col_order = [header.index(f"p_{c}") for c in d.class_labels]
-        for row in reader:
-            idx = int(row[0])
-            _check_index(idx, d, valid, seen, path)
-            probs = [float(row[c]) for c in col_order]
-            if min(probs) < 0:
-                raise ValueError(f"{path}: negative probability on row {idx}")
-            total = sum(probs)
-            if not 0.99 <= total <= 1.01:
-                raise ValueError(f"{path}: probabilities on row {idx} sum to {total}")
-            records.append(PredictionRecord(idx, d.task, predictor_id, 0,
-                                            class_probabilities=tuple(p / total for p in probs)))
-        return records
+        else:
+            expected = ["row_index"] + [f"p_{c}" for c in d.class_labels]
+            if header[0] != "row_index" or sorted(header[1:]) != sorted(expected[1:]):
+                raise ValueError(f"{path}: bad classification header {header}, expected columns {expected}")
+            col_order = [header.index(f"p_{c}") for c in d.class_labels]
+            for row in reader:
+                idx = int(row[0])
+                _check_index(idx, d, valid, seen, path)
+                probs = [float(row[c]) for c in col_order]
+                if min(probs) < 0:
+                    raise ValueError(f"{path}: negative probability on row {idx}")
+                total = sum(probs)
+                if not 0.99 <= total <= 1.01:
+                    raise ValueError(f"{path}: probabilities on row {idx} sum to {total}")
+                records.append(PredictionRecord(idx, d.task, predictor_id, 0,
+                                                class_probabilities=tuple(p / total for p in probs)))
+    if valid is not None and len(seen) < len(valid):
+        raise ValueError(f"{path}: no prediction for test row {min(valid - seen)} "
+                         f"({len(valid) - len(seen)} of {len(valid)} test rows missing)")
+    return records
 
 
 def _check_index(idx: int, d: ds.Dataset, valid, seen: set[int], path) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import pytest
 
@@ -279,3 +280,43 @@ def test_run_with_llm_predictor_against_stub(tmp_path):
         rows = [r for r in csv.DictReader(fh) if r["predictor"] == "llm"]
     assert rows and all(r["probs"] in ("0.0|1.0",) for r in rows)
     assert state.requests and state.requests[0]["body"]["temperature"] == 0
+
+
+def test_retrieval_quota_sets_context_size_when_sizes_absent(tmp_path, caplog):
+    write_toy_files(tmp_path)
+
+    def sizes_of(cfg, name):
+        out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg, f"{name}.json")), tmp_path / name)
+        assert load_json(out / "manifest.json")["datasets"]["toy"]["status"] == "ok"
+        return ({r["context_size"] for r in load_json(out / "metrics.json")["metrics"]},
+                load_json(out / "manifest.json")["config"]["context_sizes"])
+
+    only_quota = base_config(tmp_path, retrieval={"importance_mode": "uniform", "quota": 3})
+    del only_quota["context_sizes"]
+    assert sizes_of(only_quota, "quota") == ({3}, [3])
+    neither = base_config(tmp_path)
+    del neither["context_sizes"]
+    assert sizes_of(neither, "default") == ({128}, [128])
+    with caplog.at_level(logging.WARNING, logger="tabctx.cli"):
+        both = base_config(tmp_path, retrieval={"importance_mode": "uniform", "quota": 3})
+        assert sizes_of(both, "both") == ({4}, [4])
+    assert "retrieval.quota 3 is ignored" in caplog.text
+
+
+def test_partial_external_predictions_file_is_rejected(tmp_path):
+    d = write_toy_files(tmp_path)
+    test_rows = [int(r) for r in ds.make_split(d, (0.8, 0.1, 0.1), seed=3).test]
+    with open(tmp_path / "ext.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["row_index", "p_0", "p_1"])
+        w.writerows([r, 1.0, 0.0] for r in test_rows[1:])
+    cfg = base_config(tmp_path, predictors=[
+        {"id": "knn", "type": "knn"},
+        {"id": "ext", "type": "external", "path": str(tmp_path / "ext.csv")},
+        {"id": "both", "type": "ensemble", "members": ["knn", "ext"]},
+    ])
+    out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    status = load_json(out / "manifest.json")["datasets"]["toy"]
+    assert status["status"] == "error"
+    assert str(tmp_path / "ext.csv") in status["error"]
+    assert f"no prediction for test row {test_rows[0]}" in status["error"]

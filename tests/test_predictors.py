@@ -173,6 +173,16 @@ def test_ingest_rejects_bad_sums_and_indices(tmp_path):
     assert str(f) in str(err.value)
 
 
+def test_ingest_rejects_file_missing_test_rows(tmp_path):
+    d = make_dataset(num={"x": [1, 2, 3, 4]}, label=[1.0, 2.0, 3.0, 4.0], task="regression")
+    f = tmp_path / "partial.csv"
+    write_pred_csv(f, ["row_index", "estimate"], [[3, 1.5], [1, 2.5]])
+    with pytest.raises(ValueError, match=r"no prediction for test row 2 \(1 of 3") as err:
+        pr.ingest_predictions(f, d, valid_rows=[1, 2, 3])
+    assert str(f) in str(err.value)
+    assert len(pr.ingest_predictions(f, d, valid_rows=[1, 3])) == 2
+
+
 def test_ingest_regression(tmp_path):
     d = make_dataset(num={"x": [1, 2]}, label=[1.0, 2.0], task="regression")
     f = tmp_path / "r.csv"

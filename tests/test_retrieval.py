@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabctx import dataset as ds
 from tabctx import retrieval as rt
-from tabctx.importance import FeatureWeights
+from tabctx.importance import IMPORTANCE_MODES, FeatureWeights
 from conftest import make_dataset
 from oracles import random_mixed_dataset, retrieval_oracle
 
@@ -200,3 +201,87 @@ def test_matches_naive_oracle_small(mode):
         want = retrieval_oracle(d, train, query, replace(cfg, quota=quota), pw, sw)
         assert got.indices.tolist() == [r for r, _, _ in want]
         assert list(got.provenance) == [t for _, _, t in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), mode=st.sampled_from(IMPORTANCE_MODES), constrain=st.booleans(),
+       sizes=st.lists(st.integers(1, 30), min_size=1, max_size=3))
+def test_multi_size_retrieve_matches_oracle_at_every_size(seed, mode, constrain, sizes):
+    d = random_mixed_dataset(seed, max_rows=60)
+    rng = np.random.default_rng(seed)
+    n = d.n_rows
+    train = np.sort(rng.choice(n, size=max(5, int(n * 0.7)), replace=False))
+    feats = [c.name for c in d.feature_columns]
+    pw = {f: float(rng.uniform(0, 1)) for f in feats}
+    sw = {f: float(rng.uniform(0, 1)) for f in feats}
+    constraints = tuple(d.categorical_features[:1]) if constrain else ()
+    cfg = rt.RetrievalConfig(importance_mode=mode, match_constraints=constraints)
+    pool = pool_for(d, train, cfg, pearson=pw, pps=sw)
+    query = d.feature_row(int(rng.integers(n)))
+    sizes = (*sizes, 1, len(train) + 3)  # one row, and more rows than the pool holds
+    got = rt.retrieve(pool, query, sizes)
+    assert len(got) == len(sizes)
+    for size, ctx in zip(sizes, got):
+        want = retrieval_oracle(d, train, query, replace(cfg, quota=size), pw, sw)
+        assert ctx.indices.tolist() == [r for r, _, _ in want]
+        assert list(ctx.provenance) == [t for _, _, t in want]
+        assert ctx.distances.tolist() == pytest.approx([v for _, v, _ in want], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["dual", "uniform"])
+def test_ties_at_the_cut_off_break_by_row_index(mode):
+    # the 22 pool rows with an even index are identical and tie at distance 0:
+    # more rows tie at the cut-off than every context size but the last takes
+    x = np.where(np.arange(48) % 2 == 0, 1.0, np.arange(48) + 10.0)
+    g = ["u" if i % 2 == 0 else "v" for i in range(48)]
+    d = make_dataset(num={"x": x}, cat={"g": g}, label=np.zeros(48), task="regression")
+    train = np.arange(3, 48)
+    w = {"x": 1.0, "g": 0.5}
+    cfg = rt.RetrievalConfig(importance_mode=mode)
+    pool = pool_for(d, train, cfg, pearson=w, pps=w)
+    query = {"x": 1.0, "g": "u"}
+    sizes = (1, 2, 5, 8, 30)
+    for size, ctx in zip(sizes, rt.retrieve(pool, query, sizes)):
+        want = retrieval_oracle(d, train, query, replace(cfg, quota=size), w, w)
+        assert ctx.indices.tolist() == [r for r, _, _ in want]
+        assert list(ctx.provenance) == [t for _, _, t in want]
+    assert rt.retrieve(pool, query, 5).indices.tolist() == [4, 6, 8, 10, 12]
+
+
+def test_multi_size_entries_equal_single_size_calls():
+    d = random_mixed_dataset(4)
+    feats = [c.name for c in d.feature_columns]
+    cfg = rt.RetrievalConfig(importance_mode="dual", match_constraints=("cat0",))
+    pool = pool_for(d, np.arange(0, d.n_rows, 2), cfg, pearson={f: i / len(feats) for i, f in enumerate(feats)},
+                    pps={f: 1.0 / (1 + i) for i, f in enumerate(feats)})
+    query = d.feature_row(1)
+    for size, ctx in zip((7, 2, 7, 40), rt.retrieve(pool, query, (7, 2, 7, 40))):
+        one = rt.retrieve(pool, query, size)
+        assert ctx.indices.tolist() == one.indices.tolist()
+        assert ctx.distances.tolist() == one.distances.tolist()
+        assert ctx.provenance == one.provenance
+    with pytest.raises(ValueError, match="quota"):
+        rt.retrieve(pool, query, (4, 0))
+    with pytest.raises(ValueError, match="quota"):
+        rt.retrieve(pool, query, ())
+
+
+def test_none_categorical_query_is_the_missing_token():
+    d = make_dataset(num={"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+                     cat={"g": ["", "None", "u", "", "None", "u"]},
+                     label=np.zeros(6), task="regression")
+    for constraints in ((), ("g",)):
+        cfg = rt.RetrievalConfig(quota=3, importance_mode="uniform", match_constraints=constraints)
+        pool = rt.build_pool(d, range(6), cfg)
+        assert rt.feature_distance(pool, {"g": None}, "g").tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+        a, b = rt.retrieve(pool, {"g": None}), rt.retrieve(pool, {})
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.distances.tolist() == b.distances.tolist()
+    assert a.indices.tolist() == [0, 3]
+    # a None cell in an in-memory Dataset is the missing token too
+    d = ds.Dataset([ds.ColumnSchema("g", ds.KIND_CATEGORICAL),
+                    ds.ColumnSchema("y", ds.KIND_NUMERICAL, ds.ROLE_LABEL)],
+                   {"g": [None, "u", ""], "y": [0.0, 1.0, 2.0]}, ds.TASK_REGRESSION)
+    assert d.column("g").tolist() == ["", "u", ""]
+    cfg = rt.RetrievalConfig(quota=2, importance_mode="uniform", match_constraints=("g",))
+    assert rt.retrieve(rt.build_pool(d, range(3), cfg), {"g": None}).indices.tolist() == [0, 2]
