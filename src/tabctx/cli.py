@@ -90,8 +90,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("no datasets configured")
     if not cfg.predictors:
         problems.append("no predictors configured")
-    if cfg.context_sizes is not None and (not cfg.context_sizes or min(cfg.context_sizes) < 1):
-        problems.append("context_sizes must be non-empty and each at least 1")
+    if cfg.context_sizes is not None:
+        if not cfg.context_sizes or min(cfg.context_sizes) < 1:
+            problems.append("context_sizes must be non-empty and each at least 1")
+        repeated = sorted({s for s in cfg.context_sizes if cfg.context_sizes.count(s) > 1})
+        if repeated:
+            problems.append(f"context_sizes repeats {', '.join(map(str, repeated))}")
     if cfg.train_sizes is not None and not cfg.train_sizes:
         problems.append("train_sizes must be non-empty when given")
     seen = set()

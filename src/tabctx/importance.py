@@ -30,6 +30,22 @@ reproducibility):
   chosen greedily with strict-improvement stopping; candidate categories
   are scanned in sorted token order.
 
+How the contract is computed (the results are the same bits as the direct
+per-leaf formulas, which ``tests/oracles.py`` keeps as references):
+
+* Regression segment medians come from order statistics, not one
+  ``np.median`` per segment. The fold's labels are ranked once (stable
+  sort), an int32 table counts, for every boundary, the rows before it at
+  each rank, and a vectorized binary search over all segments finds the
+  lower and upper middle ranks. An odd segment's median is its middle value;
+  an even one's is the mean of the two, as ``np.median`` takes it. Each
+  segment's absolute-deviation sum is still one ``np.sum`` over it.
+* Categorical trees work on the int32 category codes over the sorted
+  vocabulary (``dataset.category_codes``), so code order is sorted token
+  order. Classification costs come from one ``bincount`` of
+  (code, class) pairs per fold, as integer counts; regression costs from
+  code masks. A tree predicts through one code -> value array.
+
 Scores compare out-of-fold tree predictions with out-of-fold naive
 predictions (fold-train median / most frequent class):
 ``max(0, 1 - MAE_tree / MAE_naive)`` for regression and
@@ -145,13 +161,51 @@ def _leaf_value_cls(codes: np.ndarray, n_classes: int, fallback: int) -> int:
     return int(np.argmax(np.bincount(codes, minlength=n_classes)))
 
 
+def _segment_medians(y_sorted: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.median(y_sorted[a:b])`` for each non-empty segment (a, b) in
+    zip(lo, hi), bit for bit, without partitioning a single segment."""
+    n = len(y_sorted)
+    order = np.argsort(y_sorted, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # below[j, v]: rows before boundary j whose rank is < v
+    ends = np.unique(np.concatenate([lo, hi]))
+    below = np.zeros((len(ends), n + 1), dtype=np.int32)
+    seen = np.zeros(n, dtype=np.int32)
+    start = 0
+    for j, end in enumerate(ends):
+        seen[rank[start:end]] = 1
+        np.cumsum(seen, out=below[j, 1:])
+        start = end
+    size = hi - lo
+    first = np.tile(np.searchsorted(ends, lo), 2)
+    last = np.tile(np.searchsorted(ends, hi), 2)
+    # the k-th smallest rank in a segment is v - 1 for the least v with k + 1
+    # of the segment's ranks below it; binary search for both middle k at once
+    need = np.concatenate([(size - 1) // 2, size // 2]) + 1
+    low, high = np.zeros(len(need), dtype=np.int64), np.full(len(need), n, dtype=np.int64)
+    while np.any(high - low > 1):
+        mid = (low + high) // 2
+        enough = below[last, mid] - below[first, mid] >= need
+        high = np.where(enough, mid, high)
+        low = np.where(enough, low, mid)
+    middle = y_sorted[order[high - 1]].reshape(2, -1)
+    # np.median takes the mean of the two middle values; they coincide when the size is odd
+    return np.where(size % 2 == 1, middle[0], (middle[0] + middle[1]) / 2)
+
+
 def _segment_costs_reg(y_sorted: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Leaf cost of every segment y_sorted[pos[i]:pos[j]], i < j; inf on and
+    below the diagonal. Each sum stays one np.sum over its segment, so the
+    rounding, and with it the tree chosen on near-ties, is unchanged."""
     b = len(pos)
     C = np.full((b, b), np.inf)
-    for i in range(b - 1):
-        for j in range(i + 1, b):
-            seg = y_sorted[pos[i]:pos[j]]
-            C[i, j] = 0.0 if len(seg) == 0 else float(np.sum(np.abs(seg - np.median(seg))))
+    i, j = np.triu_indices(b, 1)
+    C[i, j] = 0.0
+    full = pos[j] > pos[i]
+    i, j = i[full], j[full]
+    for ii, jj, med in zip(i, j, _segment_medians(y_sorted, pos[i], pos[j])):
+        C[ii, jj] = float(np.sum(np.abs(y_sorted[pos[ii]:pos[jj]] - med)))
     return C
 
 
@@ -233,55 +287,56 @@ def fit_numeric_tree(x: np.ndarray, y: np.ndarray, thresholds: np.ndarray,
     return _NumericTree(bounds, np.asarray(leaves, dtype=dtype), fallback)
 
 
-class _CategoricalTree:
-    def __init__(self, isolated: dict[str, object], rest_value, fallback):
-        self.isolated = isolated
-        self.rest_value = rest_value
-        self.fallback = fallback
-
-    def predict_one(self, token: str):
-        return self.isolated.get(token, self.rest_value)
+def _l1_cost(y: np.ndarray) -> float:
+    return float(np.sum(np.abs(y - np.median(y)))) if len(y) else 0.0
 
 
-def _cat_cost(y: np.ndarray, n_classes: int | None) -> float:
-    if len(y) == 0:
-        return 0.0
+def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
+                         n_classes: int | None, fallback) -> np.ndarray:
+    """Greedy one-vs-rest tree on category codes (0 .. n_codes - 1, in
+    sorted token order); returns the predicted value for every code.
+    Classification when n_classes is given (y holds class codes)."""
+    present = np.flatnonzero(np.bincount(codes, minlength=n_codes))
     if n_classes is None:
-        return float(np.sum(np.abs(y - np.median(y))))
-    counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-    return float(len(y) - counts.max())
+        iso_cost = {int(c): _l1_cost(y[codes == c]) for c in present}
 
+        def step_costs(isolated, cand):
+            base = sum(iso_cost[k] for k in isolated)
+            rest = ~np.isin(codes, isolated)
+            return np.asarray([base + iso_cost[int(c)] + _l1_cost(y[rest & (codes != c)])
+                               for c in cand])
 
-def fit_categorical_tree(tokens: np.ndarray, y: np.ndarray, n_classes: int | None,
-                         fallback) -> _CategoricalTree:
-    cats = sorted(set(tokens.tolist()))
-    iso_cost = {c: _cat_cost(y[tokens == c], n_classes) for c in cats}
-    isolated: list[str] = []
-    rest_mask = np.ones(len(tokens), dtype=bool)
-    current = _cat_cost(y, n_classes)
+        current = _l1_cost(y)
+    else:
+        counts = np.bincount(codes * n_classes + y, minlength=n_codes * n_classes
+                             ).reshape(n_codes, n_classes)
+        iso_cost = counts.sum(axis=1) - counts.max(axis=1)
+
+        def step_costs(isolated, cand):
+            rest = counts.sum(axis=0) - counts[isolated].sum(axis=0) - counts[cand]
+            return iso_cost[isolated].sum() + iso_cost[cand] + rest.sum(axis=1) - rest.max(axis=1)
+
+        current = len(y) - counts.sum(axis=0).max()
+    isolated: list[int] = []
     for _ in range(TREE_DEPTH):
-        best_cat, best_cost = None, current
-        for c in cats:
-            if c in isolated:
-                continue
-            rest = rest_mask & (tokens != c)
-            cost = sum(iso_cost[k] for k in isolated) + iso_cost[c] + _cat_cost(y[rest], n_classes)
-            if cost < best_cost:
-                best_cat, best_cost = c, cost
-        if best_cat is None:
+        cand = np.setdiff1d(present, isolated)
+        if len(cand) == 0:
             break
-        isolated.append(best_cat)
-        rest_mask &= tokens != best_cat
-        current = best_cost
-    iso_values = {}
-    for c in isolated:
-        seg = y[tokens == c]
-        iso_values[c] = _leaf_value_reg(seg, fallback) if n_classes is None else _leaf_value_cls(
-            seg.astype(np.int64), n_classes, fallback)
-    rest_seg = y[rest_mask]
-    rest_value = _leaf_value_reg(rest_seg, fallback) if n_classes is None else _leaf_value_cls(
-        rest_seg.astype(np.int64), n_classes, fallback)
-    return _CategoricalTree(iso_values, rest_value, fallback)
+        costs = step_costs(isolated, cand)
+        k = int(np.argmin(costs))
+        if not costs[k] < current:
+            break
+        isolated.append(int(cand[k]))
+        current = costs[k]
+    rest = y[~np.isin(codes, isolated)]
+    if n_classes is None:
+        values = np.full(n_codes, _leaf_value_reg(rest, fallback))
+        for c in isolated:
+            values[c] = _leaf_value_reg(y[codes == c], fallback)
+    else:
+        values = np.full(n_codes, _leaf_value_cls(rest, n_classes, fallback), dtype=np.int64)
+        values[isolated] = counts[isolated].argmax(axis=1)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +374,13 @@ def _score_from_folds(y, tree_preds, naive_preds, n_classes: int | None) -> floa
     return max(0.0, (f1_tree - f1_naive) / (1.0 - f1_naive))
 
 
-def _pps_single(col: ds.ColumnSchema, values: np.ndarray, y: np.ndarray,
-                folds: list[np.ndarray], n_classes: int | None) -> float:
+def _pps_single(values: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
+                n_classes: int | None, numeric: bool) -> float:
+    """Score of one feature: ``values`` are the raw numbers of a numerical
+    feature or the category codes of a categorical one."""
     n = len(y)
     tree_preds = np.empty(n, dtype=np.float64 if n_classes is None else np.int64)
     naive_preds = np.empty_like(tree_preds)
-    numeric = col.kind == ds.KIND_NUMERICAL
     if numeric:
         x = np.asarray(values, dtype=np.float64)
         finite_all = x[np.isfinite(x)]
@@ -338,7 +394,7 @@ def _pps_single(col: ds.ColumnSchema, values: np.ndarray, y: np.ndarray,
         if n_classes is None:
             fallback = float(np.median(yt))
         else:
-            fallback = int(np.argmax(np.bincount(yt.astype(np.int64), minlength=n_classes)))
+            fallback = int(np.argmax(np.bincount(yt, minlength=n_classes)))
         naive_preds[val_mask] = fallback
         if numeric:
             xt = x[~val_mask]
@@ -349,14 +405,17 @@ def _pps_single(col: ds.ColumnSchema, values: np.ndarray, y: np.ndarray,
                 tree = fit_numeric_tree(xt[ft], yt[ft], thresholds, n_classes, fallback)
                 tree_preds[val_mask] = tree.predict(x[val_mask])
         else:
-            tree = fit_categorical_tree(values[~val_mask], yt, n_classes, fallback)
-            tree_preds[val_mask] = [tree.predict_one(t) for t in values[val_mask]]
+            by_code = fit_categorical_tree(values[~val_mask], yt, int(values.max()) + 1,
+                                           n_classes, fallback)
+            tree_preds[val_mask] = by_code[values[val_mask]]
     return _score_from_folds(y, tree_preds, naive_preds, n_classes)
 
 
 def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
-                   seed: int = 0) -> dict[str, float]:
-    """Cross-validated tree-vs-naive score per feature, clipped to [0, 1]."""
+                   seed: int = 0, codes: dict[str, np.ndarray] | None = None) -> dict[str, float]:
+    """Cross-validated tree-vs-naive score per feature, clipped to [0, 1].
+    ``codes`` maps each categorical feature to its codes over ``train_rows``
+    as ``dataset.category_codes`` gives them; they are encoded here if absent."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if cv_folds < 2:
         raise ValueError("cv_folds must be at least 2")
@@ -370,5 +429,13 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
         code = {c: i for i, c in enumerate(d.class_labels)}
         y = np.asarray([code[v] for v in d.labels()[rows]], dtype=np.int64)
         n_classes = len(d.class_labels)
-    return {col.name: float(min(1.0, _pps_single(col, d.column(col.name)[rows], y, folds, n_classes)))
-            for col in d.feature_columns}
+    out = {}
+    for col in d.feature_columns:
+        if col.kind == ds.KIND_NUMERICAL:
+            values, numeric = d.column(col.name)[rows], True
+        else:
+            values = (codes[col.name] if codes is not None
+                      else ds.category_codes(d.column(col.name)[rows].tolist())[1])
+            numeric = False
+        out[col.name] = float(min(1.0, _pps_single(values, y, folds, n_classes, numeric)))
+    return out

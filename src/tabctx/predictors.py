@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import math
 import re
+import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +86,24 @@ class PromptTemplate:
     anonymize: bool = False
     chars_per_token: float = 4.0
 
+    def __post_init__(self):
+        _rows_fields(self.layout)
+
     @classmethod
     def from_file(cls, path: str | Path, **kwargs) -> "PromptTemplate":
         return cls(layout=Path(path).read_text(encoding="utf-8"), **kwargs)
+
+
+def _rows_fields(layout: str) -> int:
+    """How many times the layout inserts the context rows. Each must be a
+    plain ``{rows}``, so the prompt's length grows with the rows' text alone."""
+    count = 0
+    for _, field, spec, conversion in string.Formatter().parse(layout):
+        if field is not None and re.match(r"rows\b", field):
+            if field != "rows" or spec or conversion:
+                raise ValueError(f"prompt layout field {{{field}}} must be a plain {{rows}}")
+            count += 1
+    return count
 
 
 def _format_value(v) -> str:
@@ -95,25 +112,30 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _feature_names(tmpl: PromptTemplate, features: list[str]) -> dict[str, str]:
-    if tmpl.anonymize:
-        return {f: f"f{i + 1}" for i, f in enumerate(features)}
-    return {f: f for f in features}
-
-
-def serialize_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]],
-                     query: dict, features: list[str], label_name: str) -> str:
-    """Deterministic rendering: preamble, one "name: value" line per context
-    row with its label, then the query row with an empty answer slot."""
-    names = _feature_names(tmpl, features)
+def _row_lines(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dict,
+               features: list[str], label_name: str) -> tuple[list[str], str]:
+    """One "name: value" line per context row with its label, and the query
+    line with an empty answer."""
+    names = {f: f"f{i + 1}" for i, f in enumerate(features)} if tmpl.anonymize else {f: f for f in features}
     label = "label" if tmpl.anonymize else label_name
     lines = []
     for feats, y in rows:
         pairs = ", ".join(f"{names[f]}: {_format_value(feats[f])}" for f in features)
         lines.append(f"{pairs}, {label}: {_format_value(y)}")
     qpairs = ", ".join(f"{names[f]}: {_format_value(query.get(f, math.nan))}" for f in features)
+    return lines, f"{qpairs}, {label}:"
+
+
+def _compose(tmpl: PromptTemplate, lines: list[str], query_line: str) -> str:
     return tmpl.layout.format(preamble=tmpl.preamble, rows="\n".join(lines),
-                              query=f"{qpairs}, {label}:", answer_slot=tmpl.answer_slot)
+                              query=query_line, answer_slot=tmpl.answer_slot)
+
+
+def serialize_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]],
+                     query: dict, features: list[str], label_name: str) -> str:
+    """Deterministic rendering: preamble, one "name: value" line per context
+    row with its label, then the query row with an empty answer slot."""
+    return _compose(tmpl, *_row_lines(tmpl, rows, query, features, label_name))
 
 
 def estimate_tokens(text: str, chars_per_token: float = 4.0) -> int:
@@ -127,17 +149,21 @@ class PromptOverflowError(ValueError):
 def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dict,
                features: list[str], label_name: str,
                token_budget: int = 16384) -> tuple[str, int]:
-    """Render within the token budget, dropping context rows from the far end
-    (rows are ordered nearest first). Raises PromptOverflowError if the bare
-    query overflows."""
-    kept = list(rows)
-    while True:
-        text = serialize_prompt(tmpl, kept, query, features, label_name)
-        if estimate_tokens(text, tmpl.chars_per_token) <= token_budget:
-            return text, len(kept)
-        if not kept:
+    """Render within the token budget, keeping the longest nearest-first
+    prefix of the context rows (rows are ordered nearest first). Raises
+    PromptOverflowError if the bare query overflows. The cut comes from the
+    lengths of the row lines, so the prompt is rendered once."""
+    lines, query_line = _row_lines(tmpl, rows, query, features, label_name)
+    bare = len(_compose(tmpl, [], query_line))
+    per_copy = _rows_fields(tmpl.layout)
+    # joined[k]: length of the first k lines joined by newlines, plus one
+    joined = [0, *accumulate(len(line) + 1 for line in lines)]
+    kept = len(lines)
+    while math.ceil((bare + per_copy * max(joined[kept] - 1, 0)) / tmpl.chars_per_token) > token_budget:
+        if kept == 0:
             raise PromptOverflowError("query row alone exceeds the token budget")
-        kept.pop()
+        kept -= 1
+    return serialize_prompt(tmpl, rows[:kept], query, features, label_name), kept
 
 
 def context_rows_for_prompt(ctx: RetrievedContext, pool: ContextPool,
@@ -240,7 +266,10 @@ class LlmClient:
         time.sleep(self.cfg.retry_backoff * attempt + jitter)
 
     def complete(self, prompt: str) -> str:
-        last: Exception | None = None
+        """The completion text. Connection errors, timeouts, 429 and 5xx
+        responses are retried; any other failure, and running out of
+        attempts, raises TransportError."""
+        last: Exception | str | None = None
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
                 self._sleep_before_retry(attempt)
@@ -248,14 +277,23 @@ class LlmClient:
                 with self._gate:
                     resp = self._session.post(self.cfg.base_url, json=self._payload(prompt),
                                               headers=self._headers(), timeout=self.cfg.timeout)
-                resp.raise_for_status()
-                body = resp.json()
-                choice = body["choices"][0]
-                if "message" in choice:
-                    return choice["message"]["content"]
-                return choice["text"]
-            except Exception as exc:  # noqa: BLE001 - every failure is retryable here
+            except (requests.ConnectionError, requests.Timeout) as exc:
                 last = exc
+                continue
+            except requests.RequestException as exc:
+                raise TransportError(f"endpoint request failed: {exc}") from exc
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last = f"HTTP {resp.status_code}"
+                continue
+            try:
+                resp.raise_for_status()
+                choice = resp.json()["choices"][0]
+                text = choice["message"]["content"] if "message" in choice else choice["text"]
+            except (requests.HTTPError, ValueError, LookupError, TypeError) as exc:
+                raise TransportError(f"endpoint request failed: {exc!r}") from exc
+            if not isinstance(text, str):
+                raise TransportError(f"endpoint returned no completion text: {choice!r}")
+            return text
         raise TransportError(f"endpoint failed after {self.cfg.max_retries + 1} attempts: {last}")
 
     def predict(self, prompt: str, task: str, class_labels: tuple[str, ...],

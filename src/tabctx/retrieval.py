@@ -151,10 +151,11 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
         pearson, pps = dict(weights.pearson), dict(weights.pps)
     else:
         mode = cfg.importance_mode
+        cat_codes = {name: c for name, (_, c) in codes.items()}
         if mode in ("dual", "pearson_only"):
-            pearson = pearson_importance(dataset, rows, {name: c for name, (_, c) in codes.items()})
+            pearson = pearson_importance(dataset, rows, cat_codes)
         if mode in ("dual", "pps_only"):
-            pps = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed)
+            pps = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed, codes=cat_codes)
     return ContextPool(dataset, rows, cfg, stats, pearson, pps, codes)
 
 

@@ -12,7 +12,7 @@ class StubState:
         self.in_flight = 0
         self.max_in_flight = 0
         self.requests = []
-        self.script = []          # queue of (status, text) responses
+        self.script = []          # queue of (status, text or raw body bytes) responses
         self.default = (200, "yes")
         self.delay = 0.0
 
@@ -36,7 +36,9 @@ class StubHandler(BaseHTTPRequestHandler):
             if st.delay:
                 time.sleep(st.delay)
             status, text = st.next_response()
-            payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+            # bytes are sent as the raw body, to script malformed replies
+            payload = text if isinstance(text, bytes) else json.dumps(
+                {"choices": [{"message": {"content": text}}]}).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -55,7 +57,7 @@ def stub_server():
     state = StubState()
     handler = type("Handler", (StubHandler,), {"state": state})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield state, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"

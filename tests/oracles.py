@@ -212,6 +212,76 @@ def _oracle_tree(x: np.ndarray, y: np.ndarray, thresholds: np.ndarray, depth: in
     return predict
 
 
+def segment_costs_reg_reference(y_sorted: np.ndarray, pos) -> np.ndarray:
+    """Regression leaf cost of every segment y_sorted[pos[i]:pos[j]], i < j,
+    with one np.median per segment; inf on and below the diagonal."""
+    b = len(pos)
+    C = np.full((b, b), np.inf)
+    for i in range(b - 1):
+        for j in range(i + 1, b):
+            seg = y_sorted[pos[i]:pos[j]]
+            C[i, j] = 0.0 if len(seg) == 0 else float(np.sum(np.abs(seg - np.median(seg))))
+    return C
+
+
+def categorical_tree_reference(tokens: np.ndarray, y: np.ndarray, n_classes: int | None,
+                               fallback, depth: int = 4):
+    """Greedy one-vs-rest categorical tree on string tokens: each level
+    isolates the category (scanned in sorted token order) that strictly
+    lowers the total leaf cost most. Returns a token -> prediction function;
+    a token unseen in training goes to the rest leaf."""
+    def cost(v):
+        if len(v) == 0:
+            return 0.0
+        if n_classes is None:
+            return float(np.sum(np.abs(v - np.median(v))))
+        return float(len(v) - np.bincount(v.astype(np.int64), minlength=n_classes).max())
+
+    def leaf(v):
+        if len(v) == 0:
+            return fallback
+        if n_classes is None:
+            return float(np.median(v))
+        return int(np.argmax(np.bincount(v.astype(np.int64), minlength=n_classes)))
+
+    cats = sorted(set(tokens.tolist()))
+    iso_cost = {c: cost(y[tokens == c]) for c in cats}
+    isolated: list[str] = []
+    rest = np.ones(len(tokens), dtype=bool)
+    current = cost(y)
+    for _ in range(depth):
+        best, best_cost = None, current
+        for c in cats:
+            if c in isolated:
+                continue
+            total = sum(iso_cost[k] for k in isolated) + iso_cost[c] + cost(y[rest & (tokens != c)])
+            if total < best_cost:
+                best, best_cost = c, total
+        if best is None:
+            break
+        isolated.append(best)
+        rest &= tokens != best
+        current = best_cost
+    values = {c: leaf(y[tokens == c]) for c in isolated}
+    rest_value = leaf(y[rest])
+    return lambda token: values.get(token, rest_value)
+
+
+def fit_prompt_reference(serialize, estimate, tmpl, rows, query, features, label_name,
+                         token_budget):
+    """Drop context rows from the far end, re-rendering the whole prompt
+    after each drop, until it fits; (text, rows kept) or None if the bare
+    query overflows."""
+    kept = list(rows)
+    while True:
+        text = serialize(tmpl, kept, query, features, label_name)
+        if estimate(text, tmpl.chars_per_token) <= token_budget:
+            return text, len(kept)
+        if not kept:
+            return None
+        kept.pop()
+
+
 def _oracle_f1w(y_true, y_pred, n_classes):
     n = len(y_true)
     total = 0.0
@@ -233,14 +303,17 @@ def exhaustive_tree_score(x: np.ndarray, y: np.ndarray, n_classes: int | None,
                           cv_folds: int = 4, seed: int = 0, depth: int = 4,
                           step: float = 0.02) -> float:
     """Cross-validated naive-normalized score where the tree at each fold is
-    found by exhaustive search. Fold assignment reuses the library's public
+    found by exhaustive search (numerical x) or by the greedy token tree
+    (categorical x, an object array of tokens). Fold assignment reuses the library's public
     helper (it is input plumbing, not the code path under test)."""
     n = len(y)
     folds = kfold_indices(n, cv_folds, subseed(seed, "pps-folds"))
-    finite = np.isfinite(x)
-    if finite.sum() == 0:
-        return 0.0
-    thresholds = _oracle_candidates(x[finite], step)
+    categorical = x.dtype == object
+    if not categorical:
+        finite = np.isfinite(x)
+        if finite.sum() == 0:
+            return 0.0
+        thresholds = _oracle_candidates(x[finite], step)
     tree_preds, naive_preds = [None] * n, [None] * n
     for val_idx in folds:
         val = set(int(i) for i in val_idx)
@@ -251,13 +324,15 @@ def exhaustive_tree_score(x: np.ndarray, y: np.ndarray, n_classes: int | None,
         else:
             fallback = int(np.argmax(np.bincount(yt.astype(np.int64), minlength=n_classes)))
         xt = x[tr]
-        ft = np.isfinite(xt)
-        if ft.sum() == 0 or len(thresholds) == 0:
+        if categorical:
+            predict = categorical_tree_reference(xt, yt, n_classes, fallback, depth)
+        elif not np.isfinite(xt).any() or len(thresholds) == 0:
             predict = lambda v: fallback  # noqa: E731
         else:
+            ft = np.isfinite(xt)
             predict = _oracle_tree(xt[ft], yt[ft], thresholds, depth, n_classes, fallback)
         for i in val:
-            tree_preds[i] = predict(float(x[i]))
+            tree_preds[i] = predict(x[i] if categorical else float(x[i]))
             naive_preds[i] = fallback
     if n_classes is None:
         mae_naive = float(np.mean([abs(p - t) for p, t in zip(naive_preds, y)]))

@@ -45,6 +45,9 @@ def test_validate_config_catches_problems(tmp_path):
     assert cli.main(["validate-config", str(path)]) == 1
     zero = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 0]), "zero.json")
     assert cli.main(["validate-config", str(zero)]) == 1
+    twice = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 8, 4]), "twice.json")
+    assert cli.main(["validate-config", str(twice)]) == 1
+    assert cli.validate_config(cli.RunConfig.from_file(twice)) == ["context_sizes repeats 4"]
     ok = base_config(tmp_path)
     path2 = write_config(tmp_path, ok, "ok.json")
     assert cli.main(["validate-config", str(path2)]) == 0

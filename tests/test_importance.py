@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabctx import dataset as ds
 from tabctx import importance as imp
 from tabctx.util import rng_for
 from conftest import make_dataset
-from oracles import exhaustive_tree_score
+from oracles import (categorical_tree_reference, exhaustive_tree_score,
+                     segment_costs_reg_reference)
 
 
 def test_pearson_perfect_linear_regression():
@@ -109,6 +113,102 @@ def test_pps_matches_exhaustive_tree_search():
         want = exhaustive_tree_score(x, yv.astype(float) if n_classes is None else yv,
                                      n_classes, seed=7)
         assert abs(got - want) <= 1e-9, f"seed {seed}: {got} vs {want}"
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+# few distinct values force heavy label ties; wide floats exercise the even-size mean
+labels_strategy = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=80),
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels_strategy, st.lists(st.integers(0, 80), max_size=10))
+def test_segment_costs_match_per_segment_median(labels, cuts):
+    # odd and even segment sizes, and empty segments from repeated boundaries
+    y = np.asarray(labels, dtype=np.float64)
+    pos = np.asarray(sorted([0, len(y)] + [min(c, len(y)) for c in cuts]), dtype=np.int64)
+    got = imp._segment_costs_reg(y, pos)
+    want = segment_costs_reg_reference(y, pos)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_segment_costs_on_a_large_tied_fold():
+    rng = rng_for(5, "seg-ties")
+    x = np.round(rng.normal(size=3000), 1)
+    y = np.round(rng.normal(size=3000), 1)
+    order = np.argsort(x, kind="stable")
+    pos = np.concatenate([[0], np.searchsorted(x[order], imp.quantile_candidates(x), side="right"),
+                          [len(x)]]).astype(np.int64)
+    got = imp._segment_costs_reg(y[order], pos)
+    assert np.array_equal(_bits(got), _bits(segment_costs_reg_reference(y[order], pos)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_categorical_tree_matches_token_reference(data):
+    # the vocabulary may hold the missing token; a category can be absent from
+    # the training rows yet present in the pool codes
+    vocab = data.draw(st.lists(st.sampled_from([ds.MISSING_TOKEN, "a", "b", "c", "d", "e", "f"]),
+                               min_size=1, max_size=7, unique=True))
+    tokens = np.asarray(data.draw(st.lists(st.sampled_from(vocab), min_size=2, max_size=50)),
+                        dtype=object)
+    n = len(tokens)
+    n_classes = data.draw(st.sampled_from([None, 2, 3]))
+    if n_classes is None:
+        y = np.asarray(data.draw(st.lists(st.integers(-2, 2).map(float) | st.floats(-100, 100),
+                                          min_size=n, max_size=n)))
+    else:
+        y = np.asarray(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)),
+                       dtype=np.int64)
+    train = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    train[data.draw(st.integers(0, n - 1))] = True
+    lookup, codes = ds.category_codes(tokens.tolist())
+    yt = y[train]
+    fallback = float(np.median(yt)) if n_classes is None else int(np.argmax(np.bincount(yt)))
+    by_code = imp.fit_categorical_tree(codes[train], yt, len(lookup), n_classes, fallback)
+    reference = categorical_tree_reference(tokens[train], yt, n_classes, fallback)
+    want = [reference(t) for t in lookup]
+    if n_classes is None:
+        assert np.array_equal(_bits(by_code), _bits(want))
+    else:
+        assert by_code.tolist() == want
+
+
+def test_pps_categorical_matches_reference_tree():
+    for seed in range(8):
+        rng = rng_for(seed, "cat-oracle")
+        n = int(rng.integers(30, 90))
+        vocab = [ds.MISSING_TOKEN, "a", "b", "c", "d", "e"][: int(rng.integers(2, 7))]
+        tokens = np.asarray([vocab[i] for i in rng.integers(0, len(vocab), n)], dtype=object)
+        tokens[0] = "rare"  # one row only: absent from the training rows of its fold
+        effect = {t: float(rng.normal()) for t in set(tokens.tolist())}
+        score = np.asarray([effect[t] for t in tokens]) + 0.5 * rng.normal(size=n)
+        if seed % 2:
+            y = np.round(score, 1)
+            d = make_dataset(cat={"f": tokens}, label=y, task="regression")
+            n_classes = None
+        else:
+            y = (score > 0).astype(np.int64)
+            d = make_dataset(cat={"f": tokens}, label=[str(v) for v in y])
+            n_classes = 2
+            y = np.asarray([d.class_labels.index(str(v)) for v in y], dtype=np.int64)
+        got = imp.pps_importance(d, range(n), seed=3)["f"]
+        want = exhaustive_tree_score(tokens, y, n_classes, seed=3)
+        assert abs(got - want) <= 1e-9, f"seed {seed}: {got} vs {want}"
+
+
+def test_pps_codes_argument_matches_own_encoding():
+    rng = rng_for(6, "codes-arg")
+    tokens = [f"t{i}" for i in rng.integers(0, 7, 120)]
+    d = make_dataset(cat={"f": tokens}, num={"g": rng.normal(size=120)},
+                     label=[str(v) for v in rng.integers(0, 3, 120)])
+    rows = np.arange(10, 120)
+    codes = {"f": ds.category_codes(d.column("f")[rows].tolist())[1]}
+    assert imp.pps_importance(d, rows, seed=2, codes=codes) == imp.pps_importance(d, rows, seed=2)
 
 
 def test_pps_preconditions():

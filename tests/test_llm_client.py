@@ -1,8 +1,10 @@
 """Client conformance against a local stub completion server."""
+import socket
+
 import pytest
 
 from tabctx import dataset as ds
-from tabctx.predictors import EndpointConfig, LlmClient
+from tabctx.predictors import EndpointConfig, LlmClient, TransportError
 from llm_stub import stub_server
 
 
@@ -89,6 +91,55 @@ def test_transport_failure_flagged_and_run_continues(stub):
     assert rec.class_probabilities == (0.5, 0.5)
     rec2 = client.predict("p", ds.TASK_REGRESSION, (), 3.5, 6, 8)
     assert rec2.flag == "transport_error" and rec2.point_estimate == 3.5
+
+
+@pytest.mark.parametrize("status", [429, 500, 502, 503])
+def test_retryable_status_is_retried(stub, status):
+    state, url = stub
+    state.script = [(status, "x"), (200, "yes")]
+    assert client_for(url, max_retries=2).complete("p") == "yes"
+    assert len(state.requests) == 2
+
+
+@pytest.mark.parametrize("reply", [(400, "x"), (401, "x"), (404, "x"), (200, b"not json"),
+                                   (200, b'{"choices": []}'), (200, b'{"result": "yes"}'),
+                                   (200, b'{"choices": [{"message": {"content": null}}]}')],
+                         ids=["400", "401", "404", "not-json", "no-choice", "no-choices-key",
+                              "null-content"])
+def test_unrecoverable_reply_fails_at_once(stub, reply):
+    state, url = stub
+    state.script = [reply] * 5
+    client = client_for(url, max_retries=3)
+    with pytest.raises(TransportError):
+        client.complete("p")
+    assert len(state.requests) == 1
+    rec = client.predict("p", ds.TASK_CLASSIFICATION, ("a", "b"), 0.0, 2, 8)
+    assert rec.flag == "transport_error" and rec.class_probabilities == (0.5, 0.5)
+    assert len(state.requests) == 2
+
+
+def test_timeout_is_retried(stub):
+    state, url = stub
+    state.delay = 0.3
+    cfg = EndpointConfig(base_url=url, model="stub-model", retry_backoff=0.01, timeout=0.05,
+                         max_retries=2)
+    with pytest.raises(TransportError, match="3 attempts"):
+        LlmClient(cfg).complete("p")
+    state.delay = 0.0
+    assert len(state.requests) == 3
+
+
+def test_connection_error_is_retried():
+    with socket.socket() as sock:  # a port that nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    client = client_for(f"http://127.0.0.1:{port}/v1/chat/completions", max_retries=2)
+    attempts = []
+    post = client._session.post
+    client._session.post = lambda *a, **kw: attempts.append(1) or post(*a, **kw)
+    with pytest.raises(TransportError, match="3 attempts"):
+        client.complete("p")
+    assert len(attempts) == 3
 
 
 def test_bounded_concurrency(stub):

@@ -8,6 +8,7 @@ from tabctx import predictors as pr
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from conftest import make_dataset
+from oracles import fit_prompt_reference
 
 
 def simple_pool(labels, task=ds.TASK_CLASSIFICATION):
@@ -95,6 +96,45 @@ def test_prompt_truncates_farthest_rows():
     assert pr.estimate_tokens(text, 4.0) <= budget
     # nearest rows survive
     assert "size: 0.0" in text and f"size: {float(used - 1)}" in text
+
+
+LAYOUTS = [pr.PromptTemplate.layout, "{rows}\n---\n{preamble}\n{rows}\n{query}{answer_slot}",
+           "{preamble} {query}{answer_slot}"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 700), st.sampled_from(LAYOUTS), st.booleans(),
+       st.sampled_from([4.0, 3.5, 1.0]))
+def test_fit_prompt_matches_drop_one_reference(n_rows, budget, layout, anonymize, cpt):
+    # the layouts insert the rows once, twice and not at all
+    tmpl = pr.PromptTemplate(layout=layout, anonymize=anonymize, chars_per_token=cpt)
+    rows = [({"size": i * 1.25, "color": "c" * (i % 7)}, i % 3) for i in range(n_rows)]
+    query = {"size": 0.5, "color": "c1"}
+    want = fit_prompt_reference(pr.serialize_prompt, pr.estimate_tokens, tmpl, rows, query,
+                                FEATURES, "y", budget)
+    if want is None:
+        with pytest.raises(pr.PromptOverflowError):
+            pr.fit_prompt(tmpl, rows, query, FEATURES, "y", budget)
+    else:
+        assert pr.fit_prompt(tmpl, rows, query, FEATURES, "y", budget) == want
+
+
+def test_fit_prompt_renders_once(monkeypatch):
+    calls = []
+    render = pr.serialize_prompt
+    monkeypatch.setattr(pr, "serialize_prompt", lambda *a: calls.append(1) or render(*a))
+    rows = rows_fixture(64)
+    full = render(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
+    for budget in (pr.estimate_tokens(full) // 3, pr.estimate_tokens(full)):
+        calls.clear()
+        pr.fit_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y", budget)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("layout", ["{rows!r} {query}", "{rows:>40} {query}", "{rows[0]} {query}"])
+def test_layout_rows_field_must_be_plain(layout):
+    with pytest.raises(ValueError, match="plain"):
+        pr.PromptTemplate(layout=layout)
 
 
 def test_prompt_renders_numpy_scalars_as_plain_numbers():
