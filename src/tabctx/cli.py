@@ -603,7 +603,7 @@ def main(argv=None) -> int:
                                numeric_norm=args.numeric_norm,
                                distance_minmax_rescale=not args.no_rescale)
         pool = build_pool(d, np.arange(d.n_rows), rcfg)
-        grid = boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), args.resolution)
+        grid = boundary_grid(pool, args.resolution)
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_grid(grid, out / "grid.csv", out / "grid.json")

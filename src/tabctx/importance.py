@@ -260,12 +260,11 @@ class _NumericTree:
         return out
 
 
-def fit_numeric_tree(x: np.ndarray, y: np.ndarray, thresholds: np.ndarray,
+def fit_numeric_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray,
                      n_classes: int | None, fallback) -> _NumericTree:
-    """Optimal depth-limited quantile tree on one numeric feature; x must be
-    finite. Classification when n_classes is given (y holds class codes)."""
-    order = np.argsort(x, kind="stable")
-    xs, ysrt = x[order], y[order]
+    """Optimal depth-limited quantile tree on one numeric feature; ``xs`` must
+    be finite and in stable-sorted order, ``ysrt`` in the same order.
+    Classification when n_classes is given (ysrt holds class codes)."""
     pos = np.concatenate([[0], np.searchsorted(xs, thresholds, side="right"), [len(xs)]]).astype(np.int64)
     if n_classes is None:
         C = _segment_costs_reg(ysrt, pos)
@@ -383,10 +382,13 @@ def _pps_single(values: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
     naive_preds = np.empty_like(tree_preds)
     if numeric:
         x = np.asarray(values, dtype=np.float64)
-        finite_all = x[np.isfinite(x)]
-        if len(finite_all) == 0:
+        finite = np.isfinite(x)
+        if not finite.any():
             return 0.0
-        thresholds = quantile_candidates(finite_all)
+        thresholds = quantile_candidates(x[finite])
+        # a stable sort of a subset is the subset's subsequence of the stable
+        # sort of all rows, so every fold reads its order from this one
+        order_all = np.argsort(x, kind="stable")
     for val_idx in folds:
         val_mask = np.zeros(n, dtype=bool)
         val_mask[val_idx] = True
@@ -397,12 +399,12 @@ def _pps_single(values: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
             fallback = int(np.argmax(np.bincount(yt, minlength=n_classes)))
         naive_preds[val_mask] = fallback
         if numeric:
-            xt = x[~val_mask]
-            ft = np.isfinite(xt)
-            if ft.sum() == 0 or len(thresholds) == 0:
+            fit_rows = ~val_mask & finite
+            if not fit_rows.any() or len(thresholds) == 0:
                 tree_preds[val_mask] = fallback
             else:
-                tree = fit_numeric_tree(xt[ft], yt[ft], thresholds, n_classes, fallback)
+                order = order_all[fit_rows[order_all]]
+                tree = fit_numeric_tree(x[order], y[order], thresholds, n_classes, fallback)
                 tree_preds[val_mask] = tree.predict(x[val_mask])
         else:
             by_code = fit_categorical_tree(values[~val_mask], yt, int(values.max()) + 1,

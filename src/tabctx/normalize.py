@@ -9,6 +9,7 @@ NaN, so their distance contribution between any two rows is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,11 @@ class ColumnStats:
     stddev: float = 0.0
     vmin: float = 0.0
     vmax: float = 0.0
+
+    @cached_property
+    def quantile_grid(self) -> np.ndarray:
+        """CDF value at each quantile knot, computed once per column."""
+        return np.linspace(0.0, 1.0, len(self.quantile_knots))
 
 
 def fit_column(name: str, values: np.ndarray, mode: str, knot_cap: int = KNOT_CAP) -> ColumnStats:
@@ -87,9 +93,7 @@ def apply_array(stats: ColumnStats, values) -> np.ndarray:
         const = 0.0 if stats.mode == MODE_STANDARD else 0.5
         return np.full_like(v, const)
     if stats.mode == MODE_QUANTILE:
-        knots = stats.quantile_knots
-        grid = np.linspace(0.0, 1.0, len(knots))
-        return np.interp(v, knots, grid)
+        return np.interp(v, stats.quantile_knots, stats.quantile_grid)
     if stats.mode == MODE_STANDARD:
         return (v - stats.mean) / stats.stddev
     out = (v - stats.vmin) / (stats.vmax - stats.vmin)

@@ -13,6 +13,7 @@ import re
 import string
 import threading
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -54,6 +55,13 @@ class PredictionRecord:
                 raise ValueError("regression record needs a finite estimate")
 
 
+def class_shares(labels: np.ndarray, class_labels: Sequence[str]) -> np.ndarray:
+    """The kNN vote: the share of each class among the labels along the last
+    axis (one context per row), as its count over the context length."""
+    counts = np.stack([np.count_nonzero(labels == c, axis=-1) for c in class_labels], axis=-1)
+    return counts / labels.shape[-1]
+
+
 def knn_predict(ctx: RetrievedContext, pool: ContextPool,
                 predictor_id: str = "knn", row_index: int = -1) -> PredictionRecord:
     """Unweighted vote over context labels; empty context falls back to a
@@ -64,8 +72,7 @@ def knn_predict(ctx: RetrievedContext, pool: ContextPool,
         if len(ctx) == 0:
             probs = (1.0 / k,) * k
         else:
-            labels = d.labels()[ctx.indices]
-            probs = tuple(float(np.sum(labels == c)) / len(ctx) for c in d.class_labels)
+            probs = tuple(class_shares(d.labels()[ctx.indices], d.class_labels).tolist())
         return PredictionRecord(row_index, d.task, predictor_id, len(ctx), class_probabilities=probs)
     if len(ctx) == 0:
         est = pool.train_label_mean()

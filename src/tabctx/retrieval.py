@@ -17,12 +17,21 @@ tree-score ranking minus duplicates, topped up from a merged ranking
 pool is exhausted. All orderings break ties by (distance, row index).
 One call ranks the query once and selects a context for every requested
 size from the same candidates.
+
+Block ranking: ``select_block`` ranks a block of queries in one numpy pass
+over ``(queries, rows)`` arrays (distances, per-query rescale, row
+distances, partial selection and the dual rule), and ``retrieve`` is its
+one-query case, so every query gets the same context whatever block it
+is ranked in. A block holds at most ``BLOCK_PAIRS`` (query, pool row)
+pairs; with match constraints each query has its own eligible rows, so a
+block holds one query.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +43,12 @@ from .util import rng_for
 TAG_PEARSON = "pearson-half"
 TAG_PPS = "pps-half"
 TAG_MERGED = "merged"
+TAGS = (TAG_PEARSON, TAG_PPS, TAG_MERGED)
+
+# A ranking block holds at most this many (query, pool row) pairs: blocks
+# amortize per-call overhead over many queries on a small pool, and small
+# blocks keep the (queries, rows, features) distance array out of peak memory.
+BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -159,27 +174,34 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
     return ContextPool(dataset, rows, cfg, stats, pearson, pps, codes)
 
 
-def feature_distance(pool: ContextPool, query: dict, feature: str,
-                     eligible: np.ndarray | None = None) -> np.ndarray:
-    """Distance vector from the query to every (eligible) pool row for one feature."""
+def feature_distance(pool: ContextPool, query: dict, feature: str) -> np.ndarray:
+    """Distance vector from the query to every pool row for one feature."""
     if feature not in pool.feature_kinds:
         raise KeyError(f"unknown feature {feature!r}")
-    rows = slice(None) if eligible is None else eligible
+    return _feature_distances(pool, [query], feature, np.arange(pool.size))[0]
 
+
+def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
+                       eligible: np.ndarray) -> np.ndarray:
+    """(queries, eligible rows) distances for one feature."""
     if pool.feature_kinds[feature] == ds.KIND_CATEGORICAL:
-        return (pool.codes(feature)[rows] != pool.query_code(query, feature)).astype(np.float64)
+        q = np.asarray([pool.query_code(query, feature) for query in queries])
+        return (pool.codes(feature)[eligible][None, :] != q[:, None]).astype(np.float64)
 
-    qraw = query.get(feature, math.nan)
-    qv = nz.apply(pool.stats[feature], float(qraw) if qraw is not None else math.nan)
-    raw = np.abs(pool.normalized(feature)[rows] - qv)
+    raw_q = [query.get(feature, math.nan) for query in queries]
+    qv = nz.apply_array(pool.stats[feature], [math.nan if v is None else float(v) for v in raw_q])
+    raw = np.abs(pool.normalized(feature)[eligible][None, :] - qv[:, None])
     present = np.isfinite(raw)
-    vals = raw[present]
-    if len(vals) and pool.cfg.distance_minmax_rescale:
-        lo, hi = vals.min(), vals.max()
-        vals = np.zeros(len(vals)) if hi == lo else (vals - lo) / (hi - lo)
-    out = np.ones(len(raw))
-    out[present] = vals
-    return out
+    if pool.cfg.distance_minmax_rescale:
+        # min-max over each query's present values; when hi == lo every
+        # present value is lo, and (lo - lo) / 1 gives the 0
+        lo = np.minimum.reduce(raw, axis=1, where=present, initial=np.inf, keepdims=True)
+        hi = np.maximum.reduce(raw, axis=1, where=present, initial=-np.inf, keepdims=True)
+        with np.errstate(invalid="ignore"):  # inf - inf only on missing entries, set to 1 below
+            raw -= lo
+        raw /= np.where(hi > lo, hi - lo, 1.0)
+    raw[~present] = 1.0
+    return raw
 
 
 def aggregate(per_feature: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -195,32 +217,52 @@ def aggregate(per_feature: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _row_distance(squared: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Summed along the rows of a C-contiguous (rows, features) array: another
-    # layout or a matrix product adds in another order and changes the bits.
-    return np.sqrt(np.sum(squared * w[None, :], axis=1))
+    # Summed along the last axis of a C-contiguous (..., rows, features) array:
+    # another layout or a matrix product adds in another order and changes the bits.
+    return np.sqrt(np.sum(squared * w, axis=-1))
 
 
-def _eligible_rows(pool: ContextPool, query: dict, constraints) -> np.ndarray:
+def _eligible_rows(pool: ContextPool, query: dict) -> np.ndarray:
     mask = np.ones(pool.size, dtype=bool)
-    for name in constraints:
+    for name in pool.cfg.match_constraints:
         if pool.feature_kinds.get(name) != ds.KIND_CATEGORICAL:
             raise KeyError(f"match constraint {name!r} is not a categorical feature")
         mask &= pool.codes(name) == pool.query_code(query, name)
     return np.flatnonzero(mask)
 
 
-def _top(distances: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` nearest rows, sorted by (distance, row index).
-    Every row tied with the k-th distance is sorted too, so the row index
-    breaks ties at the cut-off as a full sort would."""
+def _top(distances: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` nearest rows of each query (one row of
+    ``distances`` per query), sorted by (distance, position). Every row tied
+    with a query's k-th distance is sorted too, so the position breaks ties at
+    the cut-off as a full sort would."""
+    n_queries, n_rows = distances.shape
+    k = min(k, n_rows)
     if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    if k < len(distances):
-        cut = np.partition(distances, k - 1)[k - 1]
-        candidates = np.flatnonzero(distances <= cut)
-    else:
-        candidates = np.arange(len(distances))
-    return candidates[np.lexsort((rows[candidates], distances[candidates]))][:k]
+        return np.empty((n_queries, 0), dtype=np.int64)
+    cut = np.partition(distances, k - 1, axis=1)[:, k - 1:k]
+    candidates = (distances <= cut).ravel().nonzero()[0]
+    query, pos = np.divmod(candidates, n_rows)
+    # candidates come query by query in position order, and lexsort is
+    # stable, so equal distances stay in position order
+    pos = pos[np.lexsort((distances.take(candidates), query))]
+    return pos[query.searchsorted(np.arange(n_queries))[:, None] + np.arange(k)]
+
+
+class Selection(NamedTuple):
+    """One context size's pick for a block of queries, one row per query:
+    ``positions`` index ``pool.rows``, ``tags`` index ``TAGS``; each row is
+    sorted by (distance, row index)."""
+    positions: np.ndarray
+    distances: np.ndarray
+    tags: np.ndarray
+
+
+def block_size(pool: ContextPool) -> int:
+    """Most queries ``select_block`` takes at once on this pool: at most
+    ``BLOCK_PAIRS`` (query, pool row) pairs, and one query when match
+    constraints give each query its own rows."""
+    return 1 if pool.cfg.match_constraints else max(1, BLOCK_PAIRS // pool.size)
 
 
 def retrieve(pool: ContextPool, query: dict, quota: int | Sequence[int] | None = None
@@ -232,62 +274,77 @@ def retrieve(pool: ContextPool, query: dict, quota: int | Sequence[int] | None =
     pool's config."""
     single = quota is None or isinstance(quota, (int, np.integer))
     sizes = (pool.cfg.quota if quota is None else int(quota),) if single else tuple(map(int, quota))
-    if not sizes or min(sizes) < 1:
-        raise ValueError("quota must be at least 1")
-    contexts = _select(pool, query, sizes)
+    contexts = tuple(RetrievedContext(pool.rows[sel.positions[0]], sel.distances[0],
+                                      tuple(TAGS[t] for t in sel.tags[0].tolist()))
+                     for sel in select_block(pool, [query], sizes))
     return contexts[0] if single else contexts
 
 
-def _select(pool: ContextPool, query: dict, sizes: tuple[int, ...]) -> tuple[RetrievedContext, ...]:
+def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int]
+                 ) -> tuple[Selection, ...]:
+    """Rank a block of queries in one pass and select a context of every
+    size for each, by the pool's config. A block holds at most
+    ``block_size(pool)`` queries."""
+    sizes = tuple(sizes)
+    if not sizes or min(sizes) < 1:
+        raise ValueError("quota must be at least 1")
+    if len(queries) > block_size(pool):
+        raise ValueError(f"a block holds at most {block_size(pool)} queries on this pool")
     cfg = pool.cfg
-    eligible = _eligible_rows(pool, query, cfg.match_constraints)
-    if len(eligible) == 0:
-        return (RetrievedContext(np.empty(0, dtype=np.int64), np.empty(0), ()),) * len(sizes)
-    rows = pool.rows[eligible]
+    eligible = _eligible_rows(pool, queries[0]) if cfg.match_constraints else np.arange(pool.size)
+    n_queries, n_rows = len(queries), len(eligible)
 
-    D = (np.column_stack([feature_distance(pool, query, f, eligible) for f in pool.features])
-         if pool.features else np.zeros((len(rows), 0)))
-    squared = D * D
-    del D  # only the squares are used from here on; freeing D lowers the peak memory
+    D = np.empty((n_queries, n_rows, len(pool.features)))
+    for j, f in enumerate(pool.features):
+        D[:, :, j] = _feature_distances(pool, queries, f, eligible)
+    np.multiply(D, D, out=D)  # only the squares are used from here on
     w_primary, w_secondary = pool.weight_vectors()
-    d_primary = _row_distance(squared, w_primary)
+    d_primary = _row_distance(D, w_primary)
+    d_secondary = None if w_secondary is None else _row_distance(D, w_secondary)
+    del D
     K = max(sizes)
 
+    block = np.arange(n_queries)[:, None]
     if cfg.importance_mode != "dual":
-        tag = {"pearson_only": TAG_PEARSON, "pps_only": TAG_PPS, "uniform": TAG_MERGED}[cfg.importance_mode]
-        order = _top(d_primary, rows, K)
-        return tuple(RetrievedContext(rows[order[:s]], d_primary[order[:s]], (tag,) * min(s, len(order)))
-                     for s in sizes)
+        tag = TAGS.index({"pearson_only": TAG_PEARSON, "pps_only": TAG_PPS,
+                          "uniform": TAG_MERGED}[cfg.importance_mode])
+        top = _top(d_primary, K)
+        dist = d_primary[block, top]
+        tags = np.full(top.shape, tag, dtype=np.int8)
+        return tuple(Selection(eligible[top[:, :s]], dist[:, :s], tags[:, :s]) for s in sizes)
 
-    d_secondary = _row_distance(squared, w_secondary)
-    top_primary = _top(d_primary, rows, (K + 1) // 2).tolist()
-    top_secondary = _top(d_secondary, rows, K // 2).tolist()
-    merged = None
-    contexts = []
+    top_primary = _top(d_primary, (K + 1) // 2)
+    top_secondary = _top(d_secondary, K // 2)
+    top_merged = None
+    out = []
     for s in sizes:
-        target = min(s, len(rows))
-        chosen: dict[int, tuple[float, str]] = {}
-        for p in top_primary[:(s + 1) // 2]:
-            chosen[p] = (d_primary[p], TAG_PEARSON)
-        for p in top_secondary[:s // 2]:
-            chosen.setdefault(p, (d_secondary[p], TAG_PPS))
-        if len(chosen) < target:
-            if merged is None:
+        target = min(s, n_rows)
+        pick_p, pick_s = top_primary[:, :(s + 1) // 2], top_secondary[:, :s // 2]
+        chosen = np.zeros((n_queries, n_rows), dtype=bool)
+        chosen[block, pick_p] = True
+        new_s = ~chosen[block, pick_s]
+        chosen[block, pick_s] = True
+        need = target - pick_p.shape[1] - new_s.sum(axis=1, keepdims=True)
+        # columns: the Pearson picks, the PPS picks, then the merged ranking;
+        # a column that is not picked gets distance inf
+        pos = [pick_p, pick_s]
+        dist = [d_primary[block, pick_p], np.where(new_s, d_secondary[block, pick_s], np.inf)]
+        if need.any():
+            if top_merged is None:
                 # depth K is enough: at most len(chosen) of the first `target`
                 # merged rows are already chosen
                 d_merged = np.minimum(d_primary, d_secondary)
-                merged = d_merged, _top(d_merged, rows, K).tolist()
-            d_merged, top_merged = merged
-            for p in top_merged:
-                if p not in chosen:
-                    chosen[p] = (d_merged[p], TAG_MERGED)
-                    if len(chosen) == target:
-                        break
-        picks = sorted(chosen.items(), key=lambda kv: (kv[1][0], rows[kv[0]]))
-        contexts.append(RetrievedContext(rows[[p for p, _ in picks]],
-                                         np.asarray([v[0] for _, v in picks]),
-                                         tuple(v[1] for _, v in picks)))
-    return tuple(contexts)
+                top_merged = _top(d_merged, K)
+            new_m = ~chosen[block, top_merged]
+            new_m &= np.cumsum(new_m, axis=1) <= need
+            pos.append(top_merged)
+            dist.append(np.where(new_m, d_merged[block, top_merged], np.inf))
+        pos, dist = np.concatenate(pos, axis=1), np.concatenate(dist, axis=1)
+        # exactly `target` columns per query are picked, and they sort first
+        order = np.lexsort((pos, dist), axis=1)[:, :target]
+        tags = (order >= pick_p.shape[1]).astype(np.int8) + (order >= pick_p.shape[1] + pick_s.shape[1])
+        out.append(Selection(eligible[pos[block, order]], dist[block, order], tags))
+    return tuple(out)
 
 
 def retrieve_random(pool: ContextPool, quota: int, seed: int) -> RetrievedContext:

@@ -11,6 +11,11 @@ configuration rather than claims about any external generator):
   origin whose direction is drawn from the seed. Offsets along the class
   axis keep their sign (the noise term is folded away from the boundary),
   so jitter never flips a label.
+
+``boundary_grid`` gives each grid cell the context ``retrieve`` would give
+it and the kNN vote ``knn_predict`` would give that context, but ranks the
+cells ``retrieval.block_size(pool)`` at a time and counts the votes of a
+whole block at once.
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .predictors import PredictionRecord
-from .retrieval import ContextPool, retrieve
+from .predictors import class_shares
+from .retrieval import ContextPool, block_size, select_block
 from .util import dump_json, rng_for
 
 SHAPES = ("circle", "moon", "linear_rotation")
@@ -121,15 +126,16 @@ class BoundaryGrid:
     probabilities: np.ndarray  # (ny, nx, n_classes), row-major over (y, x)
 
 
-def boundary_grid(pool: ContextPool, predict_fn,
-                  resolution: int | tuple[int, int] = 100) -> BoundaryGrid:
-    """Class probabilities at every cell center of a grid covering the
-    training bounding box with a 10% margin; needs exactly 2 numerical
-    features. predict_fn(ctx, query) -> PredictionRecord."""
+def boundary_grid(pool: ContextPool, resolution: int | tuple[int, int] = 100) -> BoundaryGrid:
+    """kNN class probabilities at every cell center of a grid covering the
+    training bounding box with a 10% margin, with the pool's config and
+    quota; needs a classification dataset with exactly 2 numerical features."""
     d = pool.dataset
     feats = d.numerical_features
     if len(feats) != 2 or d.categorical_features:
         raise ValueError("boundary grids need exactly 2 numerical features")
+    if d.task != ds.TASK_CLASSIFICATION:
+        raise ValueError("boundary grids need a classification dataset")
     fx, fy = feats
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
@@ -144,14 +150,17 @@ def boundary_grid(pool: ContextPool, predict_fn,
     x_range, y_range = axis_range(fx), axis_range(fy)
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
-    k = len(d.class_labels)
-    probs = np.empty((ny, nx, k))
-    for iy, gy in enumerate(ys):
-        for ix, gx in enumerate(xs):
-            ctx = retrieve(pool, {fx: gx, fy: gy})
-            rec: PredictionRecord = predict_fn(ctx, {fx: gx, fy: gy})
-            probs[iy, ix, :] = rec.class_probabilities
-    return BoundaryGrid(x_range, y_range, (nx, ny), d.class_labels, probs)
+    gx, gy = xs.tolist(), ys.tolist()
+    labels = d.labels()[pool.rows]
+    probs = np.empty((nx * ny, len(d.class_labels)))
+    step = block_size(pool)
+    for start in range(0, nx * ny, step):
+        # cells are made block by block: a dict per cell for the whole grid
+        # at once raised the verb's peak memory by about 2 MB
+        cells = [{fx: gx[i % nx], fy: gy[i // nx]} for i in range(start, min(start + step, nx * ny))]
+        sel, = select_block(pool, cells, (pool.cfg.quota,))
+        probs[start:start + step] = class_shares(labels[sel.positions], d.class_labels)
+    return BoundaryGrid(x_range, y_range, (nx, ny), d.class_labels, probs.reshape(ny, nx, -1))
 
 
 def write_grid(grid: BoundaryGrid, csv_path: str | Path, json_path: str | Path) -> None:
@@ -160,13 +169,14 @@ def write_grid(grid: BoundaryGrid, csv_path: str | Path, json_path: str | Path) 
     nx, ny = grid.resolution
     xs = np.linspace(grid.x_range[0], grid.x_range[1], nx)
     ys = np.linspace(grid.y_range[0], grid.y_range[1], ny)
+    x_text = [repr(v) for v in xs.tolist()]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"] + [f"p_{c}" for c in grid.class_labels])
-        for iy in range(ny):
-            for ix in range(nx):
-                writer.writerow([repr(float(xs[ix])), repr(float(ys[iy]))]
-                                + [repr(float(p)) for p in grid.probabilities[iy, ix]])
+        for y, row in zip(ys.tolist(), grid.probabilities):
+            y_text = repr(y)
+            writer.writerows([x, y_text] + [repr(p) for p in cell]
+                             for x, cell in zip(x_text, row.tolist()))
     dump_json(json_path, {"x_range": list(grid.x_range), "y_range": list(grid.y_range),
                           "resolution": list(grid.resolution),
                           "class_labels": list(grid.class_labels)})

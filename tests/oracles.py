@@ -137,6 +137,29 @@ def retrieval_oracle(d: ds.Dataset, train_rows, query: dict, cfg,
     return [(eligible[i], v[0], v[1]) for i, v in picks]
 
 
+def boundary_grid_reference(pool, resolution) -> np.ndarray:
+    """Grid probabilities, (ny, nx, classes), from one ``retrieve`` and one
+    ``knn_predict`` per cell, in the grid's own cell order and axes."""
+    from tabctx.predictors import knn_predict
+    from tabctx.retrieval import retrieve
+
+    d = pool.dataset
+    fx, fy = d.numerical_features
+    nx, ny = resolution
+    axes = []
+    for name, n in ((fx, nx), (fy, ny)):
+        col = d.column(name)[pool.rows]
+        lo, hi = float(np.min(col)), float(np.max(col))
+        axes.append(np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), n))
+    xs, ys = axes
+    probs = np.empty((ny, nx, len(d.class_labels)))
+    for iy, gy in enumerate(ys):
+        for ix, gx in enumerate(xs):
+            ctx = retrieve(pool, {fx: gx, fy: gy})
+            probs[iy, ix, :] = knn_predict(ctx, pool).class_probabilities
+    return probs
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive single-feature quantile tree search
 
@@ -345,6 +368,49 @@ def exhaustive_tree_score(x: np.ndarray, y: np.ndarray, n_classes: int | None,
         return 0.0
     f1t = _oracle_f1w(list(y), tree_preds, n_classes)
     return max(0.0, (f1t - f1n) / (1.0 - f1n))
+
+
+def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
+                                seed: int = 0) -> dict[str, float]:
+    """PPS of each numerical feature with each fold's finite training rows
+    stable-sorted on their own, one sort per fold and feature. Tree fitting
+    and scoring are the library's, so only the sort differs from it."""
+    from tabctx import importance as imp
+
+    rows = np.asarray(train_rows, dtype=np.int64)
+    n = len(rows)
+    folds = kfold_indices(n, cv_folds, subseed(seed, "pps-folds"))
+    if d.task == ds.TASK_REGRESSION:
+        y, n_classes = np.asarray(d.labels()[rows], dtype=np.float64), None
+    else:
+        y = np.asarray([d.class_labels.index(v) for v in d.labels()[rows]], dtype=np.int64)
+        n_classes = len(d.class_labels)
+    out = {}
+    for name in d.numerical_features:
+        x = np.asarray(d.column(name)[rows], dtype=np.float64)
+        if not np.isfinite(x).any():
+            out[name] = 0.0
+            continue
+        thresholds = imp.quantile_candidates(x[np.isfinite(x)])
+        tree_preds = np.empty(n, dtype=y.dtype)
+        naive_preds = np.empty_like(tree_preds)
+        for val_idx in folds:
+            val = np.zeros(n, dtype=bool)
+            val[val_idx] = True
+            yt = y[~val]
+            fallback = (float(np.median(yt)) if n_classes is None
+                        else int(np.argmax(np.bincount(yt, minlength=n_classes))))
+            naive_preds[val] = fallback
+            xt = x[~val]
+            ft = np.isfinite(xt)
+            if not ft.any() or len(thresholds) == 0:
+                tree_preds[val] = fallback
+                continue
+            order = np.argsort(xt[ft], kind="stable")
+            tree = imp.fit_numeric_tree(xt[ft][order], yt[ft][order], thresholds, n_classes, fallback)
+            tree_preds[val] = tree.predict(x[val])
+        out[name] = float(min(1.0, imp._score_from_folds(y, tree_preds, naive_preds, n_classes)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_c08_boundary_grid_reproduces_nearest_neighbor_partition():
         cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform", numeric_norm="none",
                                  distance_minmax_rescale=False)
         pool = rt.build_pool(d, np.arange(n), cfg)
-        grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=8)
+        grid = sg.boundary_grid(pool, resolution=8)
         xs = np.linspace(grid.x_range[0], grid.x_range[1], 8)
         ys = np.linspace(grid.y_range[0], grid.y_range[1], 8)
         for iy, gy in enumerate(ys):

@@ -7,7 +7,7 @@ from tabctx import dataset as ds
 from tabctx import importance as imp
 from tabctx.util import rng_for
 from conftest import make_dataset
-from oracles import (categorical_tree_reference, exhaustive_tree_score,
+from oracles import (categorical_tree_reference, exhaustive_tree_score, pps_per_fold_sort_reference,
                      segment_costs_reg_reference)
 
 
@@ -113,6 +113,28 @@ def test_pps_matches_exhaustive_tree_search():
         want = exhaustive_tree_score(x, yv.astype(float) if n_classes is None else yv,
                                      n_classes, seed=7)
         assert abs(got - want) <= 1e-9, f"seed {seed}: {got} vs {want}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), regression=st.booleans())
+def test_pps_matches_per_fold_sort_reference(seed, regression):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 160))
+    gappy = rng.normal(size=n)
+    gappy[rng.random(n) < 0.3] = np.nan
+    cols = {"wide": rng.normal(size=n) * 1e3,
+            "tied": np.round(rng.normal(size=n)),  # long runs of equal values
+            "gappy": gappy,
+            "signed_zero": rng.choice([-0.0, 0.0, 1.0], size=n),  # -0.0 == 0.0 ties
+            "one_fold_finite": np.where(np.arange(n) < n // 5, rng.normal(size=n), np.nan)}
+    if regression:
+        d = make_dataset(num=cols, label=cols["tied"] + rng.normal(size=n), task="regression")
+    else:
+        d = make_dataset(num=cols, label=[str(v) for v in rng.integers(0, 3, size=n)])
+    fold_seed = int(rng.integers(100))
+    got = imp.pps_importance(d, range(n), seed=fold_seed)
+    want = pps_per_fold_sort_reference(d, range(n), seed=fold_seed)
+    assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
 
 
 def _bits(values) -> np.ndarray:

@@ -266,6 +266,45 @@ def test_multi_size_entries_equal_single_size_calls():
         rt.retrieve(pool, query, ())
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), mode=st.sampled_from(IMPORTANCE_MODES),
+       sizes=st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
+def test_block_rows_equal_lone_retrieve(seed, mode, sizes):
+    d = random_mixed_dataset(seed, max_rows=150)
+    rng = np.random.default_rng(seed)
+    n = d.n_rows
+    train = np.sort(rng.choice(n, size=max(5, int(n * 0.7)), replace=False))
+    feats = [c.name for c in d.feature_columns]
+    pw = {f: float(rng.uniform(0, 1)) for f in feats}
+    sw = {f: float(rng.uniform(0, 1)) for f in feats}
+    pool = pool_for(d, train, rt.RetrievalConfig(importance_mode=mode), pearson=pw, pps=sw)
+    step = rt.block_size(pool)
+    assert step == rt.BLOCK_PAIRS // len(train)
+    # rows with missing cells, and a query with no values at all, over a
+    # full block and an uneven last one
+    queries = [d.feature_row(i % n) for i in range(step + step // 2)] + [{}]
+    sizes = (*sizes, len(train) + 3)
+    for start in range(0, len(queries), step):
+        block = queries[start:start + step]
+        selections = rt.select_block(pool, block, sizes)
+        for i, query in enumerate(block):
+            for sel, ctx in zip(selections, rt.retrieve(pool, query, sizes)):
+                assert pool.rows[sel.positions[i]].tolist() == ctx.indices.tolist()
+                assert sel.distances[i].view(np.int64).tolist() == ctx.distances.view(np.int64).tolist()
+                assert tuple(rt.TAGS[t] for t in sel.tags[i]) == ctx.provenance
+    with pytest.raises(ValueError, match="block"):
+        rt.select_block(pool, queries[:step + 1], sizes)
+
+
+def test_match_constraints_rank_one_query_per_block():
+    d = random_mixed_dataset(4)
+    cfg = rt.RetrievalConfig(importance_mode="uniform", match_constraints=("cat0",))
+    pool = rt.build_pool(d, np.arange(d.n_rows), cfg)
+    assert rt.block_size(pool) == 1
+    with pytest.raises(ValueError, match="block"):
+        rt.select_block(pool, [d.feature_row(0), d.feature_row(1)], (3,))
+
+
 def test_none_categorical_query_is_the_missing_token():
     d = make_dataset(num={"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
                      cat={"g": ["", "None", "u", "", "None", "u"]},

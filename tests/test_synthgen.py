@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabctx import dataset as ds
 from tabctx import metrics as mt
+from tabctx import normalize as nz
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.predictors import knn_predict
-from oracles import nearest_neighbor_index
+from tabctx.importance import IMPORTANCE_MODES
+from conftest import make_dataset
+from oracles import boundary_grid_reference, nearest_neighbor_index
 
 
 def euclid_config(quota):
@@ -109,7 +114,7 @@ def test_boundary_grid_matches_voronoi_three_points():
     pts = np.column_stack([d.column("x1"), d.column("x2")])
     cfg = euclid_config(quota=1)
     pool = rt.build_pool(d, np.arange(3), cfg)
-    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=3)
+    grid = sg.boundary_grid(pool, resolution=3)
     xs = np.linspace(grid.x_range[0], grid.x_range[1], 3)
     ys = np.linspace(grid.y_range[0], grid.y_range[1], 3)
     for iy, gy in enumerate(ys):
@@ -123,7 +128,7 @@ def test_boundary_grid_margin_and_shape():
     d = sg.generate_toy(sg.ToySpec("circle", 0.0, 16, seed=0))
     cfg = euclid_config(quota=1)
     pool = rt.build_pool(d, np.arange(16), cfg)
-    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=(4, 5))
+    grid = sg.boundary_grid(pool, resolution=(4, 5))
     x = d.column("x1")
     span = x.max() - x.min()
     assert grid.x_range[0] == pytest.approx(x.min() - 0.1 * span)
@@ -131,31 +136,46 @@ def test_boundary_grid_margin_and_shape():
     assert grid.probabilities.shape == (5, 4, 2)
 
 
-def test_boundary_grid_constant_predictor_uniform():
-    from tabctx.predictors import PredictionRecord
-    d = sg.generate_toy(sg.ToySpec("circle", 0.1, 8, seed=0))
-    cfg = euclid_config(quota=1)
-    pool = rt.build_pool(d, np.arange(8), cfg)
-    const = lambda ctx, q: PredictionRecord(0, ds.TASK_CLASSIFICATION, "const", len(ctx),
-                                            class_probabilities=(0.5, 0.5))
-    grid = sg.boundary_grid(pool, const, resolution=3)
-    assert np.all(grid.probabilities == 0.5)
-
-
 def test_boundary_grid_requires_two_numeric_features():
-    from conftest import make_dataset
     d = make_dataset(num={"a": [1.0, 2.0]}, label=["x", "y"])
     cfg = euclid_config(quota=1)
     pool = rt.build_pool(d, [0, 1], cfg)
     with pytest.raises(ValueError, match="2 numerical"):
-        sg.boundary_grid(pool, lambda ctx, q: None, resolution=2)
+        sg.boundary_grid(pool, resolution=2)
+    r = make_dataset(num={"a": [1.0, 2.0, 3.0], "b": [0.0, 1.0, 0.5]}, label=[1.0, 2.0, 3.0],
+                     task=ds.TASK_REGRESSION)
+    with pytest.raises(ValueError, match="classification"):
+        sg.boundary_grid(rt.build_pool(r, [0, 1, 2], cfg), resolution=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 400), mode=st.sampled_from(IMPORTANCE_MODES),
+       norm=st.sampled_from(nz.MODES), rescale=st.booleans(),
+       quota=st.sampled_from([1, 2, 3, 8, 15, 500]), nx=st.integers(1, 9), ny=st.integers(1, 9))
+# 300 rows give 27-cell blocks, which split the 8-cell grid rows unevenly
+@example(seed=1, n=300, mode="dual", norm="quantile", rescale=True, quota=7, nx=8, ny=9)
+@example(seed=2, n=300, mode="uniform", norm="none", rescale=False, quota=16, nx=8, ny=9)
+def test_boundary_grid_matches_per_cell_reference(seed, n, mode, norm, rescale, quota, nx, ny):
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.normal(size=(n, 2)) * rng.uniform(0.5, 3.0), 1)
+    dups = rng.integers(0, n, size=n // 5)
+    pts[(dups + 1) % n] = pts[dups]  # duplicated points tie at every cell
+    labels = [str(v) for v in rng.integers(0, 3, size=n)]
+    d = make_dataset(num={"x1": pts[:, 0], "x2": pts[:, 1]}, label=labels)
+    cfg = rt.RetrievalConfig(quota=quota, importance_mode=mode, numeric_norm=norm,
+                             distance_minmax_rescale=rescale)
+    pool = rt.build_pool(d, np.arange(n), cfg)
+    got = sg.boundary_grid(pool, (nx, ny)).probabilities
+    want = boundary_grid_reference(pool, (nx, ny))
+    assert got.shape == want.shape == (ny, nx, len(d.class_labels))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_grid_export_files(tmp_path):
     d = sg.generate_toy(sg.ToySpec("circle", 0.1, 12, seed=0))
     cfg = euclid_config(quota=2)
     pool = rt.build_pool(d, np.arange(12), cfg)
-    grid = sg.boundary_grid(pool, lambda ctx, q: knn_predict(ctx, pool), resolution=4)
+    grid = sg.boundary_grid(pool, resolution=4)
     sg.write_grid(grid, tmp_path / "g.csv", tmp_path / "g.json")
     import csv, json
     with open(tmp_path / "g.csv") as fh:
