@@ -3,7 +3,7 @@ plus the benchmark harness around it."""
 
 from .dataset import (ColumnSchema, Dataset, SplitAssignment, load_dataset, load_external_split,
                       load_split_file, make_split, save_schema, save_split_file, save_table)
-from .importance import FeatureWeights, pearson_importance, pps_importance
+from .importance import pearson_importance, pps_importance
 from .metrics import MetricReport, PowerLawFit, auroc, auroc_binary, fit_power_law, minmax_normalize, nmae
 from .normalize import ColumnStats, apply, apply_array, fit_stats
 from .predictors import (EndpointConfig, LlmClient, PredictionRecord, PromptTemplate, ensemble,

@@ -14,8 +14,7 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,22 +64,23 @@ class RunConfig:
     train_sizes: list[int] | None = None
     seed: int = 0
     output_dir: str = "run_out"
-    workers: int = 1
     write_traces: bool = False
     prompt: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = load_json(path)
+        entry_keys = {f.name for f in fields(DatasetEntry)}
+        unknown = sorted(raw.keys() - {f.name for f in fields(cls)}) + [
+            f"datasets[{i}].{k}" for i, e in enumerate(raw.get("datasets", []))
+            for k in sorted(e.keys() - entry_keys)]
+        if unknown:
+            raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
         entries = [DatasetEntry(**e) for e in raw.pop("datasets")]
         return cls(datasets=entries, **raw)
 
     def to_dict(self) -> dict:
-        out = {"datasets": [vars(e) for e in self.datasets]}
-        for k in ("predictors", "retrieval", "policies", "context_sizes", "train_sizes",
-                  "seed", "output_dir", "workers", "write_traces", "prompt"):
-            out[k] = getattr(self, k)
-        return out
+        return {**vars(self), "datasets": [vars(e) for e in self.datasets]}
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
@@ -162,13 +162,7 @@ def _load_split(entry: DatasetEntry, d: ds.Dataset, run_seed: int) -> ds.SplitAs
 
 def _prompt_template(cfg: RunConfig) -> PromptTemplate:
     p = cfg.prompt
-    kwargs = {}
-    if "preamble" in p:
-        kwargs["preamble"] = p["preamble"]
-    if "anonymize" in p:
-        kwargs["anonymize"] = p["anonymize"]
-    if "chars_per_token" in p:
-        kwargs["chars_per_token"] = p["chars_per_token"]
+    kwargs = {k: p[k] for k in ("preamble", "anonymize", "chars_per_token") if k in p}
     if p.get("file"):
         return PromptTemplate.from_file(p["file"], **kwargs)
     return PromptTemplate(**kwargs)
@@ -218,11 +212,12 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
             reports.append(_score_records(d, external_records[p["id"]], entry.id, p["id"]).to_dict())
 
     for train_size, subset in zip(sorted(sizes), subsets):
+        fitted: dict[tuple[int, int], dict] = {}  # (pps_folds, seed) -> weights on this subset
         for pol in cfg.policies:
             pol_id = pol.get("id", pol.get("type", "rag"))
             pol_type = pol.get("type", "rag")
             rcfg = _resolve_retrieval(cfg.retrieval, pol if pol_type == "rag" else {"importance_mode": "uniform"})
-            pool = build_pool(d, subset, rcfg)
+            pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
             if pol_type == "rag" and (pool.pearson_weights or pool.pps_weights):
                 weights_out[f"{pol_id}/n{train_size}"] = {
                     "pearson": pool.pearson_weights, "pps": pool.pps_weights}
@@ -230,13 +225,12 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
                 ranked = {int(row): retrieve(pool, d.feature_row(int(row)), tuple(cfg.context_sizes))
                           for row in test_rows}
             for i, ctx_size in enumerate(cfg.context_sizes):
-                contexts = {}
-                for row in test_rows:
-                    if pol_type == "random":
-                        rseed = subseed(cfg.seed, "random-policy", entry.id, train_size, ctx_size, int(row))
-                        contexts[int(row)] = retrieve_random(pool, ctx_size, rseed)
-                    else:
-                        contexts[int(row)] = ranked[int(row)][i]
+                if pol_type == "random":
+                    contexts = {int(row): retrieve_random(pool, ctx_size, subseed(
+                        cfg.seed, "random-policy", entry.id, train_size, ctx_size, int(row)))
+                        for row in test_rows}
+                else:
+                    contexts = {row: by_size[i] for row, by_size in ranked.items()}
                 if cfg.write_traces:
                     traces.extend({"dataset": entry.id, "policy": pol_id, "train_size": train_size,
                                    "context_size": ctx_size, **context_trace(c, r)}
@@ -301,35 +295,36 @@ def _llm_records(p: dict, d: ds.Dataset, pool: ContextPool, contexts, test_rows,
     return [overflowed.get(int(row)) or next(answered) for row in test_rows]
 
 
-def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
+def _checked(cfg: RunConfig) -> RunConfig:
+    """The config with its context sizes resolved; raises before any work on a bad config."""
     problems = validate_config(cfg)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-    cfg = replace(cfg, context_sizes=_context_sizes(cfg))
-    out = Path(output_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    return replace(cfg, context_sizes=_context_sizes(cfg))
 
-    results = {}
-    errors = {}
 
-    def guarded(entry: DatasetEntry):
+def _sweep(cfg: RunConfig) -> tuple[dict, dict[str, str]]:
+    """({id: _process_dataset payload}, {id: error}) over the datasets in order."""
+    results, errors = {}, {}
+    for entry in cfg.datasets:
         try:
-            return entry.id, _process_dataset(cfg, entry), None
+            results[entry.id] = _process_dataset(cfg, entry)
         except Exception as exc:  # noqa: BLE001 - one dataset must not sink the run
-            return entry.id, None, f"{type(exc).__name__}: {exc}"
+            errors[entry.id] = f"{type(exc).__name__}: {exc}"
+    return results, errors
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(guarded, cfg.datasets))
-    else:
-        outcomes = [guarded(e) for e in cfg.datasets]
-    for ds_id, payload, err in outcomes:
-        if err is None:
-            results[ds_id] = payload
-        else:
-            errors[ds_id] = err
 
+def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
+    cfg = _checked(cfg)
+    out = Path(output_dir or cfg.output_dir)
+    started = time.time()
+    _write_run(cfg, out, *_sweep(cfg), started)
+    return out
+
+
+def _write_run(cfg: RunConfig, out: Path, results: dict, errors: dict[str, str],
+               started: float) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTIONS_HEADER)
@@ -427,17 +422,30 @@ def compare(paths, target: str | None = None, baseline: str | None = None) -> di
     return out
 
 
+def _policy_part(payload, pol_id: str):
+    """One dataset's payload as a run with ``pol_id`` as its only policy gives it."""
+    pred_rows, reports, weights, traces, info = payload
+    return ([r for r in pred_rows if r[1] in (pol_id, "external")],
+            [r for r in reports if r.get("policy", pol_id) == pol_id],
+            {k: w for k, w in weights.items() if k.rpartition("/")[0] == pol_id},
+            [t for t in traces if t["policy"] == pol_id], info)
+
+
 def ablate(cfg: RunConfig, output_dir: str | Path) -> Path:
-    """Run the full policy and its four reduced variants with identical seeds,
-    then emit a normalized side-by-side table."""
+    """One sweep with the full policy and its four reduced variants as policies,
+    so they share each dataset's load, split and weights; then one run
+    directory per variant and a normalized side-by-side table."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = _checked(replace(cfg, policies=[{"id": name, "type": "rag", **overrides}
+                                          for name, overrides in ABLATION_VARIANTS.items()]))
+    started = time.time()
+    results, errors = _sweep(cfg)
     for name, overrides in ABLATION_VARIANTS.items():
         vcfg = replace(cfg, retrieval={**cfg.retrieval, **overrides},
                        policies=[{"id": name, "type": "rag"}])
-        run(vcfg, out / name)
-    summary = compare([out / name for name in ABLATION_VARIANTS])
-    dump_json(out / "ablation.json", summary)
+        _write_run(vcfg, out / name, {k: _policy_part(v, name) for k, v in results.items()},
+                   errors, started)
+    dump_json(out / "ablation.json", compare([out / name for name in ABLATION_VARIANTS]))
     return out
 
 
@@ -490,24 +498,30 @@ def scaling(cfg: RunConfig, sizes: list[int], output_dir: str | Path) -> Path:
 def _add_run_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", "-o", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--quota", type=int, default=None)
     p.add_argument("--traces", action="store_true")
 
 
 def _load_config(args) -> RunConfig:
+    """The config file with any command-line overrides the verb takes."""
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.output_dir is not None:
+    if getattr(args, "output_dir", None) is not None:
         cfg.output_dir = args.output_dir
     if getattr(args, "quota", None) is not None:
         cfg.context_sizes = [args.quota]
     if getattr(args, "traces", False):
         cfg.write_traces = True
     return cfg
+
+
+def _print_json(payload, path: str | None) -> int:
+    text = json.dumps(payload, indent=2)
+    if path:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -556,46 +570,40 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.verb in ("run", "validate-config", "ablate", "scaling"):
+        try:
+            cfg = _load_config(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.verb == "run":
-        out = run(_load_config(args))
+        out = run(cfg)
         print(f"run complete: {out}")
         return 0
     if args.verb == "validate-config":
-        problems = validate_config(RunConfig.from_file(args.config))
+        problems = validate_config(cfg)
         for p in problems:
             print(f"error: {p}", file=sys.stderr)
         print("config ok" if not problems else f"{len(problems)} problem(s)")
         return 1 if problems else 0
     if args.verb == "compare":
-        result = compare(args.paths, args.target, args.baseline)
-        text = json.dumps(result, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(text)
-        return 0
+        return _print_json(compare(args.paths, args.target, args.baseline), args.out)
     if args.verb == "ablate":
-        out = ablate(_load_config(args), args.output_dir or "ablation_out")
+        out = ablate(cfg, args.output_dir or "ablation_out")
         print(f"ablation complete: {out}")
         return 0
     if args.verb == "scaling":
         sizes = [int(s) for s in args.sizes.split(",")]
-        out = scaling(_load_config(args), sizes, args.output_dir or "scaling_out")
+        out = scaling(cfg, sizes, args.output_dir or "scaling_out")
         print(f"scaling sweep complete: {out}")
         return 0
     if args.verb == "fit-powerlaw":
         if args.points:
-            fit = mt.fit_power_law(load_json(args.points))
-            payload = fit.to_dict()
-        elif args.run_dir:
-            payload = fit_run_dir(args.run_dir)
-        else:
-            print("error: need --points or --run-dir", file=sys.stderr)
-            return 1
-        text = json.dumps(payload, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(text)
-        return 0
+            return _print_json(mt.fit_power_law(load_json(args.points)).to_dict(), args.out)
+        if args.run_dir:
+            return _print_json(fit_run_dir(args.run_dir), args.out)
+        print("error: need --points or --run-dir", file=sys.stderr)
+        return 1
     if args.verb == "boundary":
         spec = ToySpec(args.shape, args.noise, args.n_train, args.seed)
         d = generate_toy(spec)

@@ -69,20 +69,6 @@ QUANTILE_STEP = 0.02
 _QUANTILES = np.linspace(QUANTILE_STEP, 1.0 - QUANTILE_STEP, int(round(1.0 / QUANTILE_STEP)) - 1)
 
 
-@dataclass(frozen=True)
-class FeatureWeights:
-    pearson: dict[str, float]
-    pps: dict[str, float]
-
-    def __post_init__(self):
-        if set(self.pearson) != set(self.pps):
-            raise ValueError("pearson and pps maps must cover the same features")
-        for m in (self.pearson, self.pps):
-            for name, w in m.items():
-                if not (np.isfinite(w) and 0.0 <= w <= 1.0):
-                    raise ValueError(f"weight for {name!r} out of range: {w}")
-
-
 # ---------------------------------------------------------------------------
 # Pearson
 

@@ -113,7 +113,8 @@ class PowerLawFit:
 
 def fit_power_law(points) -> PowerLawFit:
     """Least squares on log L = alpha*log(d_c) - alpha*log(D). A slope within
-    1e-9 of zero leaves the scale constant undefined."""
+    1e-9 of zero leaves the scale constant undefined, and so does a near-flat
+    slope whose d_c = exp(intercept / alpha) overflows or underflows to 0."""
     pts = [(float(d), float(l)) for d, l in points]
     if len(pts) < 2:
         raise ValueError("need at least 2 points")
@@ -128,6 +129,10 @@ def fit_power_law(points) -> PowerLawFit:
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    if abs(alpha) < 1e-9:
+    try:
+        d_c = math.exp(intercept / alpha) if abs(alpha) >= 1e-9 else 0.0
+    except OverflowError:
+        d_c = math.inf
+    if not 0.0 < d_c < math.inf:
         return PowerLawFit(None, alpha, r2, tuple(pts), degenerate=True)
-    return PowerLawFit(float(math.exp(intercept / alpha)), alpha, r2, tuple(pts))
+    return PowerLawFit(d_c, alpha, r2, tuple(pts))

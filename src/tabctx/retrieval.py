@@ -37,7 +37,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import normalize as nz
-from .importance import IMPORTANCE_MODES, FeatureWeights, pearson_importance, pps_importance
+from .importance import IMPORTANCE_MODES, pearson_importance, pps_importance
 from .util import rng_for
 
 TAG_PEARSON = "pearson-half"
@@ -136,42 +136,42 @@ class ContextPool:
         return self._code_of[feature].get(ds.category_token(query.get(feature)), -1)
 
     def weight_vectors(self) -> tuple[np.ndarray, np.ndarray | None]:
-        mode = self.cfg.importance_mode
-        if mode == "uniform":
+        """The kept measures as vectors (Pearson first, a second one only in
+        dual mode); all ones when the mode keeps none."""
+        vecs = [np.asarray([w[f] for f in self.features])
+                for w in (self.pearson_weights, self.pps_weights) if w is not None]
+        if not vecs:
             return np.ones(len(self.features)), None
-        if mode == "pearson_only":
-            return np.asarray([self.pearson_weights[f] for f in self.features]), None
-        if mode == "pps_only":
-            return np.asarray([self.pps_weights[f] for f in self.features]), None
-        return (np.asarray([self.pearson_weights[f] for f in self.features]),
-                np.asarray([self.pps_weights[f] for f in self.features]))
+        return vecs[0], vecs[1] if len(vecs) == 2 else None
 
     def train_label_mean(self) -> float:
         return float(np.mean(np.asarray(self.dataset.labels()[self.rows], dtype=np.float64)))
 
 
 def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
-               weights: FeatureWeights | None = None) -> ContextPool:
-    """Fit normalization stats and importance weights on the training rows.
-    Only the measures the config's mode consumes are computed; pass
-    ``weights`` to reuse precomputed scores."""
+               weights: dict[str, dict[str, float]] | None = None) -> ContextPool:
+    """Fit normalization stats on the training rows. ``weights``, as
+    ``{"pearson": ..., "pps": ...}``, holds scores already fitted on these rows
+    with this config's ``pps_folds`` and ``seed``; a measure the mode needs and
+    the dict lacks is fitted and added to it. The pool keeps only the measures
+    its mode consumes."""
     rows = np.sort(np.asarray(train_rows, dtype=np.int64))
     if len(rows) == 0:
         raise ValueError("context pool must be non-empty")
     stats = nz.fit_stats(dataset, rows, mode=cfg.numeric_norm, overrides=cfg.per_feature_norm)
     codes = {name: ds.category_codes(dataset.column(name)[rows].tolist())
              for name in dataset.categorical_features}
-    pearson = pps = None
-    if weights is not None:
-        pearson, pps = dict(weights.pearson), dict(weights.pps)
-    else:
-        mode = cfg.importance_mode
-        cat_codes = {name: c for name, (_, c) in codes.items()}
-        if mode in ("dual", "pearson_only"):
-            pearson = pearson_importance(dataset, rows, cat_codes)
-        if mode in ("dual", "pps_only"):
-            pps = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed, codes=cat_codes)
-    return ContextPool(dataset, rows, cfg, stats, pearson, pps, codes)
+    weights = {} if weights is None else weights
+    cat_codes = {name: c for name, (_, c) in codes.items()}
+    use_pearson = cfg.importance_mode in ("dual", "pearson_only")
+    use_pps = cfg.importance_mode in ("dual", "pps_only")
+    if use_pearson and "pearson" not in weights:
+        weights["pearson"] = pearson_importance(dataset, rows, cat_codes)
+    if use_pps and "pps" not in weights:
+        weights["pps"] = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed,
+                                        codes=cat_codes)
+    return ContextPool(dataset, rows, cfg, stats, weights["pearson"] if use_pearson else None,
+                       weights["pps"] if use_pps else None, codes)
 
 
 def feature_distance(pool: ContextPool, query: dict, feature: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from tabctx import dataset as ds
 from tabctx import metrics as mt
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
-from tabctx.importance import FeatureWeights, pps_importance
+from tabctx.importance import pps_importance
 from tabctx.predictors import EndpointConfig, LlmClient, PromptTemplate, estimate_tokens, fit_prompt, knn_predict, serialize_prompt
 from tabctx.util import dump_json, rng_for, subseed
 from conftest import make_dataset
@@ -63,7 +63,7 @@ def test_c01_retrieval_matches_brute_force_on_100_datasets():
             distance_minmax_rescale=bool(seed % 2),
             match_constraints=constraints,
         )
-        pool = rt.build_pool(d, train, cfg, weights=FeatureWeights(pearson=pw, pps=sw))
+        pool = rt.build_pool(d, train, cfg, weights={"pearson": pw, "pps": sw})
         query = d.feature_row(int(rng.choice(holdout))) if holdout else d.feature_row(0)
         if rng.random() < 0.3 and d.numerical_features:
             query[d.numerical_features[0]] = math.nan
@@ -200,8 +200,7 @@ def test_c06_dual_quota_split_contract():
     cfg = rt.RetrievalConfig(quota=128, importance_mode="dual", numeric_norm="none",
                              distance_minmax_rescale=False)
     pool = rt.build_pool(d, range(256), cfg,
-                         weights=FeatureWeights(pearson={"a": 1.0, "b": 0.0},
-                                                pps={"a": 0.0, "b": 1.0}))
+                         weights={"pearson": {"a": 1.0, "b": 0.0}, "pps": {"a": 0.0, "b": 1.0}})
     ctx = rt.retrieve(pool, {"a": 0.0, "b": 0.0})
     assert len(ctx) == 128
     by_tag = {}

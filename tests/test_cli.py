@@ -6,6 +6,7 @@ import pytest
 
 from tabctx import cli
 from tabctx import dataset as ds
+from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.util import dump_json, load_json
 
@@ -87,16 +88,20 @@ def test_context_size_sweep_one_report_per_size(tmp_path):
     assert sizes == [2, 4, 8]
 
 
-def test_crash_isolation_keeps_good_dataset(tmp_path):
-    write_toy_files(tmp_path)
-    # second dataset has a schema/table mismatch discovered at load time
+def add_bad_dataset(tmp_path, cfg):
+    """A second dataset whose schema does not match its table, so it fails at load."""
     bad_schema = [ds.ColumnSchema("nope", "numerical", "feature"),
                   ds.ColumnSchema("label", "categorical", "label")]
     ds.save_schema(bad_schema, "classification", tmp_path / "bad.schema.json")
     (tmp_path / "bad.csv").write_text("a,label\n1,x\n", encoding="utf-8")
-    cfg = base_config(tmp_path)
     cfg["datasets"].append({"id": "bad", "table": str(tmp_path / "bad.csv"),
                             "schema": str(tmp_path / "bad.schema.json")})
+    return cfg
+
+
+def test_crash_isolation_keeps_good_dataset(tmp_path):
+    write_toy_files(tmp_path)
+    cfg = add_bad_dataset(tmp_path, base_config(tmp_path))
     out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
     manifest = load_json(out / "manifest.json")
     assert manifest["datasets"]["toy"]["status"] == "ok"
@@ -323,3 +328,111 @@ def test_partial_external_predictions_file_is_rejected(tmp_path):
     assert status["status"] == "error"
     assert str(tmp_path / "ext.csv") in status["error"]
     assert f"no prediction for test row {test_rows[0]}" in status["error"]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls to ``owner.name``, the name the calling module binds."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_ablate_loads_once_and_fits_weights_once_per_subset(tmp_path, monkeypatch):
+    write_toy_files(tmp_path, noise=0.2, n=80, seed=4)
+    loads = count_calls(monkeypatch, cli.ds, "load_dataset")
+    pps = count_calls(monkeypatch, rt, "pps_importance")
+    pearson = count_calls(monkeypatch, rt, "pearson_importance")
+    cfg = base_config(tmp_path, seed=11, retrieval={}, context_sizes=[4, 8])
+    cli.ablate(cli.RunConfig.from_file(write_config(tmp_path, cfg)), tmp_path / "abl")
+    assert (len(loads), len(pps), len(pearson)) == (1, 1, 1)
+
+    for calls in (loads, pps, pearson):
+        calls.clear()
+    cfg = base_config(tmp_path, seed=11, retrieval={}, context_sizes=[4, 8], train_sizes=[20, 40])
+    cli.ablate(cli.RunConfig.from_file(write_config(tmp_path, cfg)), tmp_path / "abl2")
+    assert (len(loads), len(pps), len(pearson)) == (1, 2, 2)
+    assert sorted(len(args[1]) for args in pps) == [20, 40]
+
+
+def test_dual_and_pps_only_policies_share_one_pps_fit(tmp_path, monkeypatch):
+    write_toy_files(tmp_path)
+    pps = count_calls(monkeypatch, rt, "pps_importance")
+    cfg = base_config(tmp_path, retrieval={"importance_mode": "dual"}, train_sizes=[20, 40],
+                      policies=[{"id": "rag", "type": "rag"},
+                                {"id": "pps", "type": "rag", "importance_mode": "pps_only"}])
+    out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    assert len(pps) == 2
+    weights = load_json(out / "weights.json")["toy"]
+    assert sorted(weights) == ["pps/n20", "pps/n40", "rag/n20", "rag/n40"]
+    for n in (20, 40):
+        assert weights[f"pps/n{n}"]["pearson"] is None
+        assert weights[f"pps/n{n}"]["pps"] == weights[f"rag/n{n}"]["pps"] is not None
+        assert weights[f"rag/n{n}"]["pearson"] is not None
+
+
+def test_ablate_failing_dataset_errors_in_every_variant(tmp_path):
+    write_toy_files(tmp_path)
+    write_toy_files(tmp_path, name="tiny", n=6)
+    cfg = add_bad_dataset(tmp_path, base_config(tmp_path, retrieval={}))
+    # 3 training rows, fewer than pps_folds: PPS fails, and with it the whole sweep
+    # of this dataset, also in the variants that use no PPS weights
+    cfg["datasets"].append({"id": "tiny", "table": str(tmp_path / "tiny.csv"),
+                            "schema": str(tmp_path / "tiny.schema.json"),
+                            "split": {"ratios": [0.5, 0.0, 0.5], "seed": 1}})
+    out = cli.ablate(cli.RunConfig.from_file(write_config(tmp_path, cfg)), tmp_path / "abl")
+    for name in cli.ABLATION_VARIANTS:
+        statuses = load_json(out / name / "manifest.json")["datasets"]
+        assert statuses["toy"]["status"] == "ok"
+        assert statuses["bad"]["status"] == "error"
+        assert statuses["tiny"] == {"status": "error",
+                                    "error": "ValueError: need at least cv_folds training rows"}
+        assert {r["dataset"] for r in load_json(out / name / "metrics.json")["metrics"]} == {"toy"}
+    assert (out / "ablation.json").is_file()
+
+
+def test_ablate_variant_dirs_equal_single_policy_runs_with_externals(tmp_path):
+    d = write_toy_files(tmp_path)
+    test_rows = [int(r) for r in ds.make_split(d, (0.8, 0.1, 0.1), seed=3).test]
+    with open(tmp_path / "ext.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["row_index", "p_0", "p_1"])
+        w.writerows([r, 1.0, 0.0] for r in test_rows)
+    cfg = base_config(tmp_path, retrieval={}, context_sizes=[2, 4], train_sizes=[30, 60],
+                      write_traces=True,
+                      predictors=[{"id": "knn", "type": "knn"},
+                                  {"id": "ext", "type": "external", "path": str(tmp_path / "ext.csv")}])
+    out = cli.ablate(cli.RunConfig.from_file(write_config(tmp_path, cfg)), tmp_path / "abl")
+    for name, overrides in cli.ABLATION_VARIANTS.items():
+        with open(out / name / "predictions.csv") as fh:
+            ext = [int(r["row_index"]) for r in csv.DictReader(fh) if r["policy"] == "external"]
+        assert ext == test_rows
+        alone = {**cfg, "retrieval": {**cfg["retrieval"], **overrides},
+                 "policies": [{"id": name, "type": "rag"}]}
+        ref = cli.run(cli.RunConfig.from_file(write_config(tmp_path, alone, f"{name}.json")),
+                      tmp_path / f"ref_{name}")
+        for fname in ("predictions.csv", "metrics.json", "metrics.csv", "traces.jsonl", "weights.json"):
+            assert (out / name / fname).is_file() == (ref / fname).is_file(), (name, fname)
+            if (ref / fname).is_file():
+                assert (out / name / fname).read_bytes() == (ref / fname).read_bytes(), (name, fname)
+
+
+def test_unknown_config_keys_are_named(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, workers=2)
+    cfg["datasets"][0]["cap"] = 5
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ValueError, match=r"workers.*datasets\[0\]\.cap"):
+        cli.RunConfig.from_file(path)
+    assert cli.main(["validate-config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "workers" in err and "datasets[0].cap" in err
+    assert "Traceback" not in err
+    assert cli.main(["run", str(path)]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

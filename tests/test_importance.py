@@ -239,10 +239,3 @@ def test_pps_preconditions():
         imp.pps_importance(d, [0, 1, 2], cv_folds=1)
     with pytest.raises(ValueError):
         imp.pps_importance(d, [0, 1], cv_folds=4)
-
-
-def test_feature_weights_validation():
-    with pytest.raises(ValueError):
-        imp.FeatureWeights(pearson={"a": 0.5}, pps={"b": 0.5})
-    with pytest.raises(ValueError):
-        imp.FeatureWeights(pearson={"a": 1.5}, pps={"a": 0.5})

@@ -140,3 +140,15 @@ def test_power_law_round_trip(d_c, alpha, seed):
     fit = mt.fit_power_law(pts)
     assert abs(fit.alpha - alpha) <= 1e-9 * max(1.0, abs(alpha))
     assert abs(fit.d_c - d_c) / d_c <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 10.0), st.lists(st.floats(-1e-6, 1e-6), min_size=2, max_size=5),
+       st.floats(1.0, 1e4))
+@example(0.3, [0.0, 1e-7 / 0.3, 2e-7 / 0.3], 1000.0)  # rising: d_c overflowed
+@example(0.3, [0.0, -1e-8 / 0.3, -2e-8 / 0.3], 1000.0)  # falling: d_c underflowed to 0
+def test_power_law_near_flat_never_raises(loss, rel_steps, first_size):
+    pts = [(first_size * 10 ** k, loss * (1 + r)) for k, r in enumerate(rel_steps)]
+    fit = mt.fit_power_law(pts)
+    assert fit.d_c is None or (math.isfinite(fit.d_c) and fit.d_c > 0)
+    assert fit.degenerate == (fit.d_c is None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tabctx import dataset as ds
 from tabctx import retrieval as rt
-from tabctx.importance import IMPORTANCE_MODES, FeatureWeights
+from tabctx.importance import IMPORTANCE_MODES
 from conftest import make_dataset
 from oracles import random_mixed_dataset, retrieval_oracle
 
@@ -15,7 +15,7 @@ from oracles import random_mixed_dataset, retrieval_oracle
 def pool_for(d, rows, cfg, pearson=None, pps=None):
     w = None
     if pearson is not None:
-        w = FeatureWeights(pearson=pearson, pps=pps or pearson)
+        w = {"pearson": pearson, "pps": pps or pearson}
     return rt.build_pool(d, rows, cfg, weights=w)
 
 
