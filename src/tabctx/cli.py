@@ -14,7 +14,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,11 @@ PREDICTIONS_HEADER = ["dataset", "policy", "train_size", "context_size", "predic
                       "row_index", "context_used", "flag", "estimate", "probs"]
 
 
+def _required_keys(cls) -> list[str]:
+    """The fields of a config dataclass that have no default."""
+    return [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+
 @dataclass
 class DatasetEntry:
     id: str
@@ -70,14 +75,18 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = load_json(path)
-        entry_keys = {f.name for f in fields(DatasetEntry)}
+        entries = raw.get("datasets", [])
         unknown = sorted(raw.keys() - {f.name for f in fields(cls)}) + [
-            f"datasets[{i}].{k}" for i, e in enumerate(raw.get("datasets", []))
-            for k in sorted(e.keys() - entry_keys)]
-        if unknown:
-            raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-        entries = [DatasetEntry(**e) for e in raw.pop("datasets")]
-        return cls(datasets=entries, **raw)
+            f"datasets[{i}].{k}" for i, e in enumerate(entries)
+            for k in sorted(e.keys() - {f.name for f in fields(DatasetEntry)})]
+        missing = [k for k in _required_keys(cls) if k not in raw] + [
+            f"datasets[{i}].{k}" for i, e in enumerate(entries)
+            for k in _required_keys(DatasetEntry) if k not in e]
+        problems = [f"{what} config key(s): {', '.join(keys)}"
+                    for what, keys in (("unknown", unknown), ("missing", missing)) if keys]
+        if problems:
+            raise ValueError(f"{path}: {'; '.join(problems)}")
+        return cls(datasets=[DatasetEntry(**e) for e in raw.pop("datasets")], **raw)
 
     def to_dict(self) -> dict:
         return {**vars(self), "datasets": [vars(e) for e in self.datasets]}
@@ -254,7 +263,8 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
                                     "policy": pol_id, "train_size": train_size,
                                     "context_size": ctx_size})
     info = {"n_rows": d.n_rows, "n_train": len(split.train), "n_test": len(test_rows),
-            "split_seed": split.seed}
+            "split_seed": split.seed,
+            "coerced_cells": {name: n for name, n in d.coerced_cells.items() if n}}
     return pred_rows, reports, weights_out, traces, info
 
 

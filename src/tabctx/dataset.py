@@ -1,16 +1,21 @@
 """Tabular dataset loading, typed schemas, and train/validation/test splits.
 
 Columnar storage: numerical columns are float64 arrays with NaN as the
-missing marker; categorical columns are object arrays of string tokens,
-where the empty string is the missing token and behaves as an ordinary
-category (two missing cells compare equal).
+missing marker; categorical columns are string tokens, where the empty
+string is the missing token and behaves as an ordinary category (two
+missing cells compare equal). A categorical column is also int32 codes over
+its sorted vocabulary (``Dataset.codes`` / ``Dataset.vocabulary``), which
+retrieval and the feature weights read instead of the tokens.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,9 @@ MISSING_TOKEN = ""
 DEFAULT_TRAIN_CAP = 100_000
 DEFAULT_TEST_CAP = 512
 
+# load_dataset reads the table this many rows at a time
+CHUNK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -43,11 +51,25 @@ class ColumnSchema:
             raise ValueError(f"unknown column role {self.role!r}")
 
 
-class Dataset:
-    """Immutable typed table with exactly one label column."""
+class Coded(NamedTuple):
+    """A categorical column as int32 codes over its sorted vocabulary."""
+    vocabulary: np.ndarray  # object array of distinct tokens, sorted
+    codes: np.ndarray       # int32, one per row
 
-    def __init__(self, schema: list[ColumnSchema], columns: dict[str, np.ndarray],
-                 task: str, class_labels: tuple[str, ...] = ()):
+
+class Dataset:
+    """Immutable typed table with exactly one label column.
+
+    A categorical column is given either as tokens (encoded over its sorted
+    vocabulary on the first ``codes`` or ``vocabulary`` call) or as a
+    ``Coded`` column, as ``load_dataset`` gives it (its tokens are built on
+    the first ``column`` call). ``coerced_cells`` counts, per numerical
+    column, the non-empty cells the loader turned into NaN.
+    """
+
+    def __init__(self, schema: list[ColumnSchema], columns: dict[str, np.ndarray | Coded],
+                 task: str, class_labels: tuple[str, ...] = (),
+                 coerced_cells: dict[str, int] | None = None):
         names = [c.name for c in schema]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
@@ -58,7 +80,7 @@ class Dataset:
             raise ValueError(f"unknown task {task!r}")
         if set(columns) != set(names):
             raise ValueError("column storage does not match schema names")
-        lengths = {len(v) for v in columns.values()}
+        lengths = {len(v.codes) if isinstance(v, Coded) else len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError("ragged columns")
         n = lengths.pop() if lengths else 0
@@ -70,34 +92,49 @@ class Dataset:
             raise ValueError("classification label column must be categorical")
         if task == TASK_REGRESSION and label.kind != KIND_NUMERICAL:
             raise ValueError("regression label column must be numerical")
-        if task == TASK_REGRESSION:
-            vals = np.asarray(columns[label.name], dtype=np.float64)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("regression label cells must be finite numbers")
-        if task == TASK_CLASSIFICATION and not class_labels:
-            seen: list[str] = []
-            for v in columns[label.name]:
-                if v not in seen:
-                    seen.append(v)
-            class_labels = tuple(seen)
 
         self.schema = list(schema)
         self.task = task
-        self.class_labels = tuple(class_labels)
+        self.coerced_cells = dict(coerced_cells or {})
         self._n = n
-        self._columns = {}
+        self._columns: dict[str, np.ndarray] = {}  # numbers, and tokens given or built
+        self._coded: dict[str, Coded] = {}
         for col in schema:
             raw = columns[col.name]
             if col.kind == KIND_NUMERICAL:
                 self._columns[col.name] = np.asarray(raw, dtype=np.float64)
+            elif isinstance(raw, Coded):
+                self._coded[col.name] = raw
             else:
                 self._columns[col.name] = np.asarray([category_token(v) for v in raw], dtype=object)
 
+        if task == TASK_REGRESSION:
+            bad = np.flatnonzero(~np.isfinite(self._columns[label.name]))
+            if len(bad):
+                raise ValueError(f"data row {bad[0] + 1}, column {label.name!r}: "
+                                 f"regression label cells must be finite numbers")
+        self.class_labels = tuple(class_labels)
         if task == TASK_CLASSIFICATION:
-            known = set(self.class_labels)
-            bad = [v for v in self._columns[label.name] if v not in known]
-            if bad:
-                raise ValueError(f"label value {bad[0]!r} not in class_labels")
+            if class_labels:
+                self._check_class_labels(label.name)
+            else:
+                self.class_labels = self._first_seen(label.name)
+
+    def _check_class_labels(self, name: str) -> None:
+        tokens = self.column(name).tolist()
+        known = set(self.class_labels)
+        if not known.issuperset(tokens):
+            i = next(i for i, t in enumerate(tokens) if t not in known)
+            raise ValueError(f"data row {i + 1}, column {name!r}: label value {tokens[i]!r} "
+                             f"not in class_labels")
+
+    def _first_seen(self, name: str) -> tuple[str, ...]:
+        """The distinct tokens of a categorical column in first-appearance order."""
+        if name in self._columns:
+            return tuple(dict.fromkeys(self._columns[name].tolist()))
+        vocabulary, codes = self._coded[name]
+        used, first = np.unique(codes, return_index=True)
+        return tuple(vocabulary[used[np.argsort(first)]].tolist())
 
     @property
     def n_rows(self) -> int:
@@ -120,25 +157,56 @@ class Dataset:
         return [c.name for c in self.feature_columns if c.kind == KIND_CATEGORICAL]
 
     def column(self, name: str) -> np.ndarray:
+        """Numbers (float64, NaN missing) or tokens (object array of ``str``)."""
+        if name not in self._columns:
+            vocabulary, codes = self._coded[name]
+            self._columns[name] = vocabulary[codes]
         return self._columns[name]
 
     def labels(self) -> np.ndarray:
-        return self._columns[self.label_column.name]
+        return self.column(self.label_column.name)
 
     def feature_row(self, i: int) -> dict:
-        return {c.name: self._columns[c.name][i] for c in self.feature_columns}
+        return {c.name: self._cell(c.name, i) for c in self.feature_columns}
+
+    def _cell(self, name: str, i: int):
+        if name in self._columns:
+            return self._columns[name][i]
+        vocabulary, codes = self._coded[name]
+        return vocabulary[codes[i]]
+
+    def codes(self, name: str) -> np.ndarray:
+        """A categorical column's int32 codes over its sorted vocabulary."""
+        return self._encoded(name).codes
+
+    def vocabulary(self, name: str) -> np.ndarray:
+        """A categorical column's distinct tokens, sorted: token ``vocabulary[c]`` has code ``c``."""
+        return self._encoded(name).vocabulary
+
+    def _encoded(self, name: str) -> Coded:
+        if name not in self._coded:
+            encoder = _Encoder()
+            encoder.add(self._columns[name].tolist())
+            self._coded[name] = encoder.finish()
+        return self._coded[name]
+
+    def codes_over(self, name: str, rows: np.ndarray) -> Coded:
+        """A categorical column encoded over ``rows`` alone: the sorted
+        vocabulary of those rows and each row's int32 code over it."""
+        used, codes = np.unique(self.codes(name)[rows], return_inverse=True)
+        return Coded(self.vocabulary(name)[used], codes.astype(np.int32))
+
+    def class_codes(self) -> np.ndarray:
+        """Each row's label as its index in ``class_labels`` (classification)."""
+        name = self.label_column.name
+        index = {c: i for i, c in enumerate(self.class_labels)}
+        return np.asarray([index[t] for t in self.vocabulary(name).tolist()],
+                          dtype=np.int64)[self.codes(name)]
 
 
 def category_token(value) -> str:
     """The categorical token of a cell or query value: ``None`` is the missing token."""
     return MISSING_TOKEN if value is None else str(value)
-
-
-def category_codes(tokens: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """Encode categorical tokens over their sorted vocabulary: returns the
-    token -> code map (in vocabulary order) and the int32 code of each token."""
-    lookup = {t: i for i, t in enumerate(sorted(set(tokens)))}
-    return lookup, np.fromiter(map(lookup.__getitem__, tokens), dtype=np.int32, count=len(tokens))
 
 
 def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:
@@ -155,39 +223,93 @@ def save_schema(schema: list[ColumnSchema], task: str, schema_file: str | Path) 
     })
 
 
-def _parse_cell(text: str) -> float:
+def _parse_numbers(cells: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Parse numerical cells as ``float`` does; an empty cell, a cell that does
+    not parse and a non-finite value are NaN. Also returns how many non-empty
+    cells became NaN (the coerced cells)."""
     try:
-        v = float(text)
+        values = np.array([float(c) if c else math.nan for c in cells], dtype=np.float64)
+    except ValueError:
+        values = np.array([_float_or_nan(c) for c in cells], dtype=np.float64)
+    missing = ~np.isfinite(values)
+    values[missing] = np.nan
+    return values, int(np.count_nonzero(missing)) - cells.count("")
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
     except ValueError:
         return math.nan
-    return v if math.isfinite(v) else math.nan
+
+
+class _Encoder:
+    """Encodes one categorical column chunk by chunk: codes in first-seen
+    order while reading, remapped once to the sorted vocabulary at the end."""
+
+    def __init__(self):
+        self.lookup: dict[str, int] = {}
+        self.parts: list[np.ndarray] = []
+
+    def add(self, cells: Sequence[str]) -> None:
+        lookup = self.lookup
+        self.parts.append(np.fromiter((lookup.setdefault(c, len(lookup)) for c in cells),
+                                      dtype=np.int32, count=len(cells)))
+
+    def finish(self) -> Coded:
+        vocabulary = sorted(self.lookup)
+        remap = np.empty(len(vocabulary), dtype=np.int32)
+        remap[[self.lookup[t] for t in vocabulary]] = np.arange(len(vocabulary), dtype=np.int32)
+        return Coded(np.asarray(vocabulary, dtype=object), remap[np.concatenate(self.parts)])
 
 
 def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
     """Read a comma-delimited UTF-8 table (header row, quoting allowed) against
-    its JSON schema sidecar. Numerical cells that fail to parse become NaN.
+    its JSON schema sidecar, ``CHUNK_ROWS`` rows at a time into column arrays.
+    Numerical cells that fail to parse, or are not finite, become NaN and are
+    counted in ``coerced_cells``; categorical cells become codes as they are
+    read. Errors name the file, the 1-based data row and the column.
     """
     schema, task = load_schema(schema_file)
+    names = [c.name for c in schema]
+    numbers: dict[str, list[np.ndarray]] = {c.name: [] for c in schema if c.kind == KIND_NUMERICAL}
+    encoders = {c.name: _Encoder() for c in schema if c.kind == KIND_CATEGORICAL}
+    coerced = dict.fromkeys(numbers, 0)
     with open(table_file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty table") from None
-        if header != [c.name for c in schema]:
-            raise ValueError(f"header {header} does not match schema columns")
-        rows = list(reader)
-    if not rows:
-        raise ValueError("empty table")
-
-    columns: dict[str, list] = {c.name: [] for c in schema}
-    for r, cells in enumerate(rows):
-        if len(cells) != len(schema):
-            raise ValueError(f"row {r} has {len(cells)} cells, expected {len(schema)}")
-        for col, cell in zip(schema, cells):
-            columns[col.name].append(_parse_cell(cell) if col.kind == KIND_NUMERICAL else cell)
-    return Dataset(schema, {k: np.asarray(v, dtype=object) if isinstance(v[0], str) else np.asarray(v)
-                            for k, v in columns.items()}, task)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{table_file}: empty table")
+        if header != names:
+            j, got, want = next((j, a, b) for j, (a, b) in enumerate(zip_longest(header, names))
+                                if a != b)
+            raise ValueError(f"{table_file}: header {header} does not match schema columns {names}: "
+                             f"column {j + 1} is {got!r}, schema says {want!r}")
+        start = 0
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            for i, cells in enumerate(chunk):
+                if len(cells) != len(names):
+                    where = (f"no cell for column {names[len(cells)]!r}" if len(cells) < len(names)
+                             else f"extra cells after column {names[-1]!r}")
+                    raise ValueError(f"{table_file}: data row {start + i + 1} has {len(cells)} "
+                                     f"cells, expected {len(names)} ({where})")
+            for name, cells in zip(names, zip(*chunk)):
+                if name in numbers:
+                    values, n_coerced = _parse_numbers(cells)
+                    numbers[name].append(values)
+                    coerced[name] += n_coerced
+                else:
+                    encoders[name].add(cells)
+            start += len(chunk)
+            del chunk, cells
+    if start == 0:
+        raise ValueError(f"{table_file}: empty table")
+    columns = {**{k: np.concatenate(v) for k, v in numbers.items()},
+               **{k: v.finish() for k, v in encoders.items()}}
+    try:
+        return Dataset(schema, columns, task, coerced_cells=coerced)
+    except ValueError as exc:
+        raise ValueError(f"{table_file}: {exc}") from None
 
 
 def save_table(d: Dataset, table_file: str | Path) -> None:

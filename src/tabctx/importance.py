@@ -41,8 +41,8 @@ per-leaf formulas, which ``tests/oracles.py`` keeps as references):
   an even one's is the mean of the two, as ``np.median`` takes it. Each
   segment's absolute-deviation sum is still one ``np.sum`` over it.
 * Categorical trees work on the int32 category codes over the sorted
-  vocabulary (``dataset.category_codes``), so code order is sorted token
-  order. Classification costs come from one ``bincount`` of
+  vocabulary of the training rows (``Dataset.codes_over``), so code order is
+  sorted token order. Classification costs come from one ``bincount`` of
   (code, class) pairs per fold, as integer counts; regression costs from
   code masks. A tree predicts through one code -> value array.
 
@@ -90,10 +90,9 @@ def _max_abs_corr(F: np.ndarray, L: np.ndarray) -> float:
 
 
 def _label_matrix(d: ds.Dataset, rows: np.ndarray) -> np.ndarray:
-    y = d.labels()[rows]
     if d.task == ds.TASK_REGRESSION:
-        return np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    return np.stack([(y == c).astype(np.float64) for c in d.class_labels], axis=1)
+        return np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1)
+    return (d.class_codes()[rows][:, None] == np.arange(len(d.class_labels))).astype(np.float64)
 
 
 def _indicator_matrix(codes: np.ndarray) -> np.ndarray:
@@ -106,7 +105,7 @@ def pearson_importance(d: ds.Dataset, train_rows,
     """Per-feature weight in [0, 1]: max |r| over indicator encodings.
     Undefined correlations (constant columns, fewer than 2 pairs) score 0.
     ``codes`` maps each categorical feature to its codes over ``train_rows``
-    as ``dataset.category_codes`` gives them; they are encoded here if absent."""
+    as ``Dataset.codes_over`` gives them; they are encoded here if absent."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValueError("training rows must be non-empty")
@@ -123,7 +122,7 @@ def pearson_importance(d: ds.Dataset, train_rows,
             L = labels[keep]
         else:
             F = _indicator_matrix(codes[col.name] if codes is not None
-                                  else ds.category_codes(d.column(col.name)[rows].tolist())[1])
+                                  else d.codes_over(col.name, rows).codes)
             L = labels
         out[col.name] = _max_abs_corr(F, L)
     return out
@@ -403,7 +402,7 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
                    seed: int = 0, codes: dict[str, np.ndarray] | None = None) -> dict[str, float]:
     """Cross-validated tree-vs-naive score per feature, clipped to [0, 1].
     ``codes`` maps each categorical feature to its codes over ``train_rows``
-    as ``dataset.category_codes`` gives them; they are encoded here if absent."""
+    as ``Dataset.codes_over`` gives them; they are encoded here if absent."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if cv_folds < 2:
         raise ValueError("cv_folds must be at least 2")
@@ -414,16 +413,14 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
         y = np.asarray(d.labels()[rows], dtype=np.float64)
         n_classes = None
     else:
-        code = {c: i for i, c in enumerate(d.class_labels)}
-        y = np.asarray([code[v] for v in d.labels()[rows]], dtype=np.int64)
+        y = d.class_codes()[rows]
         n_classes = len(d.class_labels)
     out = {}
     for col in d.feature_columns:
         if col.kind == ds.KIND_NUMERICAL:
             values, numeric = d.column(col.name)[rows], True
         else:
-            values = (codes[col.name] if codes is not None
-                      else ds.category_codes(d.column(col.name)[rows].tolist())[1])
+            values = codes[col.name] if codes is not None else d.codes_over(col.name, rows).codes
             numeric = False
         out[col.name] = float(min(1.0, _pps_single(values, y, folds, n_classes, numeric)))
     return out

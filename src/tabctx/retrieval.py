@@ -97,13 +97,14 @@ class RetrievedContext:
 
 class ContextPool:
     """Immutable retrieval index over the training rows of a dataset. Built by
-    ``build_pool``: ``rows`` come sorted, and ``codes`` are over those rows."""
+    ``build_pool``: ``rows`` come sorted, and ``coded`` holds each categorical
+    feature encoded over those rows (``Dataset.codes_over``)."""
 
     def __init__(self, dataset: ds.Dataset, rows: np.ndarray, cfg: RetrievalConfig,
                  stats: dict[str, nz.ColumnStats],
                  pearson_weights: dict[str, float] | None,
                  pps_weights: dict[str, float] | None,
-                 codes: dict[str, tuple[dict[str, int], np.ndarray]]):
+                 coded: dict[str, ds.Coded]):
         self.dataset = dataset
         self.rows = rows
         self.cfg = cfg
@@ -116,8 +117,9 @@ class ContextPool:
         for name in dataset.numerical_features:
             self._norm_cols[name] = nz.apply_array(stats[name], dataset.column(name)[self.rows])
         # per categorical feature: token -> code map, and the code of each pool row
-        self._code_of = {name: lookup for name, (lookup, _) in codes.items()}
-        self._codes = {name: c for name, (_, c) in codes.items()}
+        self._code_of = {name: {t: i for i, t in enumerate(c.vocabulary.tolist())}
+                         for name, c in coded.items()}
+        self._codes = {name: c.codes for name, c in coded.items()}
 
     @property
     def size(self) -> int:
@@ -159,10 +161,9 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
     if len(rows) == 0:
         raise ValueError("context pool must be non-empty")
     stats = nz.fit_stats(dataset, rows, mode=cfg.numeric_norm, overrides=cfg.per_feature_norm)
-    codes = {name: ds.category_codes(dataset.column(name)[rows].tolist())
-             for name in dataset.categorical_features}
+    coded = {name: dataset.codes_over(name, rows) for name in dataset.categorical_features}
     weights = {} if weights is None else weights
-    cat_codes = {name: c for name, (_, c) in codes.items()}
+    cat_codes = {name: c.codes for name, c in coded.items()}
     use_pearson = cfg.importance_mode in ("dual", "pearson_only")
     use_pps = cfg.importance_mode in ("dual", "pps_only")
     if use_pearson and "pearson" not in weights:
@@ -171,7 +172,7 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
         weights["pps"] = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed,
                                         codes=cat_codes)
     return ContextPool(dataset, rows, cfg, stats, weights["pearson"] if use_pearson else None,
-                       weights["pps"] if use_pps else None, codes)
+                       weights["pps"] if use_pps else None, coded)
 
 
 def feature_distance(pool: ContextPool, query: dict, feature: str) -> np.ndarray:

@@ -5,6 +5,8 @@ grids, fold assignment, tie-break rules) with the code under test.
 """
 from __future__ import annotations
 
+import csv
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -13,6 +15,46 @@ from tabctx import dataset as ds
 from tabctx.util import kfold_indices, subseed
 
 MISSING = float("nan")
+
+
+# ---------------------------------------------------------------------------
+# Table loading: the whole table as Python rows, one cell at a time
+
+
+def parse_cell(text: str) -> float:
+    """A numerical cell: ``float`` of its text, NaN if that fails or is not finite."""
+    try:
+        v = float(text)
+    except ValueError:
+        return math.nan
+    return v if math.isfinite(v) else math.nan
+
+
+def load_dataset_reference(table_file, schema_file) -> ds.Dataset:
+    """Read every row of the table, parse each cell on its own, and build the
+    Dataset from token and number lists."""
+    schema, task = ds.load_schema(schema_file)
+    with open(table_file, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("empty table") from None
+        if header != [c.name for c in schema]:
+            raise ValueError(f"header {header} does not match schema columns")
+        rows = list(reader)
+    if not rows:
+        raise ValueError("empty table")
+
+    columns: dict[str, list] = {c.name: [] for c in schema}
+    for r, cells in enumerate(rows):
+        if len(cells) != len(schema):
+            raise ValueError(f"row {r} has {len(cells)} cells, expected {len(schema)}")
+        for col, cell in zip(schema, cells):
+            columns[col.name].append(parse_cell(cell) if col.kind == ds.KIND_NUMERICAL else cell)
+    return ds.Dataset(schema, {c.name: np.asarray(columns[c.name], dtype=np.float64)
+                               if c.kind == ds.KIND_NUMERICAL
+                               else np.asarray(columns[c.name], dtype=object) for c in schema}, task)
 
 
 # ---------------------------------------------------------------------------

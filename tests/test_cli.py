@@ -436,3 +436,30 @@ def test_unknown_config_keys_are_named(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 1
     assert "workers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_keys_are_named(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    entry = base_config(tmp_path)["datasets"][0]
+    cases = {"no_predictors.json": ({"datasets": []}, ["predictors"]),
+             "no_datasets.json": ({"predictors": []}, ["datasets"]),
+             "no_paths.json": ({"datasets": [{"id": entry["id"]}], "predictors": []},
+                               ["datasets[0].table", "datasets[0].schema"])}
+    for name, (cfg, keys) in cases.items():
+        path = write_config(tmp_path, cfg, name)
+        assert cli.main(["validate-config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "missing config key(s)" in err
+        assert all(k in err for k in keys), err
+        assert "Traceback" not in err
+
+
+def test_manifest_records_coerced_cells(tmp_path):
+    write_toy_files(tmp_path)
+    lines = (tmp_path / "toy.csv").read_text(encoding="utf-8").splitlines()
+    for i, bad in ((1, "abc"), (2, "inf")):
+        lines[i] = bad + lines[i][lines[i].index(","):]
+    (tmp_path / "toy.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, base_config(tmp_path))))
+    info = load_json(out / "manifest.json")["datasets"]["toy"]
+    assert info["status"] == "ok" and info["coerced_cells"] == {"x1": 2}

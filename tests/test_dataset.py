@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tabctx import dataset as ds
 from conftest import make_dataset
+from oracles import load_dataset_reference, parse_cell
 
 
 def write_csv(path, header, rows):
@@ -104,6 +106,117 @@ def test_round_trip_preserves_cells(tmp_path_factory, rows):
     assert np.array_equal(d.column("x"), d2.column("x"), equal_nan=True)
     assert list(d.column("c")) == list(d2.column("c"))
     assert list(d.labels()) == list(d2.labels())
+
+
+def _write_cls(tmp_path, rows, header=("f1", "g", "y")):
+    write_csv(tmp_path / "t.csv", list(header), rows)
+    schema_json(tmp_path / "s.json", [("f1", "numerical", "feature"), ("g", "categorical", "feature"),
+                                      ("y", "categorical", "label")], "classification")
+    return tmp_path / "t.csv", tmp_path / "s.json"
+
+
+def test_header_error_names_file_and_column(tmp_path):
+    table, schema = _write_cls(tmp_path, [["1", "u", "a"]], header=("f1", "h", "y"))
+    with pytest.raises(ValueError, match="header") as err:
+        ds.load_dataset(table, schema)
+    assert str(table) in str(err.value) and "column 2 is 'h', schema says 'g'" in str(err.value)
+
+
+def test_ragged_row_error_names_file_row_and_column(tmp_path):
+    table, schema = _write_cls(tmp_path, [["1", "u", "a"], ["2", "v", "b"], ["3", "w"]])
+    with pytest.raises(ValueError) as err:
+        ds.load_dataset(table, schema)
+    msg = str(err.value)
+    assert str(table) in msg and "data row 3 has 2 cells" in msg and "column 'y'" in msg
+    # the row number counts across chunks
+    with mock.patch.object(ds, "CHUNK_ROWS", 2), pytest.raises(ValueError, match="data row 3 "):
+        ds.load_dataset(table, schema)
+
+
+def test_regression_label_error_names_file_row_and_column(tmp_path):
+    write_csv(tmp_path / "t.csv", ["f1", "y"], [["1", "1.5"], ["2", "2.5"], ["3", "inf"]])
+    schema_json(tmp_path / "s.json", [("f1", "numerical", "feature"), ("y", "numerical", "label")],
+                "regression")
+    with pytest.raises(ValueError, match="finite") as err:
+        ds.load_dataset(tmp_path / "t.csv", tmp_path / "s.json")
+    assert str(tmp_path / "t.csv") in str(err.value) and "data row 3, column 'y'" in str(err.value)
+
+
+def test_label_outside_class_labels_names_row_and_column():
+    # only a Dataset built with explicit class_labels can hold such a label:
+    # load_dataset takes the class labels from the table itself
+    schema = [ds.ColumnSchema("f1", ds.KIND_NUMERICAL), ds.ColumnSchema("y", ds.KIND_CATEGORICAL, ds.ROLE_LABEL)]
+    columns = {"f1": [1.0, 2.0, 3.0], "y": ["a", "b", "c"]}
+    with pytest.raises(ValueError, match="data row 3, column 'y': label value 'c' not in class_labels"):
+        ds.Dataset(schema, columns, ds.TASK_CLASSIFICATION, class_labels=("a", "b"))
+    coded = {"f1": columns["f1"], "y": ds.Coded(np.asarray(["a", "b", "c"], dtype=object),
+                                                np.asarray([0, 2, 1], dtype=np.int32))}
+    with pytest.raises(ValueError, match="data row 2, column 'y': label value 'c'"):
+        ds.Dataset(schema, coded, ds.TASK_CLASSIFICATION, class_labels=("a", "b"))
+
+
+def test_coerced_cells_are_counted(tmp_path):
+    write_csv(tmp_path / "t.csv", ["f1", "f2", "y"],
+              [["abc", "", "a"], ["inf", "1", "b"], ["2", "2", "a"], ["", "3", "b"]])
+    schema_json(tmp_path / "s.json", [("f1", "numerical", "feature"), ("f2", "numerical", "feature"),
+                                      ("y", "categorical", "label")], "classification")
+    d = ds.load_dataset(tmp_path / "t.csv", tmp_path / "s.json")
+    assert d.coerced_cells == {"f1": 2, "f2": 0}
+    assert np.isnan(d.column("f1")).tolist() == [True, True, False, True]
+    assert make_dataset(num={"a": [1.0, float("nan")]}, label=["a", "b"]).coerced_cells == {}
+
+
+def test_dataset_codes_and_vocabulary():
+    d = make_dataset(cat={"g": ["v", "", "u", "v"]}, num={"a": [1, 2, 3, 4]}, label=["q", "p", "q", "r"])
+    assert d.vocabulary("g").tolist() == ["", "u", "v"]
+    assert d.codes("g").tolist() == [2, 0, 1, 2] and d.codes("g").dtype == np.int32
+    assert d.class_labels == ("q", "p", "r")
+    assert d.class_codes().tolist() == [0, 1, 0, 2]
+    sub = d.codes_over("g", np.array([0, 2, 3]))
+    assert sub.vocabulary.tolist() == ["u", "v"] and sub.codes.tolist() == [1, 0, 1]
+
+
+cell_text = st.one_of(
+    st.sampled_from(["", "inf", "-inf", "nan", "-nan", "NaN", "1_0", " 1.5 ", "\t2\n", "-0.0",
+                     "1e400", "-1e400", "1e-400", "0x10", "abc", "1,5", "+3", ".5", "5."]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789.eE+-_ infa", max_size=8),
+    st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cell_text, min_size=1, max_size=12))
+def test_column_parser_equals_cell_parser(cells):
+    values, coerced = ds._parse_numbers(tuple(cells))
+    want = np.asarray([parse_cell(c) for c in cells], dtype=np.float64)
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    assert coerced == sum(1 for c, v in zip(cells, want) if c and math.isnan(v))
+
+
+category = st.sampled_from(["", "a", "b", "c,d", 'say "hi"', "z"]) | token
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(cell_text.filter(lambda c: "\r" not in c and "\x00" not in c),
+                          category, st.sampled_from(["", "p", "q", "r,s"])),
+                min_size=1, max_size=14),
+       st.integers(1, 5))
+def test_chunked_loader_equals_reference(tmp_path_factory, rows, chunk_rows):
+    tmp = tmp_path_factory.mktemp("chunks")
+    table, schema = _write_cls(tmp, rows)
+    with mock.patch.object(ds, "CHUNK_ROWS", chunk_rows):
+        got = ds.load_dataset(table, schema)
+    want = load_dataset_reference(table, schema)
+    assert got.class_labels == want.class_labels
+    assert np.array_equal(got.column("f1").view(np.int64), want.column("f1").view(np.int64))
+    for name in ("g", "y"):
+        assert got.column(name).tolist() == want.column(name).tolist()
+        assert got.vocabulary(name).tolist() == want.vocabulary(name).tolist()
+        assert np.array_equal(got.codes(name), want.codes(name)) and got.codes(name).dtype == np.int32
+        assert got.vocabulary(name)[got.codes(name)].tolist() == got.column(name).tolist()
+        assert [got.feature_row(i).get(name, got.labels()[i]) for i in range(got.n_rows)] \
+            == want.column(name).tolist()
+    assert np.array_equal(got.class_codes(), want.class_codes())
 
 
 def test_split_exact_fractions():
