@@ -332,6 +332,17 @@ def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
     return out
 
 
+def _flag_counts(pred_rows: list[list]) -> dict[str, dict[str, int]]:
+    """{predictor: {flag: count}} over the flagged prediction rows."""
+    who, what = PREDICTIONS_HEADER.index("predictor"), PREDICTIONS_HEADER.index("flag")
+    counts: dict[str, dict[str, int]] = {}
+    for row in pred_rows:
+        if row[what]:
+            per = counts.setdefault(row[who], {})
+            per[row[what]] = per.get(row[what], 0) + 1
+    return counts
+
+
 def _write_run(cfg: RunConfig, out: Path, results: dict, errors: dict[str, str],
                started: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
@@ -366,7 +377,8 @@ def _write_run(cfg: RunConfig, out: Path, results: dict, errors: dict[str, str],
     manifest = {
         "config": cfg.to_dict(),
         "seed_scheme": "blake2b(root:tag) sub-seeds",
-        "datasets": {e.id: ({"status": "ok", **results[e.id][4]} if e.id in results
+        "datasets": {e.id: ({"status": "ok", **results[e.id][4],
+                             "flags": _flag_counts(results[e.id][0])} if e.id in results
                             else {"status": "error", "error": errors[e.id]})
                      for e in cfg.datasets},
         "started_at": started,

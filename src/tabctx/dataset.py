@@ -211,6 +211,11 @@ def category_token(value) -> str:
 
 def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:
     raw = load_json(schema_file)
+    missing = [key for key in ("task", "columns") if key not in raw]
+    missing += [f"columns[{i}].{key}" for i, c in enumerate(raw.get("columns", []))
+                for key in ("name", "kind") if key not in c]
+    if missing:
+        raise ValueError(f"{schema_file}: schema lacks {', '.join(missing)}")
     cols = [ColumnSchema(c["name"], c["kind"], c.get("role", ROLE_FEATURE)) for c in raw["columns"]]
     task = raw["task"]
     return cols, task

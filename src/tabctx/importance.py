@@ -34,12 +34,42 @@ How the contract is computed (the results are the same bits as the direct
 per-leaf formulas, which ``tests/oracles.py`` keeps as references):
 
 * Regression segment medians come from order statistics, not one
-  ``np.median`` per segment. The fold's labels are ranked once (stable
-  sort), an int32 table counts, for every boundary, the rows before it at
-  each rank, and a vectorized binary search over all segments finds the
-  lower and upper middle ranks. An odd segment's median is its middle value;
-  an even one's is the mean of the two, as ``np.median`` takes it. Each
-  segment's absolute-deviation sum is still one ``np.sum`` over it.
+  ``np.median`` per segment. The fold's labels are ranked once (one
+  argsort; the order among equal labels changes no median and no bound
+  below) and cut into buckets of ``_RANK_BUCKET`` ranks. Two small tables
+  hold, for every boundary and bucket, the count and the label sum of the
+  rows before the boundary with a rank below the bucket. A vectorized binary
+  search over all segments finds the bucket of each middle rank, and a scan
+  of that bucket the rank itself. An odd segment's median is its middle
+  value; an even one's is the mean of the two, as ``np.median`` takes it.
+* The DP first runs on fast costs. A segment's fast cost is its label sum
+  minus twice the sum of its lower half (the (size + 1) // 2 smallest
+  labels, read from the tables and the scanned bucket), plus the median
+  when the size is odd. This is sum |y - m| in exact arithmetic, and it
+  costs O(segments * ``_RANK_BUCKET``) after the tables.
+* Error bound. Let u = 2**-53, gamma_k = k u / (1 - k u), n the fold's
+  rows, A = sum |y| and M = max |y| over the fold, and g = gamma_(4n + 64).
+  A sum in which every term passes through at most k additions is off by at
+  most gamma_k times the sum of the terms' magnitudes. Each table entry
+  passes a label through at most 2n + ``_RANK_BUCKET`` additions, so it is
+  off by at most g A; with the differences, the bucket scan and the last
+  additions, a fast cost is within 13 g A + g M of the real sum |y - m|.
+  The exact cost, one ``np.sum`` of the rounded ``|y - m|``, is within
+  gamma_(size) (A + n M). The DP adds at most ``TREE_DEPTH`` times per leaf,
+  which moves a fast or an exact entry by at most 2.1 g (A + n M) per leaf.
+  So an entry that sums at most L leaves is within L * lam of the entry the
+  exact costs give, with lam = g (17 A + 5 n M); the code doubles g to cover
+  the rounding of lam itself.
+* Fallback. ``_decided`` walks the path ``_extract_boundaries`` takes on
+  the fast tables. At depth d the entries compared sum at most 2**d
+  leaves, so the tree is accepted only if the leaf beats the best split, or
+  the best split beats the leaf and every other split, by more than
+  2**(d + 1) * lam. Then the exact costs take every decision the same way,
+  and the tree is the one they give. Otherwise, as on every equal-cost tie
+  (a leaf against an equal-cost split, constant labels), the whole (fold,
+  feature) reruns the DP on ``_segment_costs_reg``, which keeps one
+  ``np.sum`` per segment. Leaf values are ``np.median`` of the chosen
+  segments either way.
 * Categorical trees work on the int32 category codes over the sorted
   vocabulary of the training rows (``Dataset.codes_over``), so code order is
   sorted token order. Classification costs come from one ``bincount`` of
@@ -67,6 +97,8 @@ TREE_DEPTH = 4
 DEFAULT_CV_FOLDS = 4
 QUANTILE_STEP = 0.02
 _QUANTILES = np.linspace(QUANTILE_STEP, 1.0 - QUANTILE_STEP, int(round(1.0 / QUANTILE_STEP)) - 1)
+_UNIT = 2.0 ** -53
+_RANK_BUCKET = 16
 
 
 # ---------------------------------------------------------------------------
@@ -146,52 +178,93 @@ def _leaf_value_cls(codes: np.ndarray, n_classes: int, fallback: int) -> int:
     return int(np.argmax(np.bincount(codes, minlength=n_classes)))
 
 
-def _segment_medians(y_sorted: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``np.median(y_sorted[a:b])`` for each non-empty segment (a, b) in
-    zip(lo, hi), bit for bit, without partitioning a single segment."""
+def _segment_halves(y_sorted: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """For each non-empty segment (a, b) in zip(lo, hi): ``np.median(y_sorted[a:b])``,
+    bit for bit, then the sum of its (b - a + 1) // 2 smallest labels and the
+    sum of all its labels, rounded as the module docstring bounds. No single
+    segment is partitioned."""
     n = len(y_sorted)
-    order = np.argsort(y_sorted, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    # below[j, v]: rows before boundary j whose rank is < v
+    # any order by value serves: how equal labels are ordered changes no
+    # middle value, and the lower half's sum only within its bound
+    order = np.argsort(y_sorted)
+    ranked = y_sorted[order]
+    w = _RANK_BUCKET
+    buckets = -(-n // w)
+    # count[j, c], total[j, c]: rows before boundary ends[j] whose rank is
+    # below c * w, and the sum of their labels
     ends = np.unique(np.concatenate([lo, hi]))
-    below = np.zeros((len(ends), n + 1), dtype=np.int32)
-    seen = np.zeros(n, dtype=np.int32)
-    start = 0
-    for j, end in enumerate(ends):
-        seen[rank[start:end]] = 1
-        np.cumsum(seen, out=below[j, 1:])
-        start = end
+    between = np.repeat(np.arange(len(ends) + 1), np.diff(ends, prepend=0, append=n))
+    cell = between[order] * buckets + np.arange(n) // w
+    count = np.zeros((len(ends), buckets + 1), dtype=np.int64)
+    total = np.zeros((len(ends), buckets + 1))
+    for table, weights in ((count, None), (total, ranked)):
+        table[:, 1:] = np.bincount(cell, weights, minlength=len(ends) * buckets
+                                   )[:len(ends) * buckets].reshape(len(ends), buckets)
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
     size = hi - lo
-    first = np.tile(np.searchsorted(ends, lo), 2)
-    last = np.tile(np.searchsorted(ends, hi), 2)
-    # the k-th smallest rank in a segment is v - 1 for the least v with k + 1
-    # of the segment's ranks below it; binary search for both middle k at once
+    a, b = np.tile(lo, 2), np.tile(hi, 2)
+    first, last = np.searchsorted(ends, a), np.searchsorted(ends, b)
+    # the k-th smallest rank in a segment lies in the bucket before the least
+    # c with k + 1 of the segment's ranks below c * w; binary search for both
+    # middle k at once, then scan that bucket's ranks in order
     need = np.concatenate([(size - 1) // 2, size // 2]) + 1
-    low, high = np.zeros(len(need), dtype=np.int64), np.full(len(need), n, dtype=np.int64)
+    low, high = np.zeros(len(need), dtype=np.int64), np.full(len(need), buckets, dtype=np.int64)
     while np.any(high - low > 1):
         mid = (low + high) // 2
-        enough = below[last, mid] - below[first, mid] >= need
+        enough = count[last, mid] - count[first, mid] >= need
         high = np.where(enough, mid, high)
         low = np.where(enough, low, mid)
-    middle = y_sorted[order[high - 1]].reshape(2, -1)
+    c = high - 1
+    ranks = c[:, None] * w + np.arange(w)
+    rows = order[np.minimum(ranks, n - 1)]
+    inside = (ranks < n) & (rows >= a[:, None]) & (rows < b[:, None])
+    seen = np.cumsum(inside, axis=1) + (count[last, c] - count[first, c])[:, None]
+    hit = np.argmax(seen >= need[:, None], axis=1)
+    middle = ranked[ranks[np.arange(len(need)), hit]].reshape(2, -1)
     # np.median takes the mean of the two middle values; they coincide when the size is odd
-    return np.where(size % 2 == 1, middle[0], (middle[0] + middle[1]) / 2)
+    med = np.where(size % 2 == 1, middle[0], (middle[0] + middle[1]) / 2)
+    # the lower half ends at the lower middle rank, the first len(lo) searches
+    s = len(lo)
+    upto = inside[:s] & (np.arange(w) <= hit[:s, None])
+    lower = ((total[last[:s], c[:s]] - total[first[:s], c[:s]])
+             + np.sum(np.where(upto, y_sorted[rows[:s]], 0.0), axis=1))
+    return med, lower, total[last[:s], buckets] - total[first[:s], buckets]
 
 
-def _segment_costs_reg(y_sorted: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Leaf cost of every segment y_sorted[pos[i]:pos[j]], i < j; inf on and
-    below the diagonal. Each sum stays one np.sum over its segment, so the
-    rounding, and with it the tree chosen on near-ties, is unchanged."""
+def _segments(pos: np.ndarray):
+    """A cost table with 0 for every segment pos[i]:pos[j], i < j, and inf on
+    and below the diagonal, and the (i, j) of the non-empty segments."""
     b = len(pos)
     C = np.full((b, b), np.inf)
     i, j = np.triu_indices(b, 1)
     C[i, j] = 0.0
     full = pos[j] > pos[i]
-    i, j = i[full], j[full]
-    for ii, jj, med in zip(i, j, _segment_medians(y_sorted, pos[i], pos[j])):
+    return C, i[full], j[full]
+
+
+def _segment_costs_reg(y_sorted: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Leaf cost of every segment y_sorted[pos[i]:pos[j]], i < j; inf on and
+    below the diagonal. Each sum is one np.sum over its segment: the exact
+    costs, whose rounding decides the tree on near-ties."""
+    C, i, j = _segments(pos)
+    for ii, jj, med in zip(i, j, _segment_halves(y_sorted, pos[i], pos[j])[0]):
         C[ii, jj] = float(np.sum(np.abs(y_sorted[pos[ii]:pos[jj]] - med)))
     return C
+
+
+def _segment_costs_fast(y_sorted: np.ndarray, pos: np.ndarray):
+    """``_segment_costs_reg`` up to rounding, from rank-bucket prefix sums:
+    a segment's cost is its label sum minus twice its lower half's sum, plus
+    the median when its size is odd (the lower half then holds the median).
+    Also returns the per-leaf error bound of the module docstring."""
+    n = len(y_sorted)
+    C, i, j = _segments(pos)
+    med, lower, total = _segment_halves(y_sorted, pos[i], pos[j])
+    C[i, j] = (total - 2 * lower) + np.where((pos[j] - pos[i]) % 2 == 1, med, 0.0)
+    k = 4 * n + 64
+    g = 2 * k * _UNIT / (1 - k * _UNIT)
+    return C, g * (17 * float(np.sum(np.abs(y_sorted))) + 5 * n * float(np.max(np.abs(y_sorted))))
 
 
 def _segment_costs_cls(codes_sorted: np.ndarray, pos: np.ndarray, n_classes: int) -> np.ndarray:
@@ -230,6 +303,26 @@ def _extract_boundaries(C, tables, i, j, d, out):
     raise AssertionError("optimal split has no witness")
 
 
+def _decided(C, tables, bound, i, j, d) -> bool:
+    """True if every decision ``_extract_boundaries`` takes from (i, j, d)
+    wins by more than twice the error bound of the entries it compares,
+    ``2**d * bound`` for a sum of at most 2**d leaves: the leaf against the
+    best split, and the first best split k against every other k."""
+    if d == 0 or j - i < 2:
+        return True
+    splits = tables[d - 1][i, i + 1:j] + tables[d - 1][i + 1:j, j]
+    k = int(np.argmin(splits))
+    margin = 2 ** (d + 1) * bound
+    if not abs(C[i, j] - splits[k]) > margin:
+        return False
+    if C[i, j] < splits[k]:
+        return True
+    if len(splits) > 1 and not np.min(np.delete(splits, k)) - splits[k] > margin:
+        return False
+    k += i + 1
+    return _decided(C, tables, bound, i, k, d - 1) and _decided(C, tables, bound, k, j, d - 1)
+
+
 @dataclass
 class _NumericTree:
     thresholds: np.ndarray
@@ -252,10 +345,14 @@ def fit_numeric_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray,
     Classification when n_classes is given (ysrt holds class codes)."""
     pos = np.concatenate([[0], np.searchsorted(xs, thresholds, side="right"), [len(xs)]]).astype(np.int64)
     if n_classes is None:
-        C = _segment_costs_reg(ysrt, pos)
+        C, bound = _segment_costs_fast(ysrt, pos)
+        tables = _depth_tables(C)
+        if not _decided(C, tables, bound, 0, len(pos) - 1, TREE_DEPTH):
+            C = _segment_costs_reg(ysrt, pos)
+            tables = _depth_tables(C)
     else:
         C = _segment_costs_cls(ysrt, pos, n_classes)
-    tables = _depth_tables(C)
+        tables = _depth_tables(C)
     chosen: list[int] = []
     _extract_boundaries(C, tables, 0, len(pos) - 1, TREE_DEPTH, chosen)
     bounds = np.asarray([thresholds[k - 1] for k in chosen], dtype=np.float64)

@@ -65,6 +65,8 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.quota < 1:
             raise ValueError("quota must be at least 1")
+        if self.pps_folds < 2:
+            raise ValueError("pps_folds must be at least 2")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise ValueError(f"unknown importance mode {self.importance_mode!r}")
         if self.numeric_norm not in nz.MODES:

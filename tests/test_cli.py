@@ -46,6 +46,10 @@ def test_validate_config_catches_problems(tmp_path):
     assert cli.main(["validate-config", str(path)]) == 1
     zero = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 0]), "zero.json")
     assert cli.main(["validate-config", str(zero)]) == 1
+    one_fold = write_config(tmp_path, base_config(tmp_path, retrieval={"pps_folds": 1}), "one_fold.json")
+    assert cli.main(["validate-config", str(one_fold)]) == 1
+    assert cli.validate_config(cli.RunConfig.from_file(one_fold)) == [
+        "retrieval config: pps_folds must be at least 2"]
     twice = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 8, 4]), "twice.json")
     assert cli.main(["validate-config", str(twice)]) == 1
     assert cli.validate_config(cli.RunConfig.from_file(twice)) == ["context_sizes repeats 4"]
@@ -268,6 +272,25 @@ def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
         else:
             assert (r["flag"], r["probs"]) == ("", "0.0|1.0")
     assert len(state.requests) == len(bare) - len(over)
+
+
+def test_manifest_counts_flags_per_predictor(tmp_path):
+    from tabctx.predictors import PromptTemplate, estimate_tokens, serialize_prompt
+    d = write_toy_files(tmp_path, n=40)
+    split = ds.make_split(d, (0.8, 0.1, 0.1), 3)
+    bare = [estimate_tokens(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
+                                             ["x1", "x2"], "label")) for i in split.test]
+    budget = min(bare)  # the longer query rows overflow; the others reach no endpoint
+    over = sum(t > budget for t in bare)
+    assert 0 < over < len(bare)
+    cfg = base_config(tmp_path, prompt={"token_budget": budget}, predictors=[
+        {"id": "knn", "type": "knn"},
+        {"id": "llm", "type": "llm", "base_url": "http://127.0.0.1:9", "model": "stub",
+         "max_retries": 0, "timeout": 5}])
+    out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    info = load_json(out / "manifest.json")["datasets"]["toy"]
+    assert info["status"] == "ok"
+    assert info["flags"] == {"llm": {"prompt_overflow": over, "transport_error": len(bare) - over}}
 
 
 def test_run_with_llm_predictor_against_stub(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -120,6 +121,22 @@ def test_header_error_names_file_and_column(tmp_path):
     with pytest.raises(ValueError, match="header") as err:
         ds.load_dataset(table, schema)
     assert str(table) in str(err.value) and "column 2 is 'h', schema says 'g'" in str(err.value)
+
+
+def test_schema_error_names_file_and_missing_keys(tmp_path):
+    table, schema = _write_cls(tmp_path, [["1", "u", "a"]])
+    cases = [({"columns": [{"name": "f1", "kind": "numerical"}]}, ["task"]),
+             ({"task": "classification"}, ["columns"]),
+             ({"task": "classification",
+               "columns": [{"name": "f1", "kind": "numerical"}, {"kind": "categorical"}, {"role": "label"}]},
+              ["columns[1].name", "columns[2].name", "columns[2].kind"])]
+    for raw, keys in cases:
+        schema.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match="schema lacks") as err:
+            ds.load_dataset(table, schema)
+        msg = str(err.value)
+        assert str(schema) in msg and all(k in msg for k in keys), msg
+        assert "columns[0]" not in msg
 
 
 def test_ragged_row_error_names_file_row_and_column(tmp_path):

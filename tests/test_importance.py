@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,3 +241,99 @@ def test_pps_preconditions():
         imp.pps_importance(d, [0, 1, 2], cv_folds=1)
     with pytest.raises(ValueError):
         imp.pps_importance(d, [0, 1], cv_folds=4)
+
+
+def _exact_only():
+    """Patch that sends every regression tree down the exact-cost path."""
+    return mock.patch.object(imp, "_decided", lambda *args: False)
+
+
+def _mirror_case(half_labels, half_cuts):
+    """Labels and cuts symmetric about the middle, with an even number of
+    boundaries (each cut in 1 .. h - 1 of the first half is mirrored):
+    whatever the root decides, its mirror image costs exactly the same
+    (integer labels add exactly)."""
+    h = len(half_labels)
+    y = np.concatenate([half_labels, half_labels[::-1]]).astype(np.float64)
+    cuts = sorted(set(half_cuts) | {2 * h - c for c in half_cuts})
+    xs = np.arange(2 * h, dtype=np.float64)
+    return xs, y, xs[np.asarray(cuts, dtype=np.int64) - 1]
+
+
+@st.composite
+def regression_trees(draw):
+    """(xs, y, thresholds, tied): a fit_numeric_tree input; ``tied`` marks the
+    families whose exact costs tie on the extraction path."""
+    family = draw(st.sampled_from(["tied", "constant", "duplicated", "mirror", "offset"]))
+    if family == "mirror":
+        h = draw(st.integers(2, 40))
+        half = np.asarray(draw(st.lists(st.integers(-3, 3), min_size=h, max_size=h)))
+        return *_mirror_case(half, draw(st.lists(st.integers(1, h - 1), min_size=1, max_size=12))), True
+    n = draw(st.integers(2, 120))
+    x = np.asarray(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n)), dtype=np.float64)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if family == "tied":
+        y = rng.integers(-3, 4, size=n).astype(np.float64)
+    elif family == "constant":
+        y = np.full(n, draw(st.floats(-1e6, 1e6, allow_nan=False)))
+    elif family == "duplicated":
+        y = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]
+    else:
+        y = 1e6 + 1e-3 * rng.normal(size=n)
+    order = np.argsort(x, kind="stable")
+    return x[order], y[order], imp.quantile_candidates(x), family == "constant"
+
+
+@settings(max_examples=300, deadline=None)
+@given(regression_trees())
+def test_numeric_tree_equals_exact_cost_tree(case):
+    xs, y, thresholds, tied = case
+    fallback = float(np.median(y))
+    with mock.patch.object(imp, "_segment_costs_reg", wraps=imp._segment_costs_reg) as exact:
+        got = imp.fit_numeric_tree(xs, y, thresholds, None, fallback)
+    with _exact_only():
+        want = imp.fit_numeric_tree(xs, y, thresholds, None, fallback)
+    assert np.array_equal(_bits(got.thresholds), _bits(want.thresholds))
+    assert np.array_equal(_bits(got.leaf_values), _bits(want.leaf_values))
+    if tied:
+        assert exact.call_count == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels_strategy | st.lists(st.floats(-1e-3, 1e-3).map(lambda v: 1e6 + v), min_size=1, max_size=80),
+       st.lists(st.integers(0, 80), max_size=10))
+def test_fast_segment_costs_within_their_bound(labels, cuts):
+    y = np.asarray(labels, dtype=np.float64)
+    pos = np.asarray(sorted([0, len(y)] + [min(c, len(y)) for c in cuts]), dtype=np.int64)
+    fast, bound = imp._segment_costs_fast(y, pos)
+    exact = imp._segment_costs_reg(y, pos)
+    assert np.array_equal(np.isinf(fast), np.isinf(exact))
+    finite = np.isfinite(exact)
+    assert np.all(np.abs(fast[finite] - exact[finite]) <= bound)
+
+
+def test_mirror_case_ties_at_the_root():
+    xs, y, thresholds = _mirror_case(np.array([0, 3, -1, 2, 2, 0]), [2, 4])
+    pos = np.concatenate([[0], np.searchsorted(xs, thresholds, side="right"), [len(xs)]])
+    assert pos.tolist() == [0, 2, 4, 8, 10, 12]
+    C = imp._segment_costs_reg(y, pos)
+    assert C[0, 1] == C[4, 5] and C[0, 3] == C[2, 5]
+
+
+def test_pps_fast_costs_match_exact_costs_bit_for_bit():
+    # relevant and noise features as in the llm-reg benchmark table
+    rng = rng_for(7, "reg-table")
+    n = 3000
+    X = rng.uniform(-1.0, 1.0, size=(n, 8))
+    y = (10.0 + 3.0 * np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2 + X[:, 2] * X[:, 3] + 0.5 * X[:, 4]
+         + 0.1 * rng.normal(size=n))
+    d = make_dataset(num={f"x{j}": X[:, j] for j in range(8)}, label=y, task="regression")
+    rows = rng.permutation(n)[:2500]
+    with mock.patch.object(imp, "_segment_costs_reg", wraps=imp._segment_costs_reg) as exact:
+        got = imp.pps_importance(d, rows, seed=5)
+    assert exact.call_count == 0  # no decision on this table is close
+    with _exact_only():
+        want = imp.pps_importance(d, rows, seed=5)
+    assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
+    assert got["x0"] > 0.5
