@@ -27,7 +27,8 @@ def nmae_for(d, cfg):
     test = np.arange(N_TRAIN, N_TRAIN + N_TEST)
     pool = rt.build_pool(d, train, cfg)
     labels = [float(d.labels()[i]) for i in test]
-    ests = [knn_predict(rt.retrieve(pool, d.feature_row(int(i))), pool).point_estimate
+    train_mean = float(np.mean(d.labels()[train]))
+    ests = [knn_predict(rt.retrieve(pool, d.feature_row(int(i))), d, train_mean).point_estimate
             for i in test]
     return mt.nmae(labels, ests)
 

@@ -26,7 +26,7 @@ from .importance import IMPORTANCE_MODES
 from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient, PredictionRecord,
                          PromptOverflowError, PromptTemplate, context_rows_for_prompt, ensemble,
                          fallback_record, fit_prompt, ingest_predictions, knn_predict)
-from .retrieval import ContextPool, RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
+from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 from .util import dump_json, fmt_float, load_json, subseed
 
@@ -105,8 +105,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
         repeated = sorted({s for s in cfg.context_sizes if cfg.context_sizes.count(s) > 1})
         if repeated:
             problems.append(f"context_sizes repeats {', '.join(map(str, repeated))}")
-    if cfg.train_sizes is not None and not cfg.train_sizes:
-        problems.append("train_sizes must be non-empty when given")
+    if cfg.train_sizes is not None and (not cfg.train_sizes or min(cfg.train_sizes) < 1):
+        problems.append("train_sizes must be non-empty when given, and each at least 1")
     seen = set()
     for e in cfg.datasets:
         if e.id in seen:
@@ -121,8 +121,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
             problems.append(f"dataset {e.id!r}: split ratios must sum to 1")
     try:
         _resolve_retrieval(cfg.retrieval, {})
+        base_ok = True
     except (TypeError, ValueError) as exc:
         problems.append(f"retrieval config: {exc}")
+        base_ok = False
     ids = []
     for p in cfg.predictors:
         pid, ptype = p.get("id"), p.get("type")
@@ -139,9 +141,19 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 problems.append(f"predictor {pid!r}: members must be previously defined ids")
         ids.append(pid)
     for pol in cfg.policies:
-        if pol.get("type", "rag") not in ("rag", "random"):
+        pol_type = pol.get("type", "rag")
+        if pol_type not in ("rag", "random"):
             problems.append(f"bad policy entry {pol}")
+        elif pol_type == "rag" and base_ok:
+            try:
+                _resolve_retrieval(cfg.retrieval, pol)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"policy {_policy_id(pol)!r}: {exc}")
     return problems
+
+
+def _policy_id(pol: dict) -> str:
+    return pol.get("id", pol.get("type", "rag"))
 
 
 def _resolve_retrieval(base: dict, overrides: dict) -> RetrievalConfig:
@@ -222,20 +234,23 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
 
     for train_size, subset in zip(sorted(sizes), subsets):
         fitted: dict[tuple[int, int], dict] = {}  # (pps_folds, seed) -> weights on this subset
+        # the regression stand-in for an empty context (subset rows are sorted)
+        fallback_mean = (float(np.mean(np.asarray(d.labels()[subset], dtype=np.float64)))
+                         if d.task == ds.TASK_REGRESSION else None)
         for pol in cfg.policies:
-            pol_id = pol.get("id", pol.get("type", "rag"))
+            pol_id = _policy_id(pol)
             pol_type = pol.get("type", "rag")
-            rcfg = _resolve_retrieval(cfg.retrieval, pol if pol_type == "rag" else {"importance_mode": "uniform"})
-            pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
-            if pol_type == "rag" and (pool.pearson_weights or pool.pps_weights):
-                weights_out[f"{pol_id}/n{train_size}"] = {
-                    "pearson": pool.pearson_weights, "pps": pool.pps_weights}
             if pol_type == "rag":
+                rcfg = _resolve_retrieval(cfg.retrieval, pol)
+                pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
+                if pool.pearson_weights or pool.pps_weights:
+                    weights_out[f"{pol_id}/n{train_size}"] = {
+                        "pearson": pool.pearson_weights, "pps": pool.pps_weights}
                 ranked = {int(row): retrieve(pool, d.feature_row(int(row)), tuple(cfg.context_sizes))
                           for row in test_rows}
             for i, ctx_size in enumerate(cfg.context_sizes):
                 if pol_type == "random":
-                    contexts = {int(row): retrieve_random(pool, ctx_size, subseed(
+                    contexts = {int(row): retrieve_random(subset, ctx_size, subseed(
                         cfg.seed, "random-policy", entry.id, train_size, ctx_size, int(row)))
                         for row in test_rows}
                 else:
@@ -248,10 +263,11 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
                 coord_records: dict[str, list[PredictionRecord]] = dict(external_records)
                 for p in cfg.predictors:
                     if p["type"] == "knn":
-                        recs = [knn_predict(contexts[int(r)], pool, p["id"], int(r)) for r in test_rows]
+                        recs = [knn_predict(contexts[int(r)], d, fallback_mean, p["id"], int(r))
+                                for r in test_rows]
                     elif p["type"] == "llm":
-                        recs = _llm_records(p, d, pool, contexts, test_rows, tmpl, token_budget,
-                                            shuffle_ctx, cfg.seed)
+                        recs = _llm_records(p, d, fallback_mean, contexts, test_rows, tmpl,
+                                            token_budget, shuffle_ctx, cfg.seed)
                     elif p["type"] == "ensemble":
                         recs = ensemble([coord_records[m] for m in p["members"]], p["id"])
                     else:
@@ -268,7 +284,7 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
     return pred_rows, reports, weights_out, traces, info
 
 
-def _llm_records(p: dict, d: ds.Dataset, pool: ContextPool, contexts, test_rows,
+def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, test_rows,
                  tmpl: PromptTemplate, token_budget: int, shuffle_ctx: bool,
                  run_seed: int) -> list[PredictionRecord]:
     endpoint = EndpointConfig(
@@ -284,7 +300,7 @@ def _llm_records(p: dict, d: ds.Dataset, pool: ContextPool, contexts, test_rows,
     for row in test_rows:
         ctx = contexts[int(row)]
         seed = subseed(run_seed, "prompt-order", int(row)) if shuffle_ctx else None
-        rows_lab = context_rows_for_prompt(ctx, pool, shuffle_seed=seed)
+        rows_lab = context_rows_for_prompt(ctx, d, shuffle_seed=seed)
         try:
             text, used = fit_prompt(tmpl, rows_lab, d.feature_row(int(row)), features,
                                     label_name, token_budget)
@@ -292,7 +308,7 @@ def _llm_records(p: dict, d: ds.Dataset, pool: ContextPool, contexts, test_rows,
             text, used = None, 0
         if d.task == ds.TASK_REGRESSION:
             ctx_labels = [float(v) for _, v in rows_lab[:used]]
-            ctx_mean = float(np.mean(ctx_labels)) if ctx_labels else pool.train_label_mean()
+            ctx_mean = float(np.mean(ctx_labels)) if ctx_labels else fallback_mean
         else:
             ctx_mean = 0.0
         if text is None:

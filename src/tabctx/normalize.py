@@ -28,7 +28,6 @@ KNOT_CAP = 1000
 class ColumnStats:
     column: str
     mode: str
-    n_seen: int
     degenerate: bool
     quantile_knots: np.ndarray | None = None
     mean: float = 0.0
@@ -42,44 +41,43 @@ class ColumnStats:
         return np.linspace(0.0, 1.0, len(self.quantile_knots))
 
 
-def fit_column(name: str, values: np.ndarray, mode: str, knot_cap: int = KNOT_CAP) -> ColumnStats:
+def fit_column(name: str, values: np.ndarray, mode: str) -> ColumnStats:
     if mode not in MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     vals = np.asarray(values, dtype=np.float64)
     vals = vals[np.isfinite(vals)]
     n = len(vals)
     if mode == MODE_NONE:
-        return ColumnStats(column=name, mode=mode, n_seen=n, degenerate=False)
+        return ColumnStats(column=name, mode=mode, degenerate=False)
     if n == 0:
-        return ColumnStats(column=name, mode=mode, n_seen=0, degenerate=True)
+        return ColumnStats(column=name, mode=mode, degenerate=True)
 
     srt = np.sort(vals)
     degenerate = bool(srt[0] == srt[-1])
     if mode == MODE_QUANTILE:
-        if n > knot_cap:
-            pick = np.round(np.linspace(0, n - 1, knot_cap)).astype(np.int64)
+        if n > KNOT_CAP:
+            pick = np.round(np.linspace(0, n - 1, KNOT_CAP)).astype(np.int64)
             knots = srt[pick]
         else:
             knots = srt
-        return ColumnStats(column=name, mode=mode, n_seen=n, degenerate=degenerate,
-                           quantile_knots=knots)
+        return ColumnStats(column=name, mode=mode, degenerate=degenerate, quantile_knots=knots)
     if mode == MODE_STANDARD:
         mean = float(np.mean(vals))
         std = float(np.std(vals))
-        return ColumnStats(column=name, mode=mode, n_seen=n, degenerate=bool(std == 0.0),
+        return ColumnStats(column=name, mode=mode, degenerate=bool(std == 0.0),
                            mean=mean, stddev=std)
-    return ColumnStats(column=name, mode=mode, n_seen=n, degenerate=degenerate,
+    return ColumnStats(column=name, mode=mode, degenerate=degenerate,
                        vmin=float(srt[0]), vmax=float(srt[-1]))
 
 
 def fit_stats(d: ds.Dataset, train_rows, mode: str = MODE_QUANTILE,
-              overrides: dict[str, str] | None = None, knot_cap: int = KNOT_CAP) -> dict[str, ColumnStats]:
+              overrides: dict[str, str] | None = None) -> dict[str, ColumnStats]:
     """Fit stats for every numerical feature from training rows only."""
     overrides = overrides or {}
     rows = np.asarray(train_rows, dtype=np.int64)
     out = {}
     for name in d.numerical_features:
-        out[name] = fit_column(name, d.column(name)[rows], overrides.get(name, mode), knot_cap)
+        out[name] = fit_column(name, d.column(name)[rows], overrides.get(name, mode))
     return out
 
 
@@ -98,8 +96,4 @@ def apply_array(stats: ColumnStats, values) -> np.ndarray:
         return (v - stats.mean) / stats.stddev
     out = (v - stats.vmin) / (stats.vmax - stats.vmin)
     return np.clip(out, 0.0, 1.0)
-
-
-def apply(stats: ColumnStats, v: float) -> float:
-    return float(apply_array(stats, np.asarray([v]))[0])
 

@@ -23,7 +23,7 @@ import numpy as np
 import requests
 
 from . import dataset as ds
-from .retrieval import ContextPool, RetrievedContext
+from .retrieval import RetrievedContext
 from .util import rng_for
 
 FLAG_PARSE_FAILURE = "parse_failure"
@@ -62,22 +62,19 @@ def class_shares(labels: np.ndarray, class_labels: Sequence[str]) -> np.ndarray:
     return counts / labels.shape[-1]
 
 
-def knn_predict(ctx: RetrievedContext, pool: ContextPool,
+def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | None,
                 predictor_id: str = "knn", row_index: int = -1) -> PredictionRecord:
-    """Unweighted vote over context labels; empty context falls back to a
-    uniform distribution (classification) or the pool label mean (regression)."""
-    d = pool.dataset
-    if d.task == ds.TASK_CLASSIFICATION:
-        k = len(d.class_labels)
-        if len(ctx) == 0:
-            probs = (1.0 / k,) * k
-        else:
-            probs = tuple(class_shares(d.labels()[ctx.indices], d.class_labels).tolist())
-        return PredictionRecord(row_index, d.task, predictor_id, len(ctx), class_probabilities=probs)
+    """Unweighted vote over the context labels of ``d``; an empty context
+    falls back to a uniform distribution (classification) or
+    ``fallback_mean``, the training label mean (regression)."""
     if len(ctx) == 0:
-        est = pool.train_label_mean()
-    else:
-        est = float(np.mean(np.asarray(d.labels()[ctx.indices], dtype=np.float64)))
+        return fallback_record(d.task, d.class_labels, fallback_mean, row_index, 0,
+                               predictor_id, None)
+    labels = d.labels()[ctx.indices]
+    if d.task == ds.TASK_CLASSIFICATION:
+        probs = tuple(class_shares(labels, d.class_labels).tolist())
+        return PredictionRecord(row_index, d.task, predictor_id, len(ctx), class_probabilities=probs)
+    est = float(np.mean(np.asarray(labels, dtype=np.float64)))
     return PredictionRecord(row_index, d.task, predictor_id, len(ctx), point_estimate=est)
 
 
@@ -173,11 +170,10 @@ def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dic
     return serialize_prompt(tmpl, rows[:kept], query, features, label_name), kept
 
 
-def context_rows_for_prompt(ctx: RetrievedContext, pool: ContextPool,
+def context_rows_for_prompt(ctx: RetrievedContext, d: ds.Dataset,
                             shuffle_seed: int | None = None) -> list[tuple[dict, object]]:
-    """Context rows as (features, label) pairs, nearest first; optionally
-    shuffled for prompting experiments."""
-    d = pool.dataset
+    """Context rows of ``d`` as (features, label) pairs, nearest first;
+    optionally shuffled for prompting experiments."""
     order = np.arange(len(ctx))
     if shuffle_seed is not None:
         order = rng_for(shuffle_seed, "context-order").permutation(len(ctx))
@@ -225,11 +221,11 @@ def parse_number(completion: str) -> float | int | None:
     return float(text)
 
 
-def fallback_record(task: str, class_labels: tuple[str, ...], context_mean: float,
+def fallback_record(task: str, class_labels: tuple[str, ...], context_mean: float | None,
                     row_index: int, context_size: int, predictor_id: str,
-                    flag: str) -> PredictionRecord:
-    """Flagged stand-in when the model gives no usable answer: a uniform
-    distribution (classification) or the context label mean (regression)."""
+                    flag: str | None) -> PredictionRecord:
+    """Stand-in when there is no context or no usable answer: a uniform
+    distribution (classification) or ``context_mean`` (regression)."""
     if task == ds.TASK_CLASSIFICATION:
         k = len(class_labels)
         return PredictionRecord(row_index, task, predictor_id, context_size,

@@ -148,9 +148,6 @@ class ContextPool:
             return np.ones(len(self.features)), None
         return vecs[0], vecs[1] if len(vecs) == 2 else None
 
-    def train_label_mean(self) -> float:
-        return float(np.mean(np.asarray(self.dataset.labels()[self.rows], dtype=np.float64)))
-
 
 def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
                weights: dict[str, dict[str, float]] | None = None) -> ContextPool:
@@ -177,13 +174,6 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
                        weights["pps"] if use_pps else None, coded)
 
 
-def feature_distance(pool: ContextPool, query: dict, feature: str) -> np.ndarray:
-    """Distance vector from the query to every pool row for one feature."""
-    if feature not in pool.feature_kinds:
-        raise KeyError(f"unknown feature {feature!r}")
-    return _feature_distances(pool, [query], feature, np.arange(pool.size))[0]
-
-
 def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
                        eligible: np.ndarray) -> np.ndarray:
     """(queries, eligible rows) distances for one feature."""
@@ -205,18 +195,6 @@ def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
         raw /= np.where(hi > lo, hi - lo, 1.0)
     raw[~present] = 1.0
     return raw
-
-
-def aggregate(per_feature: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row distance: sqrt of the weighted sum of squared feature distances."""
-    D = np.asarray(per_feature, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if D.ndim != 2 or D.shape[1] != len(w):
-        raise ValueError(f"distance matrix has {D.shape[1] if D.ndim == 2 else '?'} columns, "
-                         f"weights have {len(w)}")
-    if len(w) and w.min() < 0:
-        raise ValueError("weights must be nonnegative")
-    return _row_distance(D * D, w)
 
 
 def _row_distance(squared: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -350,10 +328,11 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
     return tuple(out)
 
 
-def retrieve_random(pool: ContextPool, quota: int, seed: int) -> RetrievedContext:
-    """Baseline policy: uniform sample without replacement from the pool."""
-    take = min(quota, pool.size)
-    picked = np.sort(rng_for(seed, "random-context").choice(pool.rows, size=take, replace=False))
+def retrieve_random(rows: np.ndarray, quota: int, seed: int) -> RetrievedContext:
+    """Baseline policy: uniform sample without replacement from the training
+    rows, given sorted as ``build_pool`` keeps them; needs no pool."""
+    take = min(quota, len(rows))
+    picked = np.sort(rng_for(seed, "random-context").choice(rows, size=take, replace=False))
     return RetrievedContext(picked, np.zeros(take), (TAG_MERGED,) * take)
 
 

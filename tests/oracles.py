@@ -198,7 +198,7 @@ def boundary_grid_reference(pool, resolution) -> np.ndarray:
     for iy, gy in enumerate(ys):
         for ix, gx in enumerate(xs):
             ctx = retrieve(pool, {fx: gx, fy: gy})
-            probs[iy, ix, :] = knn_predict(ctx, pool).class_probabilities
+            probs[iy, ix, :] = knn_predict(ctx, d, None).class_probabilities
     return probs
 
 

@@ -167,15 +167,13 @@ def test_c05_scaling_rag_improves_with_pool_size_and_beats_random():
         for size, subset in zip(sizes, subsets):
             cfg = rt.RetrievalConfig(quota=16, importance_mode="dual")
             pool = rt.build_pool(train, subset, cfg)
-            probs = [knn_predict(rt.retrieve(pool, q), pool).class_probabilities
+            probs = [knn_predict(rt.retrieve(pool, q), train, None).class_probabilities
                      for q in queries]
             a = mt.auroc(labels, probs, train.class_labels)
             rag_err[size].append(1.0 - a)
             rag_auroc[size].append(a)
-            rpool = rt.build_pool(train, subset,
-                                  rt.RetrievalConfig(quota=16, importance_mode="uniform"))
-            probs = [knn_predict(rt.retrieve_random(rpool, 16, subseed(seed, "rand", size, i)),
-                                 rpool).class_probabilities for i in range(test.n_rows)]
+            probs = [knn_predict(rt.retrieve_random(subset, 16, subseed(seed, "rand", size, i)),
+                                 train, None).class_probabilities for i in range(test.n_rows)]
             rnd_auroc[size].append(mt.auroc(labels, probs, train.class_labels))
 
     for a, b in zip(sizes[:-1], sizes[1:]):
@@ -239,7 +237,7 @@ def test_c07_feature_weighting_beats_uniform_under_injected_noise():
             for i in range(test.n_rows):
                 ctx = rt.retrieve(pool, test.feature_row(i))
                 labels.append(test.labels()[i])
-                probs.append(knn_predict(ctx, pool).class_probabilities)
+                probs.append(knn_predict(ctx, train, None).class_probabilities)
             scores[mode] = mt.auroc(labels, probs, ("0", "1"))
         gaps.append(scores["dual"] - scores["uniform"])
     elapsed = time.time() - start

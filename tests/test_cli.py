@@ -53,6 +53,20 @@ def test_validate_config_catches_problems(tmp_path):
     twice = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 8, 4]), "twice.json")
     assert cli.main(["validate-config", str(twice)]) == 1
     assert cli.validate_config(cli.RunConfig.from_file(twice)) == ["context_sizes repeats 4"]
+    # an empty training subset would leave the random policy nothing to sample
+    empty = write_config(tmp_path, base_config(tmp_path, train_sizes=[0, 8]), "empty.json")
+    assert cli.validate_config(cli.RunConfig.from_file(empty)) == [
+        "train_sizes must be non-empty when given, and each at least 1"]
+    duel = write_config(tmp_path, base_config(tmp_path, policies=[
+        {"id": "rag", "importance_mode": "duel"}]), "duel.json")
+    assert cli.main(["validate-config", str(duel)]) == 1
+    assert cli.validate_config(cli.RunConfig.from_file(duel)) == [
+        "policy 'rag': unknown importance mode 'duel'"]
+    typo = write_config(tmp_path, base_config(tmp_path, policies=[
+        {"id": "near", "type": "rag", "quotaa": 5}, {"id": "random", "type": "random"}]), "typo.json")
+    assert cli.main(["validate-config", str(typo)]) == 1
+    [problem] = cli.validate_config(cli.RunConfig.from_file(typo))
+    assert problem.startswith("policy 'near': ") and "'quotaa'" in problem
     ok = base_config(tmp_path)
     path2 = write_config(tmp_path, ok, "ok.json")
     assert cli.main(["validate-config", str(path2)]) == 0
@@ -381,6 +395,18 @@ def test_ablate_loads_once_and_fits_weights_once_per_subset(tmp_path, monkeypatc
     cli.ablate(cli.RunConfig.from_file(write_config(tmp_path, cfg)), tmp_path / "abl2")
     assert (len(loads), len(pps), len(pearson)) == (1, 2, 2)
     assert sorted(len(args[1]) for args in pps) == [20, 40]
+
+
+def test_scaling_builds_one_pool_per_training_subset(tmp_path, monkeypatch):
+    # the random policy samples the subset rows and needs no pool
+    write_toy_files(tmp_path, n=400, noise=0.2)
+    pools = count_calls(monkeypatch, cli, "build_pool")
+    cfg = base_config(tmp_path, retrieval={})
+    out = cli.scaling(cli.RunConfig.from_file(write_config(tmp_path, cfg)), [32, 64, 128],
+                      tmp_path / "scal")
+    assert sorted(len(args[1]) for args in pools) == [32, 64, 128]
+    policies = {r["policy"] for r in load_json(out / "metrics.json")["metrics"]}
+    assert policies == {"rag", "random"}
 
 
 def test_dual_and_pps_only_policies_share_one_pps_fit(tmp_path, monkeypatch):

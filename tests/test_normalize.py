@@ -11,6 +11,10 @@ def fit(values, mode):
     return nz.fit_column("c", np.asarray(values, dtype=float), mode)
 
 
+def norm(stats, v):
+    return float(nz.apply_array(stats, [v])[0])
+
+
 def test_quantile_knots_are_sorted_sample():
     s = fit([4, 1, 3, 2], nz.MODE_QUANTILE)
     assert s.quantile_knots.tolist() == [1, 2, 3, 4]
@@ -24,38 +28,38 @@ def test_constant_column_standard_degenerate():
 
 def test_all_missing_column_normalizes_to_half():
     s = fit([np.nan, np.nan], nz.MODE_QUANTILE)
-    assert s.degenerate and s.n_seen == 0
-    assert nz.apply(s, 123.0) == 0.5
-    assert nz.apply(s, float("nan")) == 0.5
+    assert s.degenerate
+    assert norm(s, 123.0) == 0.5
+    assert norm(s, float("nan")) == 0.5
 
 
 def test_quantile_median_and_clamp():
     s = fit([1, 2, 3, 4, 5], nz.MODE_QUANTILE)
-    assert nz.apply(s, 3.0) == 0.5
-    assert nz.apply(s, 100.0) == 1.0
-    assert nz.apply(s, -100.0) == 0.0
+    assert norm(s, 3.0) == 0.5
+    assert norm(s, 100.0) == 1.0
+    assert norm(s, -100.0) == 0.0
 
 
 def test_standard_arithmetic():
-    s = nz.ColumnStats("c", nz.MODE_STANDARD, n_seen=3, degenerate=False, mean=10.0, stddev=2.0)
-    assert nz.apply(s, 14.0) == 2.0
+    s = nz.ColumnStats("c", nz.MODE_STANDARD, degenerate=False, mean=10.0, stddev=2.0)
+    assert norm(s, 14.0) == 2.0
 
 
 def test_degenerate_standard_maps_to_zero():
     s = fit([7, 7], nz.MODE_STANDARD)
-    assert nz.apply(s, 99.0) == 0.0
+    assert norm(s, 99.0) == 0.0
 
 
 def test_minmax_clamps():
     s = fit([0, 10], nz.MODE_MINMAX)
-    assert nz.apply(s, 5.0) == 0.5
-    assert nz.apply(s, -1.0) == 0.0
-    assert nz.apply(s, 11.0) == 1.0
+    assert norm(s, 5.0) == 0.5
+    assert norm(s, -1.0) == 0.0
+    assert norm(s, 11.0) == 1.0
 
 
 def test_none_mode_is_identity():
     s = fit([1, 2, 3], nz.MODE_NONE)
-    assert nz.apply(s, 42.0) == 42.0
+    assert norm(s, 42.0) == 42.0
 
 
 def test_knot_cap():
@@ -74,7 +78,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 def test_monotone_and_bounded(train, v1, v2, mode):
     s = fit(train, mode)
     lo, hi = sorted([v1, v2])
-    a, b = nz.apply(s, lo), nz.apply(s, hi)
+    a, b = norm(s, lo), norm(s, hi)
     assert a <= b
     assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
 

@@ -11,10 +11,8 @@ from conftest import make_dataset
 from oracles import fit_prompt_reference
 
 
-def simple_pool(labels, task=ds.TASK_CLASSIFICATION):
-    d = make_dataset(num={"x": np.arange(float(len(labels)))}, label=labels, task=task)
-    cfg = rt.RetrievalConfig(quota=4, importance_mode="uniform")
-    return rt.build_pool(d, range(len(labels)), cfg)
+def simple_dataset(labels, task=ds.TASK_CLASSIFICATION):
+    return make_dataset(num={"x": np.arange(float(len(labels)))}, label=labels, task=task)
 
 
 def ctx_of(indices):
@@ -23,32 +21,33 @@ def ctx_of(indices):
 
 
 def test_knn_class_frequencies():
-    pool = simple_pool(["A", "A", "B", "B"])
-    rec = pr.knn_predict(ctx_of([0, 1, 2]), pool)
+    d = simple_dataset(["A", "A", "B", "B"])
+    rec = pr.knn_predict(ctx_of([0, 1, 2]), d, None)
     assert rec.class_probabilities == pytest.approx((2 / 3, 1 / 3))
 
 
 def test_knn_regression_mean():
-    pool = simple_pool([1.0, 2.0, 3.0, 4.0], task=ds.TASK_REGRESSION)
-    assert pr.knn_predict(ctx_of([0, 1, 2]), pool).point_estimate == 2.0
+    d = simple_dataset([1.0, 2.0, 3.0, 4.0], task=ds.TASK_REGRESSION)
+    assert pr.knn_predict(ctx_of([0, 1, 2]), d, 9.0).point_estimate == 2.0
 
 
 def test_knn_empty_context_fallbacks():
-    pool = simple_pool(["a", "b", "c", "d"])
-    rec = pr.knn_predict(ctx_of([]), pool)
+    rec = pr.knn_predict(ctx_of([]), simple_dataset(["a", "b", "c", "d"]), None, row_index=5)
     assert rec.class_probabilities == (0.25, 0.25, 0.25, 0.25)
-    rpool = simple_pool([1.0, 2.0, 3.0, 6.0], task=ds.TASK_REGRESSION)
-    assert pr.knn_predict(ctx_of([]), rpool).point_estimate == 3.0
+    assert (rec.row_index, rec.context_size, rec.flag) == (5, 0, None)
+    d = simple_dataset([1.0, 2.0, 3.0, 6.0], task=ds.TASK_REGRESSION)
+    rec = pr.knn_predict(ctx_of([]), d, 3.0)
+    assert (rec.point_estimate, rec.context_size, rec.flag) == (3.0, 0, None)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(["u", "v", "w"]), min_size=1, max_size=20))
 def test_knn_matches_multiset_frequencies(context_labels):
     all_labels = ["u", "v", "w"] + context_labels
-    pool = simple_pool(all_labels)
+    d = simple_dataset(all_labels)
     idx = list(range(3, 3 + len(context_labels)))
-    rec = pr.knn_predict(ctx_of(idx), pool)
-    for c, p in zip(pool.dataset.class_labels, rec.class_probabilities):
+    rec = pr.knn_predict(ctx_of(idx), d, None)
+    for c, p in zip(d.class_labels, rec.class_probabilities):
         assert p == pytest.approx(context_labels.count(c) / len(context_labels), abs=1e-12)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabctx import dataset as ds
+from tabctx import normalize as nz
 from tabctx import retrieval as rt
 from tabctx.importance import IMPORTANCE_MODES
 from conftest import make_dataset
@@ -19,11 +20,16 @@ def pool_for(d, rows, cfg, pearson=None, pps=None):
     return rt.build_pool(d, rows, cfg, weights=w)
 
 
+def feature_distance(pool, query, feature):
+    """One feature's distances from the query to every pool row."""
+    return rt._feature_distances(pool, [query], feature, np.arange(pool.size))[0]
+
+
 def test_categorical_distance_indicator():
     d = make_dataset(cat={"c": ["red", "blue"]}, label=["a", "b"])
     cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform")
     pool = rt.build_pool(d, [0, 1], cfg)
-    dist = rt.feature_distance(pool, {"c": "red"}, "c")
+    dist = feature_distance(pool, {"c": "red"}, "c")
     assert dist.tolist() == [0.0, 1.0]
 
 
@@ -32,7 +38,7 @@ def test_numeric_rescale_arithmetic():
     d = make_dataset(num={"x": [1.0, 0.0, 2.0]}, label=[0, 0, 1], task="regression")
     cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform", numeric_norm="minmax")
     pool = rt.build_pool(d, [0, 1, 2], cfg)
-    dist = rt.feature_distance(pool, {"x": 1.0}, "x")
+    dist = feature_distance(pool, {"x": 1.0}, "x")
     assert dist.tolist() == [0.0, 1.0, 1.0]
 
 
@@ -40,16 +46,16 @@ def test_constant_numeric_column_zero_distance():
     d = make_dataset(num={"x": [3.0, 3.0, 3.0]}, label=[0, 1, 0], task="regression")
     cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform")
     pool = rt.build_pool(d, [0, 1, 2], cfg)
-    assert rt.feature_distance(pool, {"x": 9.0}, "x").tolist() == [0.0, 0.0, 0.0]
+    assert feature_distance(pool, {"x": 9.0}, "x").tolist() == [0.0, 0.0, 0.0]
 
 
 def test_missing_numeric_distance_is_one():
     d = make_dataset(num={"x": [1.0, np.nan, 3.0]}, label=[0, 1, 0], task="regression")
     cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform")
     pool = rt.build_pool(d, [0, 1, 2], cfg)
-    dist = rt.feature_distance(pool, {"x": 1.0}, "x")
+    dist = feature_distance(pool, {"x": 1.0}, "x")
     assert dist[1] == 1.0
-    assert rt.feature_distance(pool, {"x": np.nan}, "x").tolist() == [1.0, 1.0, 1.0]
+    assert feature_distance(pool, {"x": np.nan}, "x").tolist() == [1.0, 1.0, 1.0]
 
 
 def test_rescale_off_keeps_raw():
@@ -57,24 +63,26 @@ def test_rescale_off_keeps_raw():
     cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform", numeric_norm="none",
                              distance_minmax_rescale=False)
     pool = rt.build_pool(d, [0, 1], cfg)
-    assert rt.feature_distance(pool, {"x": 4.0}, "x").tolist() == [4.0, 6.0]
+    assert feature_distance(pool, {"x": 4.0}, "x").tolist() == [4.0, 6.0]
+
+
+def row_distance(per_feature, w):
+    D = np.asarray(per_feature, dtype=np.float64)
+    return rt._row_distance(D * D, np.asarray(w, dtype=np.float64))
 
 
 def test_aggregate_examples():
-    assert rt.aggregate(np.array([[0.3, 0.4]]), np.array([1.0, 1.0]))[0] == pytest.approx(0.5, abs=1e-12)
-    assert rt.aggregate(np.array([[0.0, 0.0]]), np.array([1.0, 1.0]))[0] == 0.0
-    assert rt.aggregate(np.array([[0.8, 0.9]]), np.array([0.25, 0.0]))[0] == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(ValueError):
-        rt.aggregate(np.array([[0.1, 0.2]]), np.array([1.0]))
+    assert row_distance([[0.3, 0.4]], [1.0, 1.0])[0] == pytest.approx(0.5, abs=1e-12)
+    assert row_distance([[0.0, 0.0]], [1.0, 1.0])[0] == 0.0
+    assert row_distance([[0.8, 0.9]], [0.25, 0.0])[0] == pytest.approx(0.4, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=20),
        st.floats(0, 5), st.floats(0, 5))
 def test_aggregate_bound(rows, w1, w2):
-    D = np.asarray(rows)
     w = np.asarray([w1, w2])
-    agg = rt.aggregate(D, w)
+    agg = row_distance(rows, w)
     assert np.all(agg >= 0)
     assert np.all(agg <= np.sqrt(w.sum()) + 1e-12)
 
@@ -154,15 +162,15 @@ def test_self_retrieval_duplicate_row():
 
 
 def test_retrieve_random_determinism():
-    d = make_dataset(num={"x": np.arange(100.0)}, label=np.zeros(100), task="regression")
-    cfg = rt.RetrievalConfig(quota=8, importance_mode="uniform")
-    pool = rt.build_pool(d, range(100), cfg)
-    a = rt.retrieve_random(pool, 8, seed=5)
-    b = rt.retrieve_random(pool, 8, seed=5)
+    rows = np.arange(100, 200)
+    a = rt.retrieve_random(rows, 8, seed=5)
+    b = rt.retrieve_random(rows, 8, seed=5)
     assert np.array_equal(a.indices, b.indices)
     assert len(set(a.indices.tolist())) == 8
-    full = rt.retrieve_random(pool, 200, seed=5)
-    assert sorted(full.indices.tolist()) == list(range(100))
+    assert a.indices.tolist() == sorted(a.indices.tolist())
+    assert set(a.indices.tolist()) <= set(rows.tolist())
+    full = rt.retrieve_random(rows, 200, seed=5)
+    assert full.indices.tolist() == rows.tolist()
 
 
 def test_uniform_mode_reproduces_equal_weight_brute_force():
@@ -205,8 +213,9 @@ def test_matches_naive_oracle_small(mode):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), mode=st.sampled_from(IMPORTANCE_MODES), constrain=st.booleans(),
-       sizes=st.lists(st.integers(1, 30), min_size=1, max_size=3))
-def test_multi_size_retrieve_matches_oracle_at_every_size(seed, mode, constrain, sizes):
+       sizes=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       norms=st.lists(st.sampled_from(nz.MODES), max_size=10))
+def test_multi_size_retrieve_matches_oracle_at_every_size(seed, mode, constrain, sizes, norms):
     d = random_mixed_dataset(seed, max_rows=60)
     rng = np.random.default_rng(seed)
     n = d.n_rows
@@ -215,8 +224,12 @@ def test_multi_size_retrieve_matches_oracle_at_every_size(seed, mode, constrain,
     pw = {f: float(rng.uniform(0, 1)) for f in feats}
     sw = {f: float(rng.uniform(0, 1)) for f in feats}
     constraints = tuple(d.categorical_features[:1]) if constrain else ()
-    cfg = rt.RetrievalConfig(importance_mode=mode, match_constraints=constraints)
+    # per-feature normalization overrides for the leading numerical features
+    per_feature = dict(zip(d.numerical_features, norms))
+    cfg = rt.RetrievalConfig(importance_mode=mode, match_constraints=constraints,
+                             per_feature_norm=per_feature)
     pool = pool_for(d, train, cfg, pearson=pw, pps=sw)
+    assert {f: pool.stats[f].mode for f in per_feature} == per_feature
     query = d.feature_row(int(rng.integers(n)))
     sizes = (*sizes, 1, len(train) + 3)  # one row, and more rows than the pool holds
     got = rt.retrieve(pool, query, sizes)
@@ -312,7 +325,7 @@ def test_none_categorical_query_is_the_missing_token():
     for constraints in ((), ("g",)):
         cfg = rt.RetrievalConfig(quota=3, importance_mode="uniform", match_constraints=constraints)
         pool = rt.build_pool(d, range(6), cfg)
-        assert rt.feature_distance(pool, {"g": None}, "g").tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+        assert feature_distance(pool, {"g": None}, "g").tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
         a, b = rt.retrieve(pool, {"g": None}), rt.retrieve(pool, {})
         assert a.indices.tolist() == b.indices.tolist()
         assert a.distances.tolist() == b.distances.tolist()

@@ -103,7 +103,7 @@ def test_noiseless_circle_perfectly_classified():
     for i in range(test.n_rows):
         q = {"x1": float(test.column("x1")[i]), "x2": float(test.column("x2")[i])}
         ctx = rt.retrieve(pool, q)
-        rec = knn_predict(ctx, pool, row_index=i)
+        rec = knn_predict(ctx, train, None, row_index=i)
         labels.append(test.labels()[i])
         probs.append(rec.class_probabilities)
     assert mt.auroc(labels, probs, train.class_labels) == 1.0
