@@ -43,6 +43,12 @@ ABLATION_VARIANTS = {
 PREDICTIONS_HEADER = ["dataset", "policy", "train_size", "context_size", "predictor",
                       "row_index", "context_used", "flag", "estimate", "probs"]
 
+DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
+SPLIT_KEYS = {"ratios", "seed", "file"}
+PROMPT_KEYS = {"preamble", "anonymize", "chars_per_token", "file", "token_budget", "shuffle_context"}
+LLM_KEYS = {f.name for f in fields(EndpointConfig)} - {"retry_backoff"}
+PREDICTOR_KEYS = {"knn": set(), "llm": LLM_KEYS, "external": {"path"}, "ensemble": {"members"}}
+
 
 def _required_keys(cls) -> list[str]:
     """The fields of a config dataclass that have no default."""
@@ -54,7 +60,7 @@ class DatasetEntry:
     id: str
     table: str
     schema: str
-    split: dict = field(default_factory=lambda: {"ratios": [0.8, 0.1, 0.1]})
+    split: dict = field(default_factory=lambda: {"ratios": list(DEFAULT_SPLIT_RATIOS)})
     train_cap: int = ds.DEFAULT_TRAIN_CAP
     test_cap: int = ds.DEFAULT_TEST_CAP
 
@@ -76,9 +82,14 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = load_json(path)
         entries = raw.get("datasets", [])
-        unknown = sorted(raw.keys() - {f.name for f in fields(cls)}) + [
-            f"datasets[{i}].{k}" for i, e in enumerate(entries)
-            for k in sorted(e.keys() - {f.name for f in fields(DatasetEntry)})]
+        unknown = _unknown("", raw, {f.name for f in fields(cls)})
+        for i, e in enumerate(entries):
+            unknown += _unknown(f"datasets[{i}].", e, {f.name for f in fields(DatasetEntry)})
+            unknown += _unknown(f"datasets[{i}].split.", e.get("split", {}), SPLIT_KEYS)
+        unknown += _unknown("prompt.", raw.get("prompt", {}), PROMPT_KEYS)
+        for i, p in enumerate(raw.get("predictors", [])):
+            if p.get("type") in PREDICTOR_KEYS:
+                unknown += _unknown(f"predictors[{i}].", p, {"id", "type", *PREDICTOR_KEYS[p["type"]]})
         missing = [k for k in _required_keys(cls) if k not in raw] + [
             f"datasets[{i}].{k}" for i, e in enumerate(entries)
             for k in _required_keys(DatasetEntry) if k not in e]
@@ -90,6 +101,10 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {**vars(self), "datasets": [vars(e) for e in self.datasets]}
+
+
+def _unknown(where: str, entry: dict, allowed: set[str]) -> list[str]:
+    return [f"{where}{k}" for k in sorted(entry.keys() - allowed)]
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
@@ -128,7 +143,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
     ids = []
     for p in cfg.predictors:
         pid, ptype = p.get("id"), p.get("type")
-        if not pid or ptype not in ("knn", "llm", "external", "ensemble"):
+        if not pid or ptype not in PREDICTOR_KEYS:
             problems.append(f"bad predictor entry {p}")
             continue
         if ptype == "external" and not Path(p.get("path", "")).is_file():
@@ -144,6 +159,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
         pol_type = pol.get("type", "rag")
         if pol_type not in ("rag", "random"):
             problems.append(f"bad policy entry {pol}")
+        elif "quota" in pol:
+            problems.append(f"policy {_policy_id(pol)!r}: quota cannot be set per policy; "
+                            f"set the context sizes with context_sizes")
         elif pol_type == "rag" and base_ok:
             try:
                 _resolve_retrieval(cfg.retrieval, pol)
@@ -177,7 +195,7 @@ def _load_split(entry: DatasetEntry, d: ds.Dataset, run_seed: int) -> ds.SplitAs
     if "file" in spec:
         return ds.load_split_file(spec["file"], d.n_rows, entry.train_cap, entry.test_cap)
     seed = spec.get("seed", subseed(run_seed, "split", entry.id))
-    return ds.make_split(d, tuple(spec.get("ratios", [0.8, 0.1, 0.1])), seed,
+    return ds.make_split(d, tuple(spec.get("ratios", DEFAULT_SPLIT_RATIOS)), seed,
                          entry.train_cap, entry.test_cap)
 
 
@@ -287,13 +305,7 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
 def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, test_rows,
                  tmpl: PromptTemplate, token_budget: int, shuffle_ctx: bool,
                  run_seed: int) -> list[PredictionRecord]:
-    endpoint = EndpointConfig(
-        base_url=p["base_url"], model=p.get("model", "default"),
-        api_key_env=p.get("api_key_env", "TABCTX_API_KEY"),
-        timeout=p.get("timeout", 60.0), max_retries=p.get("max_retries", 2),
-        concurrency=p.get("concurrency", 4),
-        max_output_tokens=p.get("max_output_tokens", 64), chat=p.get("chat", True))
-    client = LlmClient(endpoint)
+    client = LlmClient(EndpointConfig(**{k: p[k] for k in LLM_KEYS if k in p}))
     features = [c.name for c in d.feature_columns]
     label_name = d.label_column.name
     jobs, overflowed = [], {}

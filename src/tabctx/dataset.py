@@ -1,11 +1,11 @@
 """Tabular dataset loading, typed schemas, and train/validation/test splits.
 
 Columnar storage: numerical columns are float64 arrays with NaN as the
-missing marker; categorical columns are string tokens, where the empty
-string is the missing token and behaves as an ordinary category (two
-missing cells compare equal). A categorical column is also int32 codes over
-its sorted vocabulary (``Dataset.codes`` / ``Dataset.vocabulary``), which
-retrieval and the feature weights read instead of the tokens.
+missing marker; categorical columns are int32 codes over their sorted
+vocabulary (``Dataset.codes`` / ``Dataset.vocabulary``), the one encoding
+that retrieval, the feature weights and the kNN vote read. Their tokens are
+``vocabulary[codes]``; the empty string is the missing token and behaves as
+an ordinary category (two missing cells compare equal).
 """
 from __future__ import annotations
 
@@ -60,11 +60,10 @@ class Coded(NamedTuple):
 class Dataset:
     """Immutable typed table with exactly one label column.
 
-    A categorical column is given either as tokens (encoded over its sorted
-    vocabulary on the first ``codes`` or ``vocabulary`` call) or as a
-    ``Coded`` column, as ``load_dataset`` gives it (its tokens are built on
-    the first ``column`` call). ``coerced_cells`` counts, per numerical
-    column, the non-empty cells the loader turned into NaN.
+    A categorical column is given either as a ``Coded`` column, as
+    ``load_dataset`` gives it, or as tokens, which are encoded here; its
+    tokens are built on the first ``column`` call. ``coerced_cells`` counts,
+    per numerical column, the non-empty cells the loader turned into NaN.
     """
 
     def __init__(self, schema: list[ColumnSchema], columns: dict[str, np.ndarray | Coded],
@@ -97,7 +96,7 @@ class Dataset:
         self.task = task
         self.coerced_cells = dict(coerced_cells or {})
         self._n = n
-        self._columns: dict[str, np.ndarray] = {}  # numbers, and tokens given or built
+        self._columns: dict[str, np.ndarray] = {}  # numbers, and tokens once built
         self._coded: dict[str, Coded] = {}
         for col in schema:
             raw = columns[col.name]
@@ -106,35 +105,30 @@ class Dataset:
             elif isinstance(raw, Coded):
                 self._coded[col.name] = raw
             else:
-                self._columns[col.name] = np.asarray([category_token(v) for v in raw], dtype=object)
+                encoder = _Encoder()
+                encoder.add([category_token(v) for v in raw])
+                self._coded[col.name] = encoder.finish()
 
+        self.class_labels = tuple(class_labels)
+        self._class_codes = None
         if task == TASK_REGRESSION:
             bad = np.flatnonzero(~np.isfinite(self._columns[label.name]))
             if len(bad):
                 raise ValueError(f"data row {bad[0] + 1}, column {label.name!r}: "
                                  f"regression label cells must be finite numbers")
-        self.class_labels = tuple(class_labels)
-        if task == TASK_CLASSIFICATION:
-            if class_labels:
-                self._check_class_labels(label.name)
-            else:
-                self.class_labels = self._first_seen(label.name)
-
-    def _check_class_labels(self, name: str) -> None:
-        tokens = self.column(name).tolist()
-        known = set(self.class_labels)
-        if not known.issuperset(tokens):
-            i = next(i for i, t in enumerate(tokens) if t not in known)
-            raise ValueError(f"data row {i + 1}, column {name!r}: label value {tokens[i]!r} "
-                             f"not in class_labels")
-
-    def _first_seen(self, name: str) -> tuple[str, ...]:
-        """The distinct tokens of a categorical column in first-appearance order."""
-        if name in self._columns:
-            return tuple(dict.fromkeys(self._columns[name].tolist()))
-        vocabulary, codes = self._coded[name]
-        used, first = np.unique(codes, return_index=True)
-        return tuple(vocabulary[used[np.argsort(first)]].tolist())
+            return
+        vocabulary, codes = self._coded[label.name]
+        if not class_labels:  # the labels in first-appearance order
+            used, first = np.unique(codes, return_index=True)
+            self.class_labels = tuple(vocabulary[used[np.argsort(first)]].tolist())
+        index = {c: i for i, c in enumerate(self.class_labels)}
+        # the smallest signed type that holds every class index and -1
+        self._class_codes = np.asarray([index.get(t, -1) for t in vocabulary.tolist()],
+                                       dtype=np.min_scalar_type(-len(index)))[codes]
+        bad = np.flatnonzero(self._class_codes < 0)
+        if len(bad):
+            raise ValueError(f"data row {bad[0] + 1}, column {label.name!r}: label value "
+                             f"{vocabulary[codes[bad[0]]]!r} not in class_labels")
 
     @property
     def n_rows(self) -> int:
@@ -177,31 +171,24 @@ class Dataset:
 
     def codes(self, name: str) -> np.ndarray:
         """A categorical column's int32 codes over its sorted vocabulary."""
-        return self._encoded(name).codes
+        return self._coded[name].codes
 
     def vocabulary(self, name: str) -> np.ndarray:
         """A categorical column's distinct tokens, sorted: token ``vocabulary[c]`` has code ``c``."""
-        return self._encoded(name).vocabulary
+        return self._coded[name].vocabulary
 
-    def _encoded(self, name: str) -> Coded:
-        if name not in self._coded:
-            encoder = _Encoder()
-            encoder.add(self._columns[name].tolist())
-            self._coded[name] = encoder.finish()
-        return self._coded[name]
-
-    def codes_over(self, name: str, rows: np.ndarray) -> Coded:
-        """A categorical column encoded over ``rows`` alone: the sorted
-        vocabulary of those rows and each row's int32 code over it."""
-        used, codes = np.unique(self.codes(name)[rows], return_inverse=True)
-        return Coded(self.vocabulary(name)[used], codes.astype(np.int32))
+    def code(self, name: str, value) -> int:
+        """The code of a value's token in a categorical column (``None`` is the
+        missing token), or -1 if the column never holds it."""
+        token = category_token(value)
+        vocabulary = self._coded[name].vocabulary
+        i = int(np.searchsorted(vocabulary, token))
+        return i if i < len(vocabulary) and vocabulary[i] == token else -1
 
     def class_codes(self) -> np.ndarray:
-        """Each row's label as its index in ``class_labels`` (classification)."""
-        name = self.label_column.name
-        index = {c: i for i, c in enumerate(self.class_labels)}
-        return np.asarray([index[t] for t in self.vocabulary(name).tolist()],
-                          dtype=np.int64)[self.codes(name)]
+        """Each row's label as its index in ``class_labels`` (classification),
+        computed once at construction."""
+        return self._class_codes
 
 
 def category_token(value) -> str:

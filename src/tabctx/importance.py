@@ -70,11 +70,12 @@ per-leaf formulas, which ``tests/oracles.py`` keeps as references):
   feature) reruns the DP on ``_segment_costs_reg``, which keeps one
   ``np.sum`` per segment. Leaf values are ``np.median`` of the chosen
   segments either way.
-* Categorical trees work on the int32 category codes over the sorted
-  vocabulary of the training rows (``Dataset.codes_over``), so code order is
-  sorted token order. Classification costs come from one ``bincount`` of
-  (code, class) pairs per fold, as integer counts; regression costs from
-  code masks. A tree predicts through one code -> value array.
+* Categorical trees work on the table's int32 category codes over its
+  sorted vocabulary (``Dataset.codes``), so code order is sorted token order;
+  a category the training rows lack is never a candidate. Classification
+  costs come from one ``bincount`` of (code, class) pairs per fold, as
+  integer counts; regression costs from code masks. A tree predicts through
+  one code -> value array.
 
 Scores compare out-of-fold tree predictions with out-of-fold naive
 predictions (fold-train median / most frequent class):
@@ -132,12 +133,10 @@ def _indicator_matrix(codes: np.ndarray) -> np.ndarray:
     return (codes[:, None] == np.arange(codes.max() + 1)).astype(np.float64)
 
 
-def pearson_importance(d: ds.Dataset, train_rows,
-                       codes: dict[str, np.ndarray] | None = None) -> dict[str, float]:
-    """Per-feature weight in [0, 1]: max |r| over indicator encodings.
-    Undefined correlations (constant columns, fewer than 2 pairs) score 0.
-    ``codes`` maps each categorical feature to its codes over ``train_rows``
-    as ``Dataset.codes_over`` gives them; they are encoded here if absent."""
+def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
+    """Per-feature weight in [0, 1]: max |r| over indicator encodings, one
+    column per category the training rows hold, in code order.
+    Undefined correlations (constant columns, fewer than 2 pairs) score 0."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValueError("training rows must be non-empty")
@@ -153,8 +152,7 @@ def pearson_importance(d: ds.Dataset, train_rows,
             F = np.asarray(vals, dtype=np.float64)[keep].reshape(-1, 1)
             L = labels[keep]
         else:
-            F = _indicator_matrix(codes[col.name] if codes is not None
-                                  else d.codes_over(col.name, rows).codes)
+            F = _indicator_matrix(np.unique(d.codes(col.name)[rows], return_inverse=True)[1])
             L = labels
         out[col.name] = _max_abs_corr(F, L)
     return out
@@ -496,10 +494,8 @@ def _pps_single(values: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
 
 
 def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
-                   seed: int = 0, codes: dict[str, np.ndarray] | None = None) -> dict[str, float]:
-    """Cross-validated tree-vs-naive score per feature, clipped to [0, 1].
-    ``codes`` maps each categorical feature to its codes over ``train_rows``
-    as ``Dataset.codes_over`` gives them; they are encoded here if absent."""
+                   seed: int = 0) -> dict[str, float]:
+    """Cross-validated tree-vs-naive score per feature, clipped to [0, 1]."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if cv_folds < 2:
         raise ValueError("cv_folds must be at least 2")
@@ -514,10 +510,7 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
         n_classes = len(d.class_labels)
     out = {}
     for col in d.feature_columns:
-        if col.kind == ds.KIND_NUMERICAL:
-            values, numeric = d.column(col.name)[rows], True
-        else:
-            values = codes[col.name] if codes is not None else d.codes_over(col.name, rows).codes
-            numeric = False
+        numeric = col.kind == ds.KIND_NUMERICAL
+        values = d.column(col.name)[rows] if numeric else d.codes(col.name)[rows]
         out[col.name] = float(min(1.0, _pps_single(values, y, folds, n_classes, numeric)))
     return out

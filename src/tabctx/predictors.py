@@ -13,7 +13,6 @@ import re
 import string
 import threading
 import time
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -55,11 +54,11 @@ class PredictionRecord:
                 raise ValueError("regression record needs a finite estimate")
 
 
-def class_shares(labels: np.ndarray, class_labels: Sequence[str]) -> np.ndarray:
-    """The kNN vote: the share of each class among the labels along the last
-    axis (one context per row), as its count over the context length."""
-    counts = np.stack([np.count_nonzero(labels == c, axis=-1) for c in class_labels], axis=-1)
-    return counts / labels.shape[-1]
+def class_shares(codes: np.ndarray, n_classes: int) -> np.ndarray:
+    """The kNN vote: the share of each class among the class codes along the
+    last axis (one context per row), as its count over the context length."""
+    counts = np.stack([np.count_nonzero(codes == c, axis=-1) for c in range(n_classes)], axis=-1)
+    return counts / codes.shape[-1]
 
 
 def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | None,
@@ -70,11 +69,10 @@ def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | Non
     if len(ctx) == 0:
         return fallback_record(d.task, d.class_labels, fallback_mean, row_index, 0,
                                predictor_id, None)
-    labels = d.labels()[ctx.indices]
     if d.task == ds.TASK_CLASSIFICATION:
-        probs = tuple(class_shares(labels, d.class_labels).tolist())
+        probs = tuple(class_shares(d.class_codes()[ctx.indices], len(d.class_labels)).tolist())
         return PredictionRecord(row_index, d.task, predictor_id, len(ctx), class_probabilities=probs)
-    est = float(np.mean(np.asarray(labels, dtype=np.float64)))
+    est = float(np.mean(np.asarray(d.labels()[ctx.indices], dtype=np.float64)))
     return PredictionRecord(row_index, d.task, predictor_id, len(ctx), point_estimate=est)
 
 
@@ -191,7 +189,7 @@ class TransportError(RuntimeError):
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
-    model: str
+    model: str = "default"
     api_key_env: str = "TABCTX_API_KEY"
     timeout: float = 60.0
     max_retries: int = 2

@@ -1,8 +1,9 @@
 """Context-row retrieval over a mixed-type training pool.
 
 Per-feature distances: categorical features use an inequality indicator
-over integer codes (the missing token is an ordinary category, and an absent
-or ``None`` query value is the missing token); numerical features take the
+over the table's integer codes (the missing token is an ordinary category,
+and an absent or ``None`` query value is the missing token; a token the
+pool's rows lack matches none of them); numerical features take the
 absolute difference of normalized values and are then min-max rescaled per
 query across the eligible pool, so the nearest row sits at 0 and the
 farthest at 1. A missing numerical value on either side yields distance
@@ -99,14 +100,14 @@ class RetrievedContext:
 
 class ContextPool:
     """Immutable retrieval index over the training rows of a dataset. Built by
-    ``build_pool``: ``rows`` come sorted, and ``coded`` holds each categorical
-    feature encoded over those rows (``Dataset.codes_over``)."""
+    ``build_pool``: ``rows`` come sorted, and each categorical feature keeps
+    its rows' codes from the dataset (``Dataset.codes``), so a code means the
+    same token in the pool, in the query and in the feature weights."""
 
     def __init__(self, dataset: ds.Dataset, rows: np.ndarray, cfg: RetrievalConfig,
                  stats: dict[str, nz.ColumnStats],
                  pearson_weights: dict[str, float] | None,
-                 pps_weights: dict[str, float] | None,
-                 coded: dict[str, ds.Coded]):
+                 pps_weights: dict[str, float] | None):
         self.dataset = dataset
         self.rows = rows
         self.cfg = cfg
@@ -114,30 +115,14 @@ class ContextPool:
         self.pearson_weights = pearson_weights
         self.pps_weights = pps_weights
         self.features = [c.name for c in dataset.feature_columns]
-        self.feature_kinds = {c.name: c.kind for c in dataset.feature_columns}
-        self._norm_cols = {}
-        for name in dataset.numerical_features:
-            self._norm_cols[name] = nz.apply_array(stats[name], dataset.column(name)[self.rows])
-        # per categorical feature: token -> code map, and the code of each pool row
-        self._code_of = {name: {t: i for i, t in enumerate(c.vocabulary.tolist())}
-                         for name, c in coded.items()}
-        self._codes = {name: c.codes for name, c in coded.items()}
+        # per feature, the pool rows' normalized numbers or categorical codes
+        self.normalized = {name: nz.apply_array(stats[name], dataset.column(name)[rows])
+                           for name in dataset.numerical_features}
+        self.codes = {name: dataset.codes(name)[rows] for name in dataset.categorical_features}
 
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def normalized(self, feature: str) -> np.ndarray:
-        return self._norm_cols[feature]
-
-    def codes(self, feature: str) -> np.ndarray:
-        return self._codes[feature]
-
-    def query_code(self, query: dict, feature: str) -> int:
-        """Code of the query's token for a categorical feature. An absent or
-        ``None`` value is the missing token; a token the pool never saw is -1,
-        which matches no row."""
-        return self._code_of[feature].get(ds.category_token(query.get(feature)), -1)
 
     def weight_vectors(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The kept measures as vectors (Pearson first, a second one only in
@@ -155,35 +140,36 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
     ``{"pearson": ..., "pps": ...}``, holds scores already fitted on these rows
     with this config's ``pps_folds`` and ``seed``; a measure the mode needs and
     the dict lacks is fitted and added to it. The pool keeps only the measures
-    its mode consumes."""
+    its mode consumes. A match constraint must name a categorical feature."""
     rows = np.sort(np.asarray(train_rows, dtype=np.int64))
     if len(rows) == 0:
         raise ValueError("context pool must be non-empty")
+    bad = [name for name in cfg.match_constraints if name not in dataset.categorical_features]
+    if bad:
+        raise ValueError(f"match constraint(s) {', '.join(map(repr, bad))} "
+                         f"not a categorical feature")
     stats = nz.fit_stats(dataset, rows, mode=cfg.numeric_norm, overrides=cfg.per_feature_norm)
-    coded = {name: dataset.codes_over(name, rows) for name in dataset.categorical_features}
     weights = {} if weights is None else weights
-    cat_codes = {name: c.codes for name, c in coded.items()}
     use_pearson = cfg.importance_mode in ("dual", "pearson_only")
     use_pps = cfg.importance_mode in ("dual", "pps_only")
     if use_pearson and "pearson" not in weights:
-        weights["pearson"] = pearson_importance(dataset, rows, cat_codes)
+        weights["pearson"] = pearson_importance(dataset, rows)
     if use_pps and "pps" not in weights:
-        weights["pps"] = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed,
-                                        codes=cat_codes)
+        weights["pps"] = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed)
     return ContextPool(dataset, rows, cfg, stats, weights["pearson"] if use_pearson else None,
-                       weights["pps"] if use_pps else None, coded)
+                       weights["pps"] if use_pps else None)
 
 
 def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
                        eligible: np.ndarray) -> np.ndarray:
     """(queries, eligible rows) distances for one feature."""
-    if pool.feature_kinds[feature] == ds.KIND_CATEGORICAL:
-        q = np.asarray([pool.query_code(query, feature) for query in queries])
-        return (pool.codes(feature)[eligible][None, :] != q[:, None]).astype(np.float64)
+    if feature in pool.codes:
+        q = np.asarray([pool.dataset.code(feature, query.get(feature)) for query in queries])
+        return (pool.codes[feature][eligible][None, :] != q[:, None]).astype(np.float64)
 
     raw_q = [query.get(feature, math.nan) for query in queries]
     qv = nz.apply_array(pool.stats[feature], [math.nan if v is None else float(v) for v in raw_q])
-    raw = np.abs(pool.normalized(feature)[eligible][None, :] - qv[:, None])
+    raw = np.abs(pool.normalized[feature][eligible][None, :] - qv[:, None])
     present = np.isfinite(raw)
     if pool.cfg.distance_minmax_rescale:
         # min-max over each query's present values; when hi == lo every
@@ -206,9 +192,7 @@ def _row_distance(squared: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _eligible_rows(pool: ContextPool, query: dict) -> np.ndarray:
     mask = np.ones(pool.size, dtype=bool)
     for name in pool.cfg.match_constraints:
-        if pool.feature_kinds.get(name) != ds.KIND_CATEGORICAL:
-            raise KeyError(f"match constraint {name!r} is not a categorical feature")
-        mask &= pool.codes(name) == pool.query_code(query, name)
+        mask &= pool.codes[name] == pool.dataset.code(name, query.get(name))
     return np.flatnonzero(mask)
 
 

@@ -101,7 +101,7 @@ def generate_toy(spec: ToySpec) -> ds.Dataset:
     schema = [ds.ColumnSchema("x1", ds.KIND_NUMERICAL), ds.ColumnSchema("x2", ds.KIND_NUMERICAL),
               ds.ColumnSchema("label", ds.KIND_CATEGORICAL, ds.ROLE_LABEL)]
     columns = {"x1": pts[:, 0], "x2": pts[:, 1],
-               "label": np.asarray([str(c) for c in labels], dtype=object)}
+               "label": ds.Coded(np.asarray(["0", "1"], dtype=object), labels.astype(np.int32))}
     return ds.Dataset(schema, columns, ds.TASK_CLASSIFICATION, class_labels=("0", "1"))
 
 
@@ -151,7 +151,7 @@ def boundary_grid(pool: ContextPool, resolution: int | tuple[int, int] = 100) ->
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = xs.tolist(), ys.tolist()
-    labels = d.labels()[pool.rows]
+    labels = d.class_codes()[pool.rows]
     probs = np.empty((nx * ny, len(d.class_labels)))
     step = block_size(pool)
     for start in range(0, nx * ny, step):
@@ -159,7 +159,7 @@ def boundary_grid(pool: ContextPool, resolution: int | tuple[int, int] = 100) ->
         # at once raised the verb's peak memory by about 2 MB
         cells = [{fx: gx[i % nx], fy: gy[i // nx]} for i in range(start, min(start + step, nx * ny))]
         sel, = select_block(pool, cells, (pool.cfg.quota,))
-        probs[start:start + step] = class_shares(labels[sel.positions], d.class_labels)
+        probs[start:start + step] = class_shares(labels[sel.positions], len(d.class_labels))
     return BoundaryGrid(x_range, y_range, (nx, ny), d.class_labels, probs.reshape(ny, nx, -1))
 
 

@@ -487,6 +487,77 @@ def test_unknown_config_keys_are_named(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_split_prompt_and_predictor_keys_are_named(tmp_path, capsys):
+    from llm_stub import stub_server
+    d = write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, prompt={"token_buget": 10, "token_budget": 100}, predictors=[
+        {"id": "knn", "type": "knn", "k": 3},
+        {"id": "llm", "type": "llm", "base_url": "http://127.0.0.1:1/v1", "retry_backoff": 0.0},
+        {"id": "ens", "type": "ensemble", "members": ["knn"], "weights": [1.0]},
+        {"id": "ext", "type": "external", "path": "p.csv", "members": ["knn"]}])
+    cfg["datasets"][0]["split"] = {"ratio": [0.5, 0.0, 0.5]}
+    path = write_config(tmp_path, cfg)
+    keys = ["datasets[0].split.ratio", "prompt.token_buget", "predictors[0].k",
+            "predictors[1].retry_backoff", "predictors[2].weights", "predictors[3].members"]
+    assert cli.main(["validate-config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and all(k in err for k in keys), err
+    assert "prompt.token_budget" not in err and "Traceback" not in err
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert all(k in err for k in keys), err
+    assert not (tmp_path / "out").exists()
+    # every key the code reads is accepted
+    with stub_server() as (state, url):
+        state.default = (200, "1")
+        cfg = base_config(tmp_path, prompt={"preamble": "rows:", "anonymize": True,
+                                            "chars_per_token": 4.0, "token_budget": 4096,
+                                            "shuffle_context": True}, predictors=[
+            {"id": "llm", "type": "llm", "base_url": url, "model": "m", "api_key_env": "NO_KEY",
+             "timeout": 5.0, "max_retries": 1, "concurrency": 2, "max_output_tokens": 8,
+             "chat": False}])
+        cfg["datasets"][0]["split"]["file"] = str(tmp_path / "split.json")
+        ds.save_split_file(ds.make_split(d, (0.8, 0.1, 0.1), 3), tmp_path / "split.json")
+        assert cli.main(["run", str(write_config(tmp_path, cfg, "all.json"))]) == 0
+    body = state.requests[0]["body"]
+    assert body["model"] == "m" and body["max_tokens"] == 8 and body["prompt"].startswith("rows:")
+
+
+def test_policy_quota_is_rejected(tmp_path):
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, policies=[{"id": "small", "quota": 4}, {"id": "big", "quota": 32},
+                                          {"id": "random", "type": "random"}])
+    del cfg["context_sizes"]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate-config", str(path)]) == 1
+    problems = cli.validate_config(cli.RunConfig.from_file(path))
+    assert len(problems) == 2
+    for pid, problem in zip(("small", "big"), problems):
+        assert problem.startswith(f"policy {pid!r}: ") and "context_sizes" in problem
+    with pytest.raises(ValueError, match="quota"):
+        cli.run(cli.RunConfig.from_file(path))
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_match_constraint_fails_only_its_dataset(tmp_path):
+    write_toy_files(tmp_path)
+    rows = [[str(i % 7), "uv"[i % 2], "ab"[i % 3 == 0]] for i in range(40)]
+    (tmp_path / "g.csv").write_text("x,g,y\n" + "".join(",".join(r) + "\n" for r in rows),
+                                    encoding="utf-8")
+    ds.save_schema([ds.ColumnSchema("x", "numerical"), ds.ColumnSchema("g", "categorical"),
+                    ds.ColumnSchema("y", "categorical", "label")], "classification",
+                   tmp_path / "g.schema.json")
+    cfg = base_config(tmp_path, retrieval={"importance_mode": "uniform", "match_constraints": ["g"]})
+    cfg["datasets"].append({"id": "grouped", "table": str(tmp_path / "g.csv"),
+                            "schema": str(tmp_path / "g.schema.json")})
+    out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    manifest = load_json(out / "manifest.json")["datasets"]
+    assert manifest["grouped"]["status"] == "ok"
+    assert manifest["toy"] == {"status": "error", "error":
+                               "ValueError: match constraint(s) 'g' not a categorical feature"}
+    assert {r["dataset"] for r in load_json(out / "metrics.json")["metrics"]} == {"grouped"}
+
+
 def test_missing_config_keys_are_named(tmp_path, capsys):
     write_toy_files(tmp_path)
     entry = base_config(tmp_path)["datasets"][0]

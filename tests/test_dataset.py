@@ -189,8 +189,10 @@ def test_dataset_codes_and_vocabulary():
     assert d.codes("g").tolist() == [2, 0, 1, 2] and d.codes("g").dtype == np.int32
     assert d.class_labels == ("q", "p", "r")
     assert d.class_codes().tolist() == [0, 1, 0, 2]
-    sub = d.codes_over("g", np.array([0, 2, 3]))
-    assert sub.vocabulary.tolist() == ["u", "v"] and sub.codes.tolist() == [1, 0, 1]
+    many = make_dataset(num={"a": range(400)}, label=[f"c{i % 200}" for i in range(400)])
+    assert many.class_codes().tolist() == [i % 200 for i in range(400)]
+    assert [d.code("g", t) for t in ("", "u", "v", None)] == [0, 1, 2, 0]
+    assert d.code("g", "w") == -1 and d.code("g", "a") == -1
 
 
 cell_text = st.one_of(

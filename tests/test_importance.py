@@ -225,14 +225,29 @@ def test_pps_categorical_matches_reference_tree():
         assert abs(got - want) <= 1e-9, f"seed {seed}: {got} vs {want}"
 
 
-def test_pps_codes_argument_matches_own_encoding():
-    rng = rng_for(6, "codes-arg")
-    tokens = [f"t{i}" for i in rng.integers(0, 7, 120)]
-    d = make_dataset(cat={"f": tokens}, num={"g": rng.normal(size=120)},
-                     label=[str(v) for v in rng.integers(0, 3, 120)])
-    rows = np.arange(10, 120)
-    codes = {"f": np.unique(d.column("f")[rows], return_inverse=True)[1].astype(np.int32)}
-    assert imp.pps_importance(d, rows, seed=2, codes=codes) == imp.pps_importance(d, rows, seed=2)
+def test_weights_ignore_categories_absent_from_training_rows():
+    # the table's vocabulary holds tokens that only the other rows carry
+    # ("aa" sorts before the training tokens, "zz" after); the scores equal,
+    # bit for bit, those of a table of the training rows alone
+    for seed in range(4):
+        rng = rng_for(seed, "absent-categories")
+        n, n_train = 90, 60
+        tokens = np.asarray([f"t{i}" for i in rng.integers(0, 4, n)], dtype=object)
+        tokens[n_train:][rng.random(n - n_train) < 0.5] = "aa"
+        tokens[n_train::7] = "zz"
+        x = rng.normal(size=n)
+        for task in ("classification", "regression"):
+            label = ([str(v) for v in rng.integers(0, 3, n)] if task == "classification"
+                     else np.round(rng.normal(size=n), 1))
+            full = make_dataset(num={"x": x}, cat={"f": tokens}, label=label, task=task)
+            alone = ds.Dataset(full.schema, {"x": x[:n_train], "f": tokens[:n_train],
+                                             "target": np.asarray(label)[:n_train]},
+                               task, class_labels=full.class_labels)
+            assert len(full.vocabulary("f")) > len(alone.vocabulary("f"))
+            rows = np.arange(n_train)
+            for score in (imp.pearson_importance, lambda d, r: imp.pps_importance(d, r, seed=seed)):
+                got, want = score(full, rows), score(alone, rows)
+                assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 def test_pps_preconditions():

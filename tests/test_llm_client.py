@@ -30,6 +30,17 @@ def test_request_shape_and_auth(stub):
     assert state.requests[0]["auth"] == "Bearer sekret"
 
 
+def test_completion_endpoint_sends_prompt_and_reads_text(stub):
+    state, url = stub
+    state.script = [(200, b'{"choices": [{"text": " no. "}]}')]
+    rec = client_for(url, chat=False).predict("hello", ds.TASK_CLASSIFICATION, ("yes", "no"),
+                                              0.0, 1, 8)
+    assert rec.class_probabilities == (0.0, 1.0) and rec.flag is None
+    body = state.requests[0]["body"]
+    assert body["prompt"] == "hello" and "messages" not in body
+    assert body["model"] == "stub-model" and body["max_tokens"] == 64 and body["temperature"] == 0
+
+
 def test_classification_exact_match(stub):
     state, url = stub
     rec = client_for(url).predict("p", ds.TASK_CLASSIFICATION, ("yes", "no"), 0.0, 3, 8)

@@ -149,6 +149,28 @@ def test_constraint_filtering_can_empty_pool():
     assert len(ctx) == 0
 
 
+def test_category_absent_from_pool_rows_matches_none():
+    # "w" is a token of the table but of no pool row: it has a code, and no
+    # pool row carries it
+    d = make_dataset(num={"x": np.arange(8.0)}, cat={"g": ["u", "v"] * 3 + ["w", "w"]},
+                     label=np.zeros(8), task="regression")
+    assert d.code("g", "w") == 2
+    pool = rt.build_pool(d, range(6), rt.RetrievalConfig(quota=3, importance_mode="uniform"))
+    assert feature_distance(pool, {"x": 1.0, "g": "w"}, "g").tolist() == [1.0] * 6
+    assert len(rt.retrieve(pool, {"x": 1.0, "g": "w"})) == 3
+    cfg = rt.RetrievalConfig(quota=3, importance_mode="uniform", match_constraints=("g",))
+    assert len(rt.retrieve(rt.build_pool(d, range(6), cfg), {"x": 1.0, "g": "w"})) == 0
+
+
+def test_match_constraint_must_be_a_categorical_feature():
+    d = make_dataset(num={"x": np.arange(6.0)}, cat={"g": ["u", "v"] * 3}, label=np.zeros(6),
+                     task="regression")
+    for constraints, named in ((("x",), "'x'"), (("g", "h"), "'h'"), (("target",), "'target'")):
+        cfg = rt.RetrievalConfig(quota=2, importance_mode="uniform", match_constraints=constraints)
+        with pytest.raises(ValueError, match=f"match constraint.*{named}.*not a categorical feature"):
+            rt.build_pool(d, range(6), cfg)
+
+
 def test_self_retrieval_duplicate_row():
     rng = np.random.default_rng(0)
     x = rng.normal(size=30)
