@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -148,8 +149,13 @@ def validate_config(cfg: RunConfig) -> list[str]:
             continue
         if ptype == "external" and not Path(p.get("path", "")).is_file():
             problems.append(f"predictor {pid!r}: prediction file missing")
-        if ptype == "llm" and not p.get("base_url"):
-            problems.append(f"predictor {pid!r}: llm endpoint needs base_url")
+        if ptype == "llm":
+            url = urlsplit(str(p.get("base_url", "")))
+            if not p.get("base_url"):
+                problems.append(f"predictor {pid!r}: llm endpoint needs base_url")
+            elif url.scheme not in ("http", "https") or not url.netloc:
+                problems.append(f"predictor {pid!r}: llm base_url {p['base_url']!r} is not an "
+                                f"http:// or https:// URL with a host")
         if ptype == "ensemble":
             missing = [m for m in p.get("members", []) if m not in ids]
             if missing or not p.get("members"):
@@ -333,11 +339,20 @@ def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, 
     return [overflowed.get(int(row)) or next(answered) for row in test_rows]
 
 
+class ConfigError(ValueError):
+    """A config that validate_config rejects; ``problems`` lists each problem."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid config: " + "; ".join(problems))
+        self.problems = problems
+
+
 def _checked(cfg: RunConfig) -> RunConfig:
-    """The config with its context sizes resolved; raises before any work on a bad config."""
+    """The config with its context sizes resolved; raises ConfigError before
+    any work on a bad config."""
     problems = validate_config(cfg)
     if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
+        raise ConfigError(problems)
     return replace(cfg, context_sizes=_context_sizes(cfg))
 
 
@@ -626,27 +641,29 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    if args.verb == "run":
-        out = run(cfg)
-        print(f"run complete: {out}")
-        return 0
     if args.verb == "validate-config":
         problems = validate_config(cfg)
         for p in problems:
             print(f"error: {p}", file=sys.stderr)
         print("config ok" if not problems else f"{len(problems)} problem(s)")
         return 1 if problems else 0
+    try:
+        if args.verb == "run":
+            print(f"run complete: {run(cfg)}")
+            return 0
+        if args.verb == "ablate":
+            print(f"ablation complete: {ablate(cfg, args.output_dir or 'ablation_out')}")
+            return 0
+        if args.verb == "scaling":
+            sizes = [int(s) for s in args.sizes.split(",")]
+            print(f"scaling sweep complete: {scaling(cfg, sizes, args.output_dir or 'scaling_out')}")
+            return 0
+    except ConfigError as exc:
+        for p in exc.problems:
+            print(f"error: {p}", file=sys.stderr)
+        return 1
     if args.verb == "compare":
         return _print_json(compare(args.paths, args.target, args.baseline), args.out)
-    if args.verb == "ablate":
-        out = ablate(cfg, args.output_dir or "ablation_out")
-        print(f"ablation complete: {out}")
-        return 0
-    if args.verb == "scaling":
-        sizes = [int(s) for s in args.sizes.split(",")]
-        out = scaling(cfg, sizes, args.output_dir or "scaling_out")
-        print(f"scaling sweep complete: {out}")
-        return 0
     if args.verb == "fit-powerlaw":
         if args.points:
             return _print_json(mt.fit_power_law(load_json(args.points)).to_dict(), args.out)

@@ -8,7 +8,9 @@ and probability-averaging ensembles.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 import re
 import string
 import threading
@@ -19,7 +21,6 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from . import dataset as ds
 from .retrieval import RetrievedContext
@@ -210,8 +211,10 @@ def parse_class(completion: str, class_labels: tuple[str, ...]) -> str | None:
 
 
 def parse_number(completion: str) -> float | int | None:
+    """The first number in the completion, an int when written as one; None
+    when there is none or it is not a finite float."""
     m = _NUMBER_RE.search(completion)
-    if not m:
+    if not m or not math.isfinite(float(m.group(0))):
         return None
     text = m.group(0)
     if re.fullmatch(r"[-+]?\d+", text):
@@ -234,18 +237,18 @@ def fallback_record(task: str, class_labels: tuple[str, ...], context_mean: floa
 
 class LlmClient:
     """Minimal JSON completion client: temperature 0, bounded retries with
-    jittered backoff, and a bounded number of in-flight requests."""
+    jittered backoff, and a bounded number of in-flight requests. Each
+    request opens its own connection through ``urllib.request``, which is
+    imported on the first request."""
 
     def __init__(self, cfg: EndpointConfig, api_key: str | None = None):
         self.cfg = cfg
         self.api_key = api_key
-        self._session = requests.Session()
         self._gate = threading.BoundedSemaphore(max(1, cfg.concurrency))
         self._rng = rng_for(0, "retry-jitter")
         self._rng_lock = threading.Lock()
 
     def _headers(self) -> dict:
-        import os
         key = self.api_key if self.api_key is not None else os.environ.get(self.cfg.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if key:
@@ -266,31 +269,42 @@ class LlmClient:
             jitter = float(self._rng.uniform(0.0, self.cfg.retry_backoff))
         time.sleep(self.cfg.retry_backoff * attempt + jitter)
 
+    def _post(self, body: bytes) -> bytes:
+        """One POST of ``body`` to the endpoint; the response body."""
+        from urllib.request import Request, urlopen
+        req = Request(self.cfg.base_url, data=body, headers=self._headers(), method="POST")
+        with urlopen(req, timeout=self.cfg.timeout) as resp:
+            return resp.read()
+
     def complete(self, prompt: str) -> str:
         """The completion text. Connection errors, timeouts, 429 and 5xx
         responses are retried; any other failure, and running out of
         attempts, raises TransportError."""
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        body = json.dumps(self._payload(prompt), allow_nan=False).encode("utf-8")
         last: Exception | str | None = None
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
                 self._sleep_before_retry(attempt)
             try:
                 with self._gate:
-                    resp = self._session.post(self.cfg.base_url, json=self._payload(prompt),
-                                              headers=self._headers(), timeout=self.cfg.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                    reply = self._post(body)
+            except HTTPError as exc:  # an OSError, so it is caught first
+                exc.close()
+                if exc.code == 429 or exc.code >= 500:
+                    last = f"HTTP {exc.code}"
+                    continue
+                raise TransportError(f"endpoint request failed: HTTP {exc.code}") from exc
+            except (OSError, HTTPException) as exc:
                 last = exc
                 continue
-            except requests.RequestException as exc:
+            except ValueError as exc:  # a URL with no scheme
                 raise TransportError(f"endpoint request failed: {exc}") from exc
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last = f"HTTP {resp.status_code}"
-                continue
             try:
-                resp.raise_for_status()
-                choice = resp.json()["choices"][0]
+                choice = json.loads(reply)["choices"][0]
                 text = choice["message"]["content"] if "message" in choice else choice["text"]
-            except (requests.HTTPError, ValueError, LookupError, TypeError) as exc:
+            except (ValueError, LookupError, TypeError) as exc:
                 raise TransportError(f"endpoint request failed: {exc!r}") from exc
             if not isinstance(text, str):
                 raise TransportError(f"endpoint returned no completion text: {choice!r}")
@@ -343,50 +357,55 @@ def ingest_predictions(path: str | Path, d: ds.Dataset, predictor_id: str = "ext
     ``row_index,p_<class>,...`` for classification. Probability vectors with
     sums within [0.99, 1.01] are renormalized; anything further off is an
     error, as is a row index that is out of range, not a test row, or
-    repeated, and a file that leaves out any of ``valid_rows``."""
+    repeated, and a file that leaves out any of ``valid_rows``. An error in
+    a data line names the file and the line."""
     valid = None if valid_rows is None else set(int(i) for i in valid_rows)
     seen: set[int] = set()
+    records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        records = []
         if d.task == ds.TASK_REGRESSION:
             if header != ["row_index", "estimate"]:
                 raise ValueError(f"{path}: bad regression header {header}")
-            for row in reader:
-                idx = int(row[0])
-                _check_index(idx, d, valid, seen, path)
-                records.append(PredictionRecord(idx, d.task, predictor_id, 0,
-                                                point_estimate=float(row[1])))
         else:
             expected = ["row_index"] + [f"p_{c}" for c in d.class_labels]
             if header[0] != "row_index" or sorted(header[1:]) != sorted(expected[1:]):
                 raise ValueError(f"{path}: bad classification header {header}, expected columns {expected}")
             col_order = [header.index(f"p_{c}") for c in d.class_labels]
-            for row in reader:
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
                 idx = int(row[0])
-                _check_index(idx, d, valid, seen, path)
-                probs = [float(row[c]) for c in col_order]
-                if min(probs) < 0:
-                    raise ValueError(f"{path}: negative probability on row {idx}")
-                total = sum(probs)
-                if not 0.99 <= total <= 1.01:
-                    raise ValueError(f"{path}: probabilities on row {idx} sum to {total}")
-                records.append(PredictionRecord(idx, d.task, predictor_id, 0,
-                                                class_probabilities=tuple(p / total for p in probs)))
+                _check_index(idx, d, valid, seen)
+                if d.task == ds.TASK_REGRESSION:
+                    rec = PredictionRecord(idx, d.task, predictor_id, 0, point_estimate=float(row[1]))
+                else:
+                    probs = [float(row[c]) for c in col_order]
+                    if min(probs) < 0:
+                        raise ValueError(f"negative probability on row {idx}")
+                    total = sum(probs)
+                    if not 0.99 <= total <= 1.01:
+                        raise ValueError(f"probabilities on row {idx} sum to {total}")
+                    rec = PredictionRecord(idx, d.task, predictor_id, 0,
+                                           class_probabilities=tuple(p / total for p in probs))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            records.append(rec)
     if valid is not None and len(seen) < len(valid):
         raise ValueError(f"{path}: no prediction for test row {min(valid - seen)} "
                          f"({len(valid) - len(seen)} of {len(valid)} test rows missing)")
     return records
 
 
-def _check_index(idx: int, d: ds.Dataset, valid, seen: set[int], path) -> None:
+def _check_index(idx: int, d: ds.Dataset, valid, seen: set[int]) -> None:
     if not 0 <= idx < d.n_rows:
-        raise ValueError(f"{path}: row index {idx} out of range")
+        raise ValueError(f"row index {idx} out of range")
     if valid is not None and idx not in valid:
-        raise ValueError(f"{path}: row index {idx} is not a test row")
+        raise ValueError(f"row index {idx} is not a test row")
     if idx in seen:
-        raise ValueError(f"{path}: duplicate row index {idx}")
+        raise ValueError(f"duplicate row index {idx}")
     seen.add(idx)
 
 

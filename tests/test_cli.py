@@ -539,6 +539,35 @@ def test_policy_quota_is_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", [["run"], ["ablate"], ["scaling", "--sizes", "8,16"]],
+                         ids=["run", "ablate", "scaling"])
+def test_config_problems_exit_with_message(tmp_path, capsys, verb):
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, policies=[{"id": "small", "quota": 4}], context_sizes=[4, 0])
+    path = write_config(tmp_path, cfg)
+    assert cli.main([*verb, str(path), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: context_sizes must be non-empty and each at least 1\n" in err
+    if verb == ["run"]:  # ablate and scaling set their own policies
+        assert "error: policy 'small': quota cannot be set per policy" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_llm_base_url_needs_http_scheme(tmp_path):
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, predictors=[
+        {"id": "knn", "type": "knn"},
+        {"id": "remote", "type": "llm", "base_url": "localhost:8000/v1"},
+        {"id": "hostless", "type": "llm", "base_url": "http:///v1"},
+        {"id": "local", "type": "llm", "base_url": "https://127.0.0.1:8000/v1"}])
+    path = write_config(tmp_path, cfg)
+    assert cli.validate_config(cli.RunConfig.from_file(path)) == [
+        f"predictor {pid!r}: llm base_url {url!r} is not an http:// or https:// URL with a host"
+        for pid, url in (("remote", "localhost:8000/v1"), ("hostless", "http:///v1"))]
+    assert cli.main(["validate-config", str(path)]) == 1
+
+
 def test_bad_match_constraint_fails_only_its_dataset(tmp_path):
     write_toy_files(tmp_path)
     rows = [[str(i % 7), "uv"[i % 2], "ab"[i % 3 == 0]] for i in range(40)]

@@ -146,8 +146,8 @@ def test_connection_error_is_retried():
         port = sock.getsockname()[1]
     client = client_for(f"http://127.0.0.1:{port}/v1/chat/completions", max_retries=2)
     attempts = []
-    post = client._session.post
-    client._session.post = lambda *a, **kw: attempts.append(1) or post(*a, **kw)
+    post = client._post
+    client._post = lambda *a, **kw: attempts.append(1) or post(*a, **kw)
     with pytest.raises(TransportError, match="3 attempts"):
         client.complete("p")
     assert len(attempts) == 3

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +232,45 @@ def test_ingest_regression(tmp_path):
     f = tmp_path / "r.csv"
     write_pred_csv(f, ["row_index", "estimate"], [[1, 3.25]])
     assert pr.ingest_predictions(f, d)[0].point_estimate == 3.25
+
+
+@pytest.mark.parametrize("row, problem", [
+    (["x", "0.5"], "invalid literal for int"),
+    (["1", "inf"], "finite estimate"),
+    (["1"], "1 fields where the header has 2"),
+], ids=["row-index-x", "estimate-inf", "short-row"])
+def test_ingest_error_names_file_and_line(tmp_path, row, problem):
+    d = make_dataset(num={"x": [1, 2, 3]}, label=[1.0, 2.0, 3.0], task="regression")
+    f = tmp_path / "r.csv"
+    write_pred_csv(f, ["row_index", "estimate"], [[0, 1.5], row])
+    with pytest.raises(ValueError, match=problem) as err:
+        pr.ingest_predictions(f, d)
+    assert str(err.value).startswith(f"{f}: line 3: ")
+
+
+@pytest.mark.parametrize("reply", ["1e999", "9" * 400], ids=["inf", "400-digits"])
+def test_non_finite_number_reply_is_parse_failure(reply):
+    from llm_stub import stub_server
+    with stub_server() as (state, url):
+        state.default = (200, f"about {reply}")
+        client = pr.LlmClient(pr.EndpointConfig(base_url=url, retry_backoff=0.01, timeout=5.0))
+        rec = client.predict("p", ds.TASK_REGRESSION, (), 2.5, 4, 8)
+    assert rec.flag == pr.FLAG_PARSE_FAILURE and rec.point_estimate == 2.5
+    assert pr.parse_number(reply) is None
+
+
+def test_import_loads_neither_requests_nor_http_modules():
+    """The package runs without ``requests``, and an import that makes no
+    endpoint request loads no HTTP or TLS module."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys; sys.modules['requests'] = None; import tabctx.cli; "
+            "print(sorted(m for m in ('http.client', 'ssl', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def rec_cls(idx, probs, pid="m"):
