@@ -16,7 +16,6 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from . import normalize as nz
 from .importance import IMPORTANCE_MODES
 from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient, PredictionRecord,
                          PromptOverflowError, PromptTemplate, context_rows_for_prompt, ensemble,
-                         fallback_record, fit_prompt, ingest_predictions, knn_predict)
+                         fallback_record, fit_prompt, ingest_predictions, knn_predict,
+                         url_problem)
 from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 from .util import dump_json, fmt_float, load_json, subseed
@@ -150,12 +150,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
         if ptype == "external" and not Path(p.get("path", "")).is_file():
             problems.append(f"predictor {pid!r}: prediction file missing")
         if ptype == "llm":
-            url = urlsplit(str(p.get("base_url", "")))
             if not p.get("base_url"):
                 problems.append(f"predictor {pid!r}: llm endpoint needs base_url")
-            elif url.scheme not in ("http", "https") or not url.netloc:
-                problems.append(f"predictor {pid!r}: llm base_url {p['base_url']!r} is not an "
-                                f"http:// or https:// URL with a host")
+            elif problem := url_problem(str(p["base_url"])):
+                problems.append(f"predictor {pid!r}: llm {problem}")
         if ptype == "ensemble":
             missing = [m for m in p.get("members", []) if m not in ids]
             if missing or not p.get("members"):
@@ -581,6 +579,17 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _parse_sizes(text: str) -> list[int]:
+    """The comma-separated ``--sizes`` entries as integers."""
+    sizes = []
+    for entry in text.split(","):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            raise ConfigError([f"--sizes entry {entry!r} is not an integer"]) from None
+    return sizes
+
+
 def _print_json(payload, path: str | None) -> int:
     text = json.dumps(payload, indent=2)
     if path:
@@ -638,7 +647,7 @@ def main(argv=None) -> int:
     if args.verb in ("run", "validate-config", "ablate", "scaling"):
         try:
             cfg = _load_config(args)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.verb == "validate-config":
@@ -655,7 +664,7 @@ def main(argv=None) -> int:
             print(f"ablation complete: {ablate(cfg, args.output_dir or 'ablation_out')}")
             return 0
         if args.verb == "scaling":
-            sizes = [int(s) for s in args.sizes.split(",")]
+            sizes = _parse_sizes(args.sizes)
             print(f"scaling sweep complete: {scaling(cfg, sizes, args.output_dir or 'scaling_out')}")
             return 0
     except ConfigError as exc:

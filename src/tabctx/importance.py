@@ -107,18 +107,20 @@ _RANK_BUCKET = 16
 
 
 def _max_abs_corr(F: np.ndarray, L: np.ndarray) -> float:
+    """Largest |r| between a column of F and a column of L; centres F in
+    place, which saves a copy the size of F."""
     n = F.shape[0]
     if n < 2:
         return 0.0
-    Fc = F - F.mean(axis=0)
+    F -= F.mean(axis=0)
     Lc = L - L.mean(axis=0)
-    sf = np.sqrt((Fc ** 2).sum(axis=0))
+    sf = np.sqrt((F ** 2).sum(axis=0))
     sl = np.sqrt((Lc ** 2).sum(axis=0))
     keep_f = sf > 0
     keep_l = sl > 0
     if not keep_f.any() or not keep_l.any():
         return 0.0
-    R = (Fc[:, keep_f].T @ Lc[:, keep_l]) / np.outer(sf[keep_f], sl[keep_l])
+    R = (F[:, keep_f].T @ Lc[:, keep_l]) / np.outer(sf[keep_f], sl[keep_l])
     return float(min(1.0, np.max(np.abs(R))))
 
 

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -200,6 +201,16 @@ class EndpointConfig:
     retry_backoff: float = 0.2
 
 
+def url_problem(base_url: str) -> str | None:
+    """Why the client cannot post to ``base_url``, or None when it is an
+    http:// or https:// URL with a host. ``validate_config`` and
+    ``LlmClient.complete`` both apply this one rule."""
+    url = urlsplit(base_url)
+    if url.scheme in ("http", "https") and url.netloc:
+        return None
+    return f"base_url {base_url!r} is not an http:// or https:// URL with a host"
+
+
 def parse_class(completion: str, class_labels: tuple[str, ...]) -> str | None:
     """Case-insensitive exact match after stripping whitespace, quotes, and
     trailing punctuation. Anything looser risks false positives."""
@@ -279,9 +290,13 @@ class LlmClient:
     def complete(self, prompt: str) -> str:
         """The completion text. Connection errors, timeouts, 429 and 5xx
         responses are retried; any other failure, and running out of
-        attempts, raises TransportError."""
+        attempts, raises TransportError, which a base_url that fails
+        ``url_problem`` raises before any request."""
         from http.client import HTTPException
         from urllib.error import HTTPError
+        problem = url_problem(self.cfg.base_url)
+        if problem:
+            raise TransportError(f"endpoint request failed: {problem}")
         body = json.dumps(self._payload(prompt), allow_nan=False).encode("utf-8")
         last: Exception | str | None = None
         for attempt in range(self.cfg.max_retries + 1):
@@ -299,7 +314,7 @@ class LlmClient:
             except (OSError, HTTPException) as exc:
                 last = exc
                 continue
-            except ValueError as exc:  # a URL with no scheme
+            except ValueError as exc:  # a request urllib rejects, e.g. a bad header
                 raise TransportError(f"endpoint request failed: {exc}") from exc
             try:
                 choice = json.loads(reply)["choices"][0]

@@ -26,6 +26,16 @@ one-query case, so every query gets the same context whatever block it
 is ranked in. A block holds at most ``BLOCK_PAIRS`` (query, pool row)
 pairs; with match constraints each query has its own eligible rows, so a
 block holds one query.
+
+Row distances are summed column by column: each feature's ``(queries,
+rows)`` squared distances are made once and added into running sums, one
+per weight vector, in the order numpy's pairwise summation adds the last
+axis of a contiguous array (``_summation_order``). The bits are those of
+``np.sqrt(np.sum(S * w, axis=-1))`` over the stacked ``(queries, rows,
+features)`` array, which is never built. That order is numpy's, not an API:
+``tests/golden.json`` records the numpy version its digests were made
+with, and ``tests/test_retrieval.py`` checks the sums against ``np.sum``
+bit for bit.
 """
 from __future__ import annotations
 
@@ -48,7 +58,7 @@ TAGS = (TAG_PEARSON, TAG_PPS, TAG_MERGED)
 
 # A ranking block holds at most this many (query, pool row) pairs: blocks
 # amortize per-call overhead over many queries on a small pool, and small
-# blocks keep the (queries, rows, features) distance array out of peak memory.
+# blocks keep the (queries, rows) columns and running sums out of peak memory.
 BLOCK_PAIRS = 8192
 
 
@@ -161,32 +171,85 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
 
 
 def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
-                       eligible: np.ndarray) -> np.ndarray:
-    """(queries, eligible rows) distances for one feature."""
+                       eligible: np.ndarray | slice) -> np.ndarray:
+    """(queries, eligible rows) distances for one feature; ``eligible``
+    indexes the pool's rows."""
     if feature in pool.codes:
         q = np.asarray([pool.dataset.code(feature, query.get(feature)) for query in queries])
         return (pool.codes[feature][eligible][None, :] != q[:, None]).astype(np.float64)
 
     raw_q = [query.get(feature, math.nan) for query in queries]
     qv = nz.apply_array(pool.stats[feature], [math.nan if v is None else float(v) for v in raw_q])
-    raw = np.abs(pool.normalized[feature][eligible][None, :] - qv[:, None])
-    present = np.isfinite(raw)
-    if pool.cfg.distance_minmax_rescale:
-        # min-max over each query's present values; when hi == lo every
-        # present value is lo, and (lo - lo) / 1 gives the 0
+    raw = pool.normalized[feature][eligible][None, :] - qv[:, None]
+    np.abs(raw, out=raw)
+    if not pool.cfg.distance_minmax_rescale:
+        raw[~np.isfinite(raw)] = 1.0
+        return raw
+    # min-max over each query's present (finite) values. fmin/fmax skip NaN,
+    # so they give the masked bounds unless an infinite distance reaches hi;
+    # then the block takes the masked reduce. When hi == lo every present
+    # value is lo, and (lo - lo) / 1 gives the 0.
+    lo = np.fmin.reduce(raw, axis=1, initial=np.inf, keepdims=True)
+    hi = np.fmax.reduce(raw, axis=1, initial=-np.inf, keepdims=True)
+    if (hi == np.inf).any():
+        present = np.isfinite(raw)
         lo = np.minimum.reduce(raw, axis=1, where=present, initial=np.inf, keepdims=True)
         hi = np.maximum.reduce(raw, axis=1, where=present, initial=-np.inf, keepdims=True)
-        with np.errstate(invalid="ignore"):  # inf - inf only on missing entries, set to 1 below
-            raw -= lo
-        raw /= np.where(hi > lo, hi - lo, 1.0)
-    raw[~present] = 1.0
-    return raw
+    with np.errstate(invalid="ignore"):  # inf - inf only on missing entries
+        raw -= lo
+    raw /= np.where(hi > lo, hi - lo, 1.0)
+    # a present entry is now in [0, 1] and a missing one NaN or inf, which fmin makes 1
+    return np.fmin(raw, 1.0, out=raw)
 
 
-def _row_distance(squared: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Summed along the last axis of a C-contiguous (..., rows, features) array:
-    # another layout or a matrix product adds in another order and changes the bits.
-    return np.sqrt(np.sum(squared * w, axis=-1))
+def _summation_order(lo: int, n: int) -> list[int | None]:
+    """numpy's pairwise summation of the terms ``lo .. lo + n - 1`` as a
+    postfix program: an int pushes that term, ``None`` replaces the top two
+    sums by their sum. Under 8 terms numpy adds in order; up to 128 it keeps
+    8 strided lanes, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    and adds the rest in order; above that it adds two halves split at a
+    multiple of 8. Each lane is summed before the next starts."""
+    def in_order(terms):
+        terms = list(terms)
+        return terms[:1] + [x for j in terms[1:] for x in (j, None)]
+
+    if n < 8:
+        return in_order(range(lo, lo + n))
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [in_order(range(lo + i, end, 8)) for i in range(8)]
+        lanes = (r[0] + r[1] + [None] + r[2] + r[3] + [None, None]
+                 + r[4] + r[5] + [None] + r[6] + r[7] + [None, None, None])
+        return lanes + [x for j in range(end, lo + n) for x in (j, None)]
+    half = n // 2 - n // 2 % 8
+    return _summation_order(lo, half) + _summation_order(lo + half, n - half) + [None]
+
+
+def _row_distances(squared_column, shape: tuple[int, ...], vectors: Sequence[np.ndarray]
+                   ) -> list[np.ndarray]:
+    """``sqrt(sum_j S_j * w[j])`` of the given shape for each weight vector
+    ``w``, where ``squared_column(j)`` returns a new array of feature ``j``'s
+    squared distances. Each column is made once and its terms go into running
+    sums in ``_summation_order``, the order ``np.sum(S * w, axis=-1)`` adds a
+    contiguous last axis, so the bits are the same, but the stacked
+    ``(..., features)`` array ``S`` is never built."""
+    stack: list[list[np.ndarray]] = []
+    spare: list[np.ndarray] = []  # buffers of popped sums, reused for new terms
+    for op in _summation_order(0, len(vectors[0])):
+        if op is None:
+            top = stack.pop()
+            for s, t in zip(stack[-1], top):
+                s += t
+            spare += top
+        else:
+            column = squared_column(op)
+            stack.append([np.multiply(column, w[op], out=spare.pop() if spare else None)
+                          for w in vectors])
+    sums, = stack or [[np.zeros(shape) for _ in vectors]]  # no features: all at distance 0
+    for s in sums:
+        s += 0.0  # numpy's sum starts from 0.0, which turns a -0.0 total into 0.0
+        np.sqrt(s, out=s)
+    return sums
 
 
 def _eligible_rows(pool: ContextPool, query: dict) -> np.ndarray:
@@ -258,15 +321,16 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
     cfg = pool.cfg
     eligible = _eligible_rows(pool, queries[0]) if cfg.match_constraints else np.arange(pool.size)
     n_queries, n_rows = len(queries), len(eligible)
+    # every row is eligible without constraints: a slice reads the columns without a copy
+    columns_at = eligible if cfg.match_constraints else slice(None)
 
-    D = np.empty((n_queries, n_rows, len(pool.features)))
-    for j, f in enumerate(pool.features):
-        D[:, :, j] = _feature_distances(pool, queries, f, eligible)
-    np.multiply(D, D, out=D)  # only the squares are used from here on
-    w_primary, w_secondary = pool.weight_vectors()
-    d_primary = _row_distance(D, w_primary)
-    d_secondary = None if w_secondary is None else _row_distance(D, w_secondary)
-    del D
+    def squared_column(j):
+        d = _feature_distances(pool, queries, pool.features[j], columns_at)
+        return np.multiply(d, d, out=d)
+
+    vectors = [w for w in pool.weight_vectors() if w is not None]
+    d_primary, *rest = _row_distances(squared_column, (n_queries, n_rows), vectors)
+    d_secondary = rest[0] if rest else None
     K = max(sizes)
 
     block = np.arange(n_queries)[:, None]

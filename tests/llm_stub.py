@@ -63,3 +63,4 @@ def stub_server():
         yield state, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     finally:
         server.shutdown()
+        server.server_close()

@@ -612,3 +612,19 @@ def test_manifest_records_coerced_cells(tmp_path):
     out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, base_config(tmp_path))))
     info = load_json(out / "manifest.json")["datasets"]["toy"]
     assert info["status"] == "ok" and info["coerced_cells"] == {"x1": 2}
+
+
+def test_missing_config_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["scaling", str(missing), "--sizes", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+def test_non_integer_scaling_size_is_an_error_line(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["scaling", str(path), "--sizes", "8,x", "-o", str(tmp_path / "sc")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
+    assert not (tmp_path / "sc").exists()

@@ -153,6 +153,19 @@ def test_connection_error_is_retried():
     assert len(attempts) == 3
 
 
+
+@pytest.mark.parametrize("url", ["localhost:8000/v1", "ftp://127.0.0.1/v1", "http:///v1", ""])
+def test_url_urllib_cannot_open_fails_at_once(url):
+    client = client_for(url, max_retries=2)
+    attempts = []
+    post = client._post
+    client._post = lambda *a, **kw: attempts.append(1) or post(*a, **kw)
+    with pytest.raises(TransportError, match="not an http:// or https:// URL"):
+        client.complete("p")
+    assert attempts == []
+    rec = client.predict("p", ds.TASK_CLASSIFICATION, ("a", "b"), 0.0, 2, 8)
+    assert rec.flag == "transport_error" and attempts == []
+
 def test_bounded_concurrency(stub):
     state, url = stub
     state.delay = 0.05

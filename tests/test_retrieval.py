@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabctx import dataset as ds
@@ -68,7 +68,9 @@ def test_rescale_off_keeps_raw():
 
 def row_distance(per_feature, w):
     D = np.asarray(per_feature, dtype=np.float64)
-    return rt._row_distance(D * D, np.asarray(w, dtype=np.float64))
+    squared = D * D
+    return rt._row_distances(lambda j: squared[..., j].copy(), D.shape[:-1],
+                             [np.asarray(w, dtype=np.float64)])[0]
 
 
 def test_aggregate_examples():
@@ -85,6 +87,84 @@ def test_aggregate_bound(rows, w1, w2):
     agg = row_distance(rows, w)
     assert np.all(agg >= 0)
     assert np.all(agg <= np.sqrt(w.sum()) + 1e-12)
+
+
+def summed_bits(n_features, shape, seed):
+    """The kernel's row distances and ``np.sqrt(np.sum(S * w, axis=-1))`` for
+    random squared distances S and two weight vectors, as int64 bits. Values
+    span many binades, with exact zeros and ones, so the order of the
+    additions shows in the last bits; one weight vector holds -0.0."""
+    rng = np.random.default_rng(seed)
+    S = rng.random((*shape, n_features)) * 10.0 ** rng.integers(-6, 7, (*shape, n_features))
+    S[rng.random(S.shape) < 0.1] = 0.0
+    S[rng.random(S.shape) < 0.1] = 1.0
+    w = [rng.random(n_features) * 10.0 ** rng.integers(-3, 4, n_features) for _ in range(2)]
+    w[1][rng.random(n_features) < 0.2] = -0.0
+    asked = []
+    got = rt._row_distances(lambda j: asked.append(j) or S[..., j].copy(), shape, w)
+    assert sorted(asked) == list(range(n_features))  # each column is made once
+    want = [np.sqrt(np.sum(S * v, axis=-1)) for v in w]
+    return [g.view(np.int64) for g in got], [x.view(np.int64) for x in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_features=st.integers(1, 300), n_queries=st.integers(1, 3), n_rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_features=7, n_queries=1, n_rows=3, seed=0)
+@example(n_features=8, n_queries=2, n_rows=3, seed=1)
+@example(n_features=128, n_queries=1, n_rows=5, seed=2)
+@example(n_features=129, n_queries=2, n_rows=2, seed=3)
+@example(n_features=300, n_queries=3, n_rows=4, seed=4)
+def test_row_distances_equal_numpy_sum_bits(n_features, n_queries, n_rows, seed):
+    got, want = summed_bits(n_features, (n_queries, n_rows), seed)
+    assert all(np.array_equal(g, x) for g, x in zip(got, want))
+
+
+def test_row_distances_equal_numpy_sum_bits_for_every_width():
+    for n_features in [*range(301), 512, 1000]:
+        got, want = summed_bits(n_features, (2, 3), n_features)
+        assert all(np.array_equal(g, x) for g, x in zip(got, want)), n_features
+
+
+def masked_rescale_reference(raw, rescale):
+    """Per-feature distances from the (queries, rows) absolute differences by
+    min-max over each query's finite values, with masked reductions; every
+    non-finite entry gives 1."""
+    raw = raw.copy()
+    present = np.isfinite(raw)
+    if rescale:
+        lo = np.minimum.reduce(raw, axis=1, where=present, initial=np.inf, keepdims=True)
+        hi = np.maximum.reduce(raw, axis=1, where=present, initial=-np.inf, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            raw -= lo
+        raw /= np.where(hi > lo, hi - lo, 1.0)
+    raw[~present] = 1.0
+    return raw
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 1.5e308, -1.5e308, 1e308, 0.0, -0.0, 1.0, 2.5, -3.0, 1e-300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(column=st.lists(st.sampled_from(SPECIAL) | st.floats(-1e6, 1e6), min_size=1, max_size=12),
+       queries=st.lists(st.sampled_from([None, *SPECIAL]) | st.floats(-1e6, 1e6),
+                        min_size=1, max_size=5),
+       norm=st.sampled_from(nz.MODES), rescale=st.booleans())
+@example(column=[1.5e308, -1.5e308, 0.0, np.nan, np.inf], queries=[1.5e308, np.nan, 1.0, None],
+         norm="none", rescale=True)
+@example(column=[np.nan, 2.0, np.nan], queries=[np.nan, 0.0], norm="none", rescale=True)
+def test_rescale_bounds_equal_masked_reduce(column, queries, norm, rescale):
+    d = make_dataset(num={"x": column}, label=np.zeros(len(column)), task="regression")
+    cfg = rt.RetrievalConfig(quota=1, importance_mode="uniform", numeric_norm=norm,
+                             distance_minmax_rescale=rescale)
+    pool = rt.build_pool(d, range(len(column)), cfg)
+    block = [{} if v is None else {"x": v} for v in queries]
+    with np.errstate(invalid="ignore", over="ignore"):
+        qv = nz.apply_array(pool.stats["x"], [np.nan if v is None else v for v in queries])
+        raw = np.abs(pool.normalized["x"][None, :] - qv[:, None])
+    got = rt._feature_distances(pool, block, "x", np.arange(pool.size))
+    want = masked_rescale_reference(raw, rescale)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def dual_test_dataset():
