@@ -68,14 +68,26 @@ per-leaf formulas, which ``tests/oracles.py`` keeps as references):
   and the tree is the one they give. Otherwise, as on every equal-cost tie
   (a leaf against an equal-cost split, constant labels), the whole (fold,
   feature) reruns the DP on ``_segment_costs_reg``, which keeps one
-  ``np.sum`` per segment. Leaf values are ``np.median`` of the chosen
-  segments either way.
+  ``np.sum`` per segment. Leaf values are the medians of the chosen
+  segments from the fast tables either way (the same bits).
+* The folds, each fold's fallback and the naive predictions' F1 or MAE are
+  computed once per ``pps_importance`` call, not per feature.
+* Classification trees need no sort. The thresholds put a row in the same
+  bin, ``searchsorted(thresholds, x, side="left")``, whichever fold it is
+  in; missing rows get a bin of their own. One ``bincount`` over (fold,
+  bin, class) gives every fold's training class counts per bin, as the
+  total minus that fold's slice. Their cumulative sum over bins is the
+  prefix count a stable sort of the fold's rows gives at each candidate
+  boundary, so the costs and leaf argmaxes are the same integers.
 * Categorical trees work on the table's int32 category codes over its
   sorted vocabulary (``Dataset.codes``), so code order is sorted token order;
   a category the training rows lack is never a candidate. Classification
-  costs come from one ``bincount`` of (code, class) pairs per fold, as
-  integer counts; regression costs from code masks. A tree predicts through
-  one code -> value array.
+  costs come from the same kind of table over (fold, code, class);
+  regression costs from code masks.
+* Each fold's tree predicts through one row of a (fold, bin or code) ->
+  value table, read at every row's own fold and cell. The weighted F1 comes
+  from one (true, predicted) count table, with the integer counts and the
+  float arithmetic of the per-class formula.
 
 Scores compare out-of-fold tree predictions with out-of-fold naive
 predictions (fold-train median / most frequent class):
@@ -168,16 +180,6 @@ def quantile_candidates(values: np.ndarray) -> np.ndarray:
     return np.unique(np.quantile(values, _QUANTILES))
 
 
-def _leaf_value_reg(y: np.ndarray, fallback: float) -> float:
-    return float(np.median(y)) if len(y) else fallback
-
-
-def _leaf_value_cls(codes: np.ndarray, n_classes: int, fallback: int) -> int:
-    if len(codes) == 0:
-        return fallback
-    return int(np.argmax(np.bincount(codes, minlength=n_classes)))
-
-
 def _segment_halves(y_sorted: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """For each non-empty segment (a, b) in zip(lo, hi): ``np.median(y_sorted[a:b])``,
     bit for bit, then the sum of its (b - a + 1) // 2 smallest labels and the
@@ -222,8 +224,9 @@ def _segment_halves(y_sorted: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     seen = np.cumsum(inside, axis=1) + (count[last, c] - count[first, c])[:, None]
     hit = np.argmax(seen >= need[:, None], axis=1)
     middle = ranked[ranks[np.arange(len(need)), hit]].reshape(2, -1)
-    # np.median takes the mean of the two middle values; they coincide when the size is odd
-    med = np.where(size % 2 == 1, middle[0], (middle[0] + middle[1]) / 2)
+    # np.median is np.mean of the middle value or the two middle values, a
+    # sum that starts at 0.0 (so a -0.0 middle gives 0.0)
+    med = np.where(size % 2 == 1, 0.0 + middle[0], (0.0 + middle[0] + middle[1]) / 2)
     # the lower half ends at the lower middle rank, the first len(lo) searches
     s = len(lo)
     upto = inside[:s] & (np.arange(w) <= hit[:s, None])
@@ -257,24 +260,26 @@ def _segment_costs_fast(y_sorted: np.ndarray, pos: np.ndarray):
     """``_segment_costs_reg`` up to rounding, from rank-bucket prefix sums:
     a segment's cost is its label sum minus twice its lower half's sum, plus
     the median when its size is odd (the lower half then holds the median).
-    Also returns the per-leaf error bound of the module docstring."""
+    Also returns the per-leaf error bound of the module docstring and every
+    non-empty segment's median (``np.median`` bits) at its (i, j)."""
     n = len(y_sorted)
     C, i, j = _segments(pos)
     med, lower, total = _segment_halves(y_sorted, pos[i], pos[j])
     C[i, j] = (total - 2 * lower) + np.where((pos[j] - pos[i]) % 2 == 1, med, 0.0)
+    medians = np.zeros_like(C)
+    medians[i, j] = med
     k = 4 * n + 64
     g = 2 * k * _UNIT / (1 - k * _UNIT)
-    return C, g * (17 * float(np.sum(np.abs(y_sorted))) + 5 * n * float(np.max(np.abs(y_sorted))))
+    bound = g * (17 * float(np.sum(np.abs(y_sorted))) + 5 * n * float(np.max(np.abs(y_sorted))))
+    return C, bound, medians
 
 
-def _segment_costs_cls(codes_sorted: np.ndarray, pos: np.ndarray, n_classes: int) -> np.ndarray:
-    pref = np.zeros((n_classes, len(codes_sorted) + 1), dtype=np.int64)
-    for c in range(n_classes):
-        pref[c, 1:] = np.cumsum(codes_sorted == c)
-    P = pref[:, pos]
-    counts = P[:, None, :] - P[:, :, None]
-    sizes = pos[None, :] - pos[:, None]
-    C = (sizes - counts.max(axis=0)).astype(np.float64)
+def _segment_costs_cls(cum: np.ndarray) -> np.ndarray:
+    """Leaf cost of every run of bins i .. j - 1, i < j, from ``cum[k]``, the
+    class counts of the rows in bins below k: the rows outside the run's
+    majority class, as integers. inf on and below the diagonal."""
+    counts = cum.T[:, None, :] - cum.T[:, :, None]
+    C = (counts.sum(axis=0) - counts.max(axis=0)).astype(np.float64)
     C[np.tril_indices_from(C)] = np.inf
     return C
 
@@ -323,6 +328,45 @@ def _decided(C, tables, bound, i, j, d) -> bool:
     return _decided(C, tables, bound, i, k, d - 1) and _decided(C, tables, bound, k, j, d - 1)
 
 
+def _boundaries(C: np.ndarray, tables: list[np.ndarray]) -> list[int]:
+    """The fitted tree's inner boundaries, ascending: boundary k separates
+    bin k - 1 from bin k, at threshold ``thresholds[k - 1]``."""
+    chosen: list[int] = []
+    _extract_boundaries(C, tables, 0, len(C) - 1, TREE_DEPTH, chosen)
+    return chosen
+
+
+def _reg_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray, fallback):
+    """Boundaries and leaf values of the regression tree on finite, stable-sorted
+    ``xs`` with labels ``ysrt`` in the same order."""
+    pos = np.concatenate([[0], np.searchsorted(xs, thresholds, side="right"), [len(xs)]]).astype(np.int64)
+    C, bound, medians = _segment_costs_fast(ysrt, pos)
+    tables = _depth_tables(C)
+    if not _decided(C, tables, bound, 0, len(pos) - 1, TREE_DEPTH):
+        C = _segment_costs_reg(ysrt, pos)
+        tables = _depth_tables(C)
+    chosen = _boundaries(C, tables)
+    edges = [0, *chosen, len(pos) - 1]
+    return chosen, [medians[a, b] if pos[b] > pos[a] else fallback for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _cls_tree(counts: np.ndarray, fallback: int):
+    """Boundaries and leaf classes of the classification tree from
+    ``counts[bin, class]``, the training rows' class counts per bin."""
+    cum = np.zeros((len(counts) + 1, counts.shape[1]), dtype=np.int64)
+    np.cumsum(counts, axis=0, out=cum[1:])
+    C = _segment_costs_cls(cum)
+    chosen = _boundaries(C, _depth_tables(C))
+    edges = [0, *chosen, len(counts)]
+    leaves = cum[edges[1:]] - cum[edges[:-1]]
+    return chosen, [int(np.argmax(c)) if c.any() else fallback for c in leaves]
+
+
+def _by_bin(chosen: list[int], leaves: list, n_bins: int) -> np.ndarray:
+    """Each bin's leaf value."""
+    return np.repeat(leaves, np.diff([0, *chosen, n_bins]))
+
+
 @dataclass
 class _NumericTree:
     thresholds: np.ndarray
@@ -343,61 +387,26 @@ def fit_numeric_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray,
     """Optimal depth-limited quantile tree on one numeric feature; ``xs`` must
     be finite and in stable-sorted order, ``ysrt`` in the same order.
     Classification when n_classes is given (ysrt holds class codes)."""
-    pos = np.concatenate([[0], np.searchsorted(xs, thresholds, side="right"), [len(xs)]]).astype(np.int64)
     if n_classes is None:
-        C, bound = _segment_costs_fast(ysrt, pos)
-        tables = _depth_tables(C)
-        if not _decided(C, tables, bound, 0, len(pos) - 1, TREE_DEPTH):
-            C = _segment_costs_reg(ysrt, pos)
-            tables = _depth_tables(C)
+        chosen, leaves = _reg_tree(xs, ysrt, thresholds, fallback)
     else:
-        C = _segment_costs_cls(ysrt, pos, n_classes)
-        tables = _depth_tables(C)
-    chosen: list[int] = []
-    _extract_boundaries(C, tables, 0, len(pos) - 1, TREE_DEPTH, chosen)
-    bounds = np.asarray([thresholds[k - 1] for k in chosen], dtype=np.float64)
-    edges = [0] + [pos[k] for k in chosen] + [len(xs)]
-    leaves = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        seg = ysrt[a:b]
-        if n_classes is None:
-            leaves.append(_leaf_value_reg(seg, fallback))
-        else:
-            leaves.append(_leaf_value_cls(seg.astype(np.int64), n_classes, fallback))
+        bins = np.searchsorted(thresholds, xs, side="left")
+        counts = np.bincount(bins * n_classes + np.asarray(ysrt, dtype=np.int64),
+                             minlength=(len(thresholds) + 1) * n_classes).reshape(-1, n_classes)
+        chosen, leaves = _cls_tree(counts, fallback)
     dtype = np.float64 if n_classes is None else np.int64
-    return _NumericTree(bounds, np.asarray(leaves, dtype=dtype), fallback)
+    return _NumericTree(thresholds[np.asarray(chosen, dtype=np.int64) - 1],
+                        np.asarray(leaves, dtype=dtype), fallback)
 
 
 def _l1_cost(y: np.ndarray) -> float:
     return float(np.sum(np.abs(y - np.median(y)))) if len(y) else 0.0
 
 
-def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
-                         n_classes: int | None, fallback) -> np.ndarray:
-    """Greedy one-vs-rest tree on category codes (0 .. n_codes - 1, in
-    sorted token order); returns the predicted value for every code.
-    Classification when n_classes is given (y holds class codes)."""
-    present = np.flatnonzero(np.bincount(codes, minlength=n_codes))
-    if n_classes is None:
-        iso_cost = {int(c): _l1_cost(y[codes == c]) for c in present}
-
-        def step_costs(isolated, cand):
-            base = sum(iso_cost[k] for k in isolated)
-            rest = ~np.isin(codes, isolated)
-            return np.asarray([base + iso_cost[int(c)] + _l1_cost(y[rest & (codes != c)])
-                               for c in cand])
-
-        current = _l1_cost(y)
-    else:
-        counts = np.bincount(codes * n_classes + y, minlength=n_codes * n_classes
-                             ).reshape(n_codes, n_classes)
-        iso_cost = counts.sum(axis=1) - counts.max(axis=1)
-
-        def step_costs(isolated, cand):
-            rest = counts.sum(axis=0) - counts[isolated].sum(axis=0) - counts[cand]
-            return iso_cost[isolated].sum() + iso_cost[cand] + rest.sum(axis=1) - rest.max(axis=1)
-
-        current = len(y) - counts.sum(axis=0).max()
+def _isolate(present: np.ndarray, step_costs, current) -> list[int]:
+    """The greedy one-vs-rest choice: at most ``TREE_DEPTH`` times, isolate
+    the candidate code whose ``step_costs`` is least (the first in code order
+    on ties), while it is strictly below the current cost."""
     isolated: list[int] = []
     for _ in range(TREE_DEPTH):
         cand = np.setdiff1d(present, isolated)
@@ -409,14 +418,48 @@ def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
             break
         isolated.append(int(cand[k]))
         current = costs[k]
+    return isolated
+
+
+def _categorical_cls(counts: np.ndarray, fallback: int) -> np.ndarray:
+    """The classification tree's class for every code, from
+    ``counts[code, class]``, the training rows' class counts per code."""
+    total = counts.sum(axis=0)
+    iso_cost = counts.sum(axis=1) - counts.max(axis=1)
+
+    def step_costs(isolated, cand):
+        rest = total - counts[isolated].sum(axis=0) - counts[cand]
+        return iso_cost[isolated].sum() + iso_cost[cand] + rest.sum(axis=1) - rest.max(axis=1)
+
+    isolated = _isolate(np.flatnonzero(counts.sum(axis=1)), step_costs, total.sum() - total.max())
+    rest = total - counts[isolated].sum(axis=0)
+    values = np.full(len(counts), int(np.argmax(rest)) if rest.any() else fallback, dtype=np.int64)
+    values[isolated] = counts[isolated].argmax(axis=1)
+    return values
+
+
+def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
+                         n_classes: int | None, fallback) -> np.ndarray:
+    """Greedy one-vs-rest tree on category codes (0 .. n_codes - 1, in
+    sorted token order); returns the predicted value for every code.
+    Classification when n_classes is given (y holds class codes)."""
+    if n_classes is not None:
+        return _categorical_cls(np.bincount(codes * n_classes + y, minlength=n_codes * n_classes
+                                            ).reshape(n_codes, n_classes), fallback)
+    present = np.flatnonzero(np.bincount(codes, minlength=n_codes))
+    iso_cost = {int(c): _l1_cost(y[codes == c]) for c in present}
+
+    def step_costs(isolated, cand):
+        base = sum(iso_cost[k] for k in isolated)
+        rest = ~np.isin(codes, isolated)
+        return np.asarray([base + iso_cost[int(c)] + _l1_cost(y[rest & (codes != c)])
+                           for c in cand])
+
+    isolated = _isolate(present, step_costs, _l1_cost(y))
     rest = y[~np.isin(codes, isolated)]
-    if n_classes is None:
-        values = np.full(n_codes, _leaf_value_reg(rest, fallback))
-        for c in isolated:
-            values[c] = _leaf_value_reg(y[codes == c], fallback)
-    else:
-        values = np.full(n_codes, _leaf_value_cls(rest, n_classes, fallback), dtype=np.int64)
-        values[isolated] = counts[isolated].argmax(axis=1)
+    values = np.full(n_codes, float(np.median(rest)) if len(rest) else fallback)
+    for c in isolated:
+        values[c] = np.median(y[codes == c])
     return values
 
 
@@ -425,14 +468,18 @@ def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
 
 
 def weighted_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
+    """Support-weighted mean of the per-class F1, from one (true, predicted)
+    count table."""
     n = len(y_true)
+    confusion = np.bincount(np.asarray(y_true, dtype=np.int64) * n_classes + y_pred,
+                            minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    supports, tps, predicted = (v.tolist() for v in (confusion.sum(axis=1), np.diag(confusion),
+                                                     confusion.sum(axis=0)))
     total = 0.0
-    for c in range(n_classes):
-        support = int(np.sum(y_true == c))
+    for support, tp, pred in zip(supports, tps, predicted):
         if support == 0:
             continue
-        tp = int(np.sum((y_true == c) & (y_pred == c)))
-        fp = int(np.sum((y_true != c) & (y_pred == c)))
+        fp = pred - tp
         fn = support - tp
         p = tp / (tp + fp) if tp + fp else 0.0
         r = tp / (tp + fn) if tp + fn else 0.0
@@ -441,58 +488,74 @@ def weighted_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float
     return total
 
 
-def _score_from_folds(y, tree_preds, naive_preds, n_classes: int | None) -> float:
+def _quality(y: np.ndarray, preds: np.ndarray, n_classes: int | None) -> float:
+    """MAE (regression) or weighted F1 (classification) of ``preds``."""
     if n_classes is None:
-        mae_naive = float(np.mean(np.abs(naive_preds - y)))
-        if mae_naive == 0.0:
-            return 0.0
-        mae_tree = float(np.mean(np.abs(tree_preds - y)))
-        return max(0.0, 1.0 - mae_tree / mae_naive)
-    f1_naive = weighted_f1(y, naive_preds, n_classes)
-    if f1_naive >= 1.0:
-        return 0.0
-    f1_tree = weighted_f1(y, tree_preds, n_classes)
-    return max(0.0, (f1_tree - f1_naive) / (1.0 - f1_naive))
+        return float(np.mean(np.abs(preds - y)))
+    return weighted_f1(y, preds, n_classes)
 
 
-def _pps_single(values: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
-                n_classes: int | None, numeric: bool) -> float:
+@dataclass
+class _Folds:
+    """The cross validation every feature shares: the labels (class codes
+    for classification), each row's validation fold, each fold's fallback
+    (fold-train median or modal class) and the naive predictions' quality."""
+    y: np.ndarray
+    n_classes: int | None
+    fold_of: np.ndarray
+    fallback: np.ndarray
+    naive: float
+
+    def score(self, tree_preds: np.ndarray) -> float:
+        tree = _quality(self.y, tree_preds, self.n_classes)
+        if self.n_classes is None:
+            return 0.0 if self.naive == 0.0 else max(0.0, 1.0 - tree / self.naive)
+        return 0.0 if self.naive >= 1.0 else max(0.0, (tree - self.naive) / (1.0 - self.naive))
+
+
+def _pps_single(values: np.ndarray, numeric: bool, cv: _Folds) -> float:
     """Score of one feature: ``values`` are the raw numbers of a numerical
     feature or the category codes of a categorical one."""
-    n = len(y)
-    tree_preds = np.empty(n, dtype=np.float64 if n_classes is None else np.int64)
-    naive_preds = np.empty_like(tree_preds)
+    y, fold_of, n_folds = cv.y, cv.fold_of, len(cv.fallback)
     if numeric:
         x = np.asarray(values, dtype=np.float64)
         finite = np.isfinite(x)
         if not finite.any():
             return 0.0
         thresholds = quantile_candidates(x[finite])
+        # a row's bin is the same in every fold; missing values get the last one
+        n_cells = len(thresholds) + 2
+        cells = np.where(finite, np.searchsorted(thresholds, x, side="left"), n_cells - 1)
+    else:
+        n_cells = int(values.max()) + 1
+        cells = values
+    # table[f, cell]: fold f's tree prediction for a row in this cell
+    table = np.repeat(cv.fallback[:, None], n_cells, axis=1)
+    if cv.n_classes is not None:
+        k = cv.n_classes
+        counts = np.bincount((fold_of * n_cells + cells) * k + y, minlength=n_folds * n_cells * k
+                             ).reshape(n_folds, n_cells, k)
+        # fold f's training counts: every row's minus its own validation rows'
+        for f, train in enumerate(counts.sum(axis=0) - counts):
+            if numeric:
+                table[f, :-1] = _by_bin(*_cls_tree(train[:-1], cv.fallback[f]), n_cells - 1)
+            else:
+                table[f] = _categorical_cls(train, cv.fallback[f])
+    elif numeric:
         # a stable sort of a subset is the subset's subsequence of the stable
         # sort of all rows, so every fold reads its order from this one
         order_all = np.argsort(x, kind="stable")
-    for val_idx in folds:
-        val_mask = np.zeros(n, dtype=bool)
-        val_mask[val_idx] = True
-        yt = y[~val_mask]
-        if n_classes is None:
-            fallback = float(np.median(yt))
-        else:
-            fallback = int(np.argmax(np.bincount(yt, minlength=n_classes)))
-        naive_preds[val_mask] = fallback
-        if numeric:
-            fit_rows = ~val_mask & finite
-            if not fit_rows.any() or len(thresholds) == 0:
-                tree_preds[val_mask] = fallback
-            else:
+        for f in range(n_folds):
+            fit_rows = (fold_of != f) & finite
+            if fit_rows.any():
                 order = order_all[fit_rows[order_all]]
-                tree = fit_numeric_tree(x[order], y[order], thresholds, n_classes, fallback)
-                tree_preds[val_mask] = tree.predict(x[val_mask])
-        else:
-            by_code = fit_categorical_tree(values[~val_mask], yt, int(values.max()) + 1,
-                                           n_classes, fallback)
-            tree_preds[val_mask] = by_code[values[val_mask]]
-    return _score_from_folds(y, tree_preds, naive_preds, n_classes)
+                table[f, :-1] = _by_bin(*_reg_tree(x[order], y[order], thresholds, cv.fallback[f]),
+                                        n_cells - 1)
+    else:
+        for f in range(n_folds):
+            train = fold_of != f
+            table[f] = fit_categorical_tree(values[train], y[train], n_cells, None, cv.fallback[f])
+    return cv.score(table[fold_of, cells])
 
 
 def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
@@ -503,16 +566,23 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
         raise ValueError("cv_folds must be at least 2")
     if len(rows) < cv_folds:
         raise ValueError("need at least cv_folds training rows")
-    folds = kfold_indices(len(rows), cv_folds, subseed(seed, "pps-folds"))
+    fold_of = np.empty(len(rows), dtype=np.int64)
+    for f, val_idx in enumerate(kfold_indices(len(rows), cv_folds, subseed(seed, "pps-folds"))):
+        fold_of[val_idx] = f
     if d.task == ds.TASK_REGRESSION:
         y = np.asarray(d.labels()[rows], dtype=np.float64)
         n_classes = None
+        fallback = np.asarray([np.median(y[fold_of != f]) for f in range(cv_folds)])
     else:
-        y = d.class_codes()[rows]
+        y = d.class_codes()[rows].astype(np.int64)
         n_classes = len(d.class_labels)
+        counts = np.bincount(fold_of * n_classes + y, minlength=cv_folds * n_classes
+                             ).reshape(cv_folds, n_classes)
+        fallback = np.argmax(counts.sum(axis=0) - counts, axis=1)
+    cv = _Folds(y, n_classes, fold_of, fallback, _quality(y, fallback[fold_of], n_classes))
     out = {}
     for col in d.feature_columns:
         numeric = col.kind == ds.KIND_NUMERICAL
         values = d.column(col.name)[rows] if numeric else d.codes(col.name)[rows]
-        out[col.name] = float(min(1.0, _pps_single(values, y, folds, n_classes, numeric)))
+        out[col.name] = float(min(1.0, _pps_single(values, numeric, cv)))
     return out

@@ -5,9 +5,16 @@ Quantile mode is an interpolated empirical CDF over a sorted knot sample
 columns (all missing, or a single distinct value) normalize to a constant,
 0.5 for the bounded modes and 0 for standard mode, for every input including
 NaN, so their distance contribution between any two rows is zero.
+
+Standard and minmax statistics are fitted on the column as given, unless
+its spread overflows a float there (cells near the float limit). Then the
+column is scaled by a power of two, which is exact, so that its largest
+magnitude is below 1, and the statistics and every normalized value use the
+scaled numbers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +41,9 @@ class ColumnStats:
     stddev: float = 0.0
     vmin: float = 0.0
     vmax: float = 0.0
+    # standard and minmax read values as v * 2**-exponent; 0 unless the
+    # column's spread overflows a float
+    exponent: int = 0
 
     @cached_property
     def quantile_grid(self) -> np.ndarray:
@@ -61,13 +71,27 @@ def fit_column(name: str, values: np.ndarray, mode: str) -> ColumnStats:
         else:
             knots = srt
         return ColumnStats(column=name, mode=mode, degenerate=degenerate, quantile_knots=knots)
+    exponent = 0
     if mode == MODE_STANDARD:
-        mean = float(np.mean(vals))
-        std = float(np.std(vals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(np.mean(vals)), float(np.std(vals))
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            exponent = _exponent(srt)
+            vals = np.ldexp(vals, -exponent)
+            mean, std = float(np.mean(vals)), float(np.std(vals))
         return ColumnStats(column=name, mode=mode, degenerate=bool(std == 0.0),
-                           mean=mean, stddev=std)
+                           mean=mean, stddev=std, exponent=exponent)
+    vmin, vmax = float(srt[0]), float(srt[-1])
+    if math.isinf(vmax - vmin):
+        exponent = _exponent(srt)
+        vmin, vmax = math.ldexp(vmin, -exponent), math.ldexp(vmax, -exponent)
     return ColumnStats(column=name, mode=mode, degenerate=degenerate,
-                       vmin=float(srt[0]), vmax=float(srt[-1]))
+                       vmin=vmin, vmax=vmax, exponent=exponent)
+
+
+def _exponent(srt: np.ndarray) -> int:
+    """The least e with every |value| below 2**e, for a sorted column."""
+    return math.frexp(max(-float(srt[0]), float(srt[-1])))[1]
 
 
 def fit_stats(d: ds.Dataset, train_rows, mode: str = MODE_QUANTILE,
@@ -92,8 +116,13 @@ def apply_array(stats: ColumnStats, values) -> np.ndarray:
         return np.full_like(v, const)
     if stats.mode == MODE_QUANTILE:
         return np.interp(v, stats.quantile_knots, stats.quantile_grid)
+    if stats.exponent:
+        v = np.ldexp(v, -stats.exponent)
     if stats.mode == MODE_STANDARD:
         return (v - stats.mean) / stats.stddev
-    out = (v - stats.vmin) / (stats.vmax - stats.vmin)
+    # a value far outside the fitted range overflows to +-inf, which the
+    # clip maps to 1 or 0
+    with np.errstate(over="ignore"):
+        out = (v - stats.vmin) / (stats.vmax - stats.vmin)
     return np.clip(out, 0.0, 1.0)
 

@@ -142,8 +142,13 @@ def serialize_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]],
     return _compose(tmpl, *_row_lines(tmpl, rows, query, features, label_name))
 
 
+def _tokens(length: int, chars_per_token: float) -> int:
+    """The token estimate of a text of ``length`` characters."""
+    return math.ceil(length / chars_per_token)
+
+
 def estimate_tokens(text: str, chars_per_token: float = 4.0) -> int:
-    return math.ceil(len(text) / chars_per_token)
+    return _tokens(len(text), chars_per_token)
 
 
 class PromptOverflowError(ValueError):
@@ -163,7 +168,7 @@ def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dic
     # joined[k]: length of the first k lines joined by newlines, plus one
     joined = [0, *accumulate(len(line) + 1 for line in lines)]
     kept = len(lines)
-    while math.ceil((bare + per_copy * max(joined[kept] - 1, 0)) / tmpl.chars_per_token) > token_budget:
+    while _tokens(bare + per_copy * max(joined[kept] - 1, 0), tmpl.chars_per_token) > token_budget:
         if kept == 0:
             raise PromptOverflowError("query row alone exceeds the token budget")
         kept -= 1

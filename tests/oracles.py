@@ -399,24 +399,31 @@ def exhaustive_tree_score(x: np.ndarray, y: np.ndarray, n_classes: int | None,
         for i in val:
             tree_preds[i] = predict(x[i] if categorical else float(x[i]))
             naive_preds[i] = fallback
+    return _oracle_score(y, tree_preds, naive_preds, n_classes)
+
+
+def _oracle_score(y, tree_preds, naive_preds, n_classes: int | None) -> float:
+    """The naive-normalized score of out-of-fold tree predictions."""
     if n_classes is None:
         mae_naive = float(np.mean([abs(p - t) for p, t in zip(naive_preds, y)]))
         if mae_naive == 0.0:
             return 0.0
         mae_tree = float(np.mean([abs(p - t) for p, t in zip(tree_preds, y)]))
         return max(0.0, 1.0 - mae_tree / mae_naive)
-    f1n = _oracle_f1w(list(y), naive_preds, n_classes)
+    f1n = _oracle_f1w(list(y), list(naive_preds), n_classes)
     if f1n >= 1.0:
         return 0.0
-    f1t = _oracle_f1w(list(y), tree_preds, n_classes)
+    f1t = _oracle_f1w(list(y), list(tree_preds), n_classes)
     return max(0.0, (f1t - f1n) / (1.0 - f1n))
 
 
 def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
                                 seed: int = 0) -> dict[str, float]:
-    """PPS of each numerical feature with each fold's finite training rows
-    stable-sorted on their own, one sort per fold and feature. Tree fitting
-    and scoring are the library's, so only the sort differs from it."""
+    """PPS of each feature with one tree per fold fitted on that fold's
+    gathered training rows: a numerical feature's finite rows stable-sorted on
+    their own, a categorical feature's codes and labels passed to
+    ``fit_categorical_tree``. The single-tree fits are the library's; the
+    folds' shared counts, the predictions and the scores are not."""
     from tabctx import importance as imp
 
     rows = np.asarray(train_rows, dtype=np.int64)
@@ -428,12 +435,17 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
         y = np.asarray([d.class_labels.index(v) for v in d.labels()[rows]], dtype=np.int64)
         n_classes = len(d.class_labels)
     out = {}
-    for name in d.numerical_features:
-        x = np.asarray(d.column(name)[rows], dtype=np.float64)
-        if not np.isfinite(x).any():
-            out[name] = 0.0
-            continue
-        thresholds = imp.quantile_candidates(x[np.isfinite(x)])
+    for col in d.feature_columns:
+        name = col.name
+        numeric = col.kind == ds.KIND_NUMERICAL
+        if numeric:
+            x = np.asarray(d.column(name)[rows], dtype=np.float64)
+            if not np.isfinite(x).any():
+                out[name] = 0.0
+                continue
+            thresholds = imp.quantile_candidates(x[np.isfinite(x)])
+        else:
+            codes = np.asarray(d.codes(name)[rows], dtype=np.int64)
         tree_preds = np.empty(n, dtype=y.dtype)
         naive_preds = np.empty_like(tree_preds)
         for val_idx in folds:
@@ -443,6 +455,11 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
             fallback = (float(np.median(yt)) if n_classes is None
                         else int(np.argmax(np.bincount(yt, minlength=n_classes))))
             naive_preds[val] = fallback
+            if not numeric:
+                by_code = imp.fit_categorical_tree(codes[~val], yt, int(codes.max()) + 1,
+                                                   n_classes, fallback)
+                tree_preds[val] = by_code[codes[val]]
+                continue
             xt = x[~val]
             ft = np.isfinite(xt)
             if not ft.any() or len(thresholds) == 0:
@@ -451,7 +468,7 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
             order = np.argsort(xt[ft], kind="stable")
             tree = imp.fit_numeric_tree(xt[ft][order], yt[ft][order], thresholds, n_classes, fallback)
             tree_preds[val] = tree.predict(x[val])
-        out[name] = float(min(1.0, imp._score_from_folds(y, tree_preds, naive_preds, n_classes)))
+        out[name] = float(min(1.0, _oracle_score(y, tree_preds, naive_preds, n_classes)))
     return out
 
 

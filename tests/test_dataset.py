@@ -297,6 +297,14 @@ def test_external_split_test_cap():
     assert set(s1.test.tolist()) <= set(test_idx)
 
 
+def test_split_assignment_sorts_and_dedupes():
+    s = ds.SplitAssignment(train=[3, 1, 1, 2], validation=[], test=np.array([7, 5, 5]), seed=0)
+    assert s.train.tolist() == [1, 2, 3] and s.test.tolist() == [5, 7]
+    assert s.validation.dtype == s.train.dtype == np.int64 and len(s.validation) == 0
+    with pytest.raises(ValueError, match="overlap"):
+        ds.SplitAssignment(train=[0], validation=[4, 2, 2], test=[2], seed=0)
+
+
 def test_split_file_round_trip(tmp_path):
     s = ds.SplitAssignment(train=np.array([0, 1]), validation=np.array([2]),
                            test=np.array([3]), seed=7)

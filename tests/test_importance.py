@@ -2,12 +2,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabctx import dataset as ds
 from tabctx import importance as imp
-from tabctx.util import rng_for
+from tabctx.util import kfold_indices, rng_for, subseed
 from conftest import make_dataset
 from oracles import (categorical_tree_reference, exhaustive_tree_score, pps_per_fold_sort_reference,
                      segment_costs_reg_reference)
@@ -129,14 +129,47 @@ def test_pps_matches_per_fold_sort_reference(seed, regression):
             "gappy": gappy,
             "signed_zero": rng.choice([-0.0, 0.0, 1.0], size=n),  # -0.0 == 0.0 ties
             "one_fold_finite": np.where(np.arange(n) < n // 5, rng.normal(size=n), np.nan)}
+    cats = {"token": rng.choice(["a", "b", "c", "d", "e"], size=n)}
     if regression:
-        d = make_dataset(num=cols, label=cols["tied"] + rng.normal(size=n), task="regression")
+        d = make_dataset(num=cols, cat=cats, label=cols["tied"] + rng.normal(size=n), task="regression")
     else:
-        d = make_dataset(num=cols, label=[str(v) for v in rng.integers(0, 3, size=n)])
+        d = make_dataset(num=cols, cat=cats, label=[str(v) for v in rng.integers(0, 3, size=n)])
     fold_seed = int(rng.integers(100))
     got = imp.pps_importance(d, range(n), seed=fold_seed)
     want = pps_per_fold_sort_reference(d, range(n), seed=fold_seed)
     assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 5))
+def test_classification_pps_matches_per_fold_reference(seed, n_classes):
+    # the count tables against one tree per fold on gathered rows; one class
+    # only makes the naive F1 1 and every score 0
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 160))
+    table_rows = n + int(rng.integers(0, 20))
+    rows = np.sort(rng.choice(table_rows, size=n, replace=False))
+    fold_seed = int(rng.integers(100))
+    folds = kfold_indices(n, 4, subseed(fold_seed, "pps-folds"))
+    labels = rng.integers(0, n_classes, size=table_rows)
+    in_fold = [np.isin(np.arange(table_rows), rows[f]) for f in folds]
+    gappy = rng.normal(size=table_rows)
+    gappy[rng.random(table_rows) < 0.3] = np.nan
+    num = {"fold_only": np.where(in_fold[0], rng.normal(size=table_rows), np.nan),  # fold 0 trains on none
+           "far_apart": rng.choice([0.0, 1.0, 1e3], size=table_rows),  # empty quantile bins
+           "signed_zero": rng.choice([-0.0, 0.0, 1.0], size=table_rows),  # -0.0 == 0.0 ties
+           "gappy": gappy,
+           "noisy_label": labels + rng.normal(size=table_rows)}
+    token = rng.choice(["a", "b", "c", ds.MISSING_TOKEN], size=table_rows).astype(object)
+    token[in_fold[1]] = np.where(rng.random(in_fold[1].sum()) < 0.3, "only_in_fold_1", token[in_fold[1]])
+    token[rows[0]] = "once"
+    cat = {"token": token, "from_label": np.where(rng.random(table_rows) < 0.8, labels, 0)}
+    d = make_dataset(num=num, cat=cat, label=[f"y{v}" for v in labels])
+    got = imp.pps_importance(d, rows, seed=fold_seed)
+    want = pps_per_fold_sort_reference(d, rows, seed=fold_seed)
+    assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
+    if len(set(labels[rows].tolist())) == 1:
+        assert set(got.values()) == {0.0}
 
 
 def _bits(values) -> np.ndarray:
@@ -151,6 +184,9 @@ labels_strategy = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(labels_strategy, st.lists(st.integers(0, 80), max_size=10))
+@example([-0.0], [])  # np.median gives 0.0
+@example([-0.0, -0.0, 1.0, -0.0], [2])
+@example([-5e-324, -0.0], [])  # np.median gives -0.0
 def test_segment_costs_match_per_segment_median(labels, cuts):
     # odd and even segment sizes, and empty segments from repeated boundaries
     y = np.asarray(labels, dtype=np.float64)
@@ -158,6 +194,10 @@ def test_segment_costs_match_per_segment_median(labels, cuts):
     got = imp._segment_costs_reg(y, pos)
     want = segment_costs_reg_reference(y, pos)
     assert np.array_equal(_bits(got), _bits(want))
+    medians = imp._segment_costs_fast(y, pos)[2]
+    for i, j in zip(*np.triu_indices(len(pos), 1)):
+        if pos[j] > pos[i]:
+            assert _bits(medians[i, j]) == _bits(np.median(y[pos[i]:pos[j]]))
 
 
 def test_segment_costs_on_a_large_tied_fold():
@@ -321,7 +361,7 @@ def test_numeric_tree_equals_exact_cost_tree(case):
 def test_fast_segment_costs_within_their_bound(labels, cuts):
     y = np.asarray(labels, dtype=np.float64)
     pos = np.asarray(sorted([0, len(y)] + [min(c, len(y)) for c in cuts]), dtype=np.int64)
-    fast, bound = imp._segment_costs_fast(y, pos)
+    fast, bound, _ = imp._segment_costs_fast(y, pos)
     exact = imp._segment_costs_reg(y, pos)
     assert np.array_equal(np.isinf(fast), np.isinf(exact))
     finite = np.isfinite(exact)

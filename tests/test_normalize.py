@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,21 @@ def test_minmax_clamps():
     assert norm(s, 5.0) == 0.5
     assert norm(s, -1.0) == 0.0
     assert norm(s, 11.0) == 1.0
+
+
+@pytest.mark.parametrize("mode", [nz.MODE_STANDARD, nz.MODE_MINMAX])
+def test_column_near_the_float_limit_keeps_a_finite_spread(mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = fit([1.5e308, -1.5e308, 0.0, 1.0], mode)
+        top, one, zero = nz.apply_array(s, [1.5e308, 1.0, 0.0])
+    assert not s.degenerate
+    if mode == nz.MODE_STANDARD:
+        assert 0.0 < s.stddev < np.inf
+        assert zero < one < top and one - zero < top - one
+    else:
+        assert s.vmax - s.vmin < np.inf
+        assert top == 1.0
 
 
 def test_none_mode_is_identity():
