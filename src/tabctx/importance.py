@@ -28,7 +28,9 @@ reproducibility):
   global label median (regression) or modal class (classification).
 * Categorical features split one-vs-rest on a single category per level,
   chosen greedily with strict-improvement stopping; candidate categories
-  are scanned in sorted token order.
+  are scanned in sorted token order. Isolating the last category left
+  never strictly lowers the cost, so the rest leaf always keeps training
+  rows: only numeric leaves can be empty.
 
 How the contract is computed (the results are the same bits as the direct
 per-leaf formulas, which ``tests/oracles.py`` keeps as references):
@@ -60,16 +62,16 @@ per-leaf formulas, which ``tests/oracles.py`` keeps as references):
   So an entry that sums at most L leaves is within L * lam of the entry the
   exact costs give, with lam = g (17 A + 5 n M); the code doubles g to cover
   the rounding of lam itself.
-* Fallback. ``_decided`` walks the path ``_extract_boundaries`` takes on
-  the fast tables. At depth d the entries compared sum at most 2**d
-  leaves, so the tree is accepted only if the leaf beats the best split, or
-  the best split beats the leaf and every other split, by more than
-  2**(d + 1) * lam. Then the exact costs take every decision the same way,
-  and the tree is the one they give. Otherwise, as on every equal-cost tie
-  (a leaf against an equal-cost split, constant labels), the whole (fold,
-  feature) reruns the DP on ``_segment_costs_reg``, which keeps one
-  ``np.sum`` per segment. Leaf values are the medians of the chosen
-  segments from the fast tables either way (the same bits).
+* Fallback. ``_boundaries`` walks the fast tables once. At depth d the
+  entries compared sum at most 2**d leaves, so a decision stands only if the
+  leaf beats the best split, or the best split beats the leaf and every other
+  split, by more than 2**(d + 1) * lam. If every decision on the path stands,
+  the exact costs take each one the same way, and the tree is the one they
+  give. Otherwise, as on every equal-cost tie (a leaf against an equal-cost
+  split, constant labels), the walk stops and the whole (fold, feature)
+  reruns the DP on ``_segment_costs_reg``, which keeps one ``np.sum`` per
+  segment. Leaf values are the medians of the chosen segments from the fast
+  tables either way (the same bits).
 * The folds, each fold's fallback and the naive predictions' F1 or MAE are
   computed once per ``pps_importance`` call, not per feature.
 * Classification trees need no sort. The thresholds put a row in the same
@@ -102,6 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds
+from .normalize import _headroom
 from .util import kfold_indices, subseed
 
 IMPORTANCE_MODES = ("dual", "pearson_only", "pps_only", "uniform")
@@ -164,6 +167,11 @@ def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
                 out[col.name] = 0.0
                 continue
             F = np.asarray(vals, dtype=np.float64)[keep].reshape(-1, 1)
+            # r does not depend on scale; an exact power of two keeps F ** 2
+            # finite for cells of 2**500 and more, and smaller columns as given
+            exponent = _headroom(float(F.min()), float(F.max()))
+            if exponent:
+                np.ldexp(F, -exponent, out=F)
             L = labels[keep]
         else:
             F = _indicator_matrix(np.unique(d.codes(col.name)[rows], return_inverse=True)[1])
@@ -294,109 +302,62 @@ def _depth_tables(C: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def _extract_boundaries(C, tables, i, j, d, out):
-    if d == 0 or tables[d][i, j] == C[i, j]:
-        return
-    target = tables[d][i, j]
-    prev = tables[d - 1]
-    for k in range(i + 1, j):
-        if prev[i, k] + prev[k, j] == target:
-            _extract_boundaries(C, tables, i, k, d - 1, out)
-            out.append(k)
-            _extract_boundaries(C, tables, k, j, d - 1, out)
-            return
-    raise AssertionError("optimal split has no witness")
-
-
-def _decided(C, tables, bound, i, j, d) -> bool:
-    """True if every decision ``_extract_boundaries`` takes from (i, j, d)
-    wins by more than twice the error bound of the entries it compares,
-    ``2**d * bound`` for a sum of at most 2**d leaves: the leaf against the
-    best split, and the first best split k against every other k."""
-    if d == 0 or j - i < 2:
-        return True
-    splits = tables[d - 1][i, i + 1:j] + tables[d - 1][i + 1:j, j]
-    k = int(np.argmin(splits))
-    margin = 2 ** (d + 1) * bound
-    if not abs(C[i, j] - splits[k]) > margin:
-        return False
-    if C[i, j] < splits[k]:
-        return True
-    if len(splits) > 1 and not np.min(np.delete(splits, k)) - splits[k] > margin:
-        return False
-    k += i + 1
-    return _decided(C, tables, bound, i, k, d - 1) and _decided(C, tables, bound, k, j, d - 1)
-
-
-def _boundaries(C: np.ndarray, tables: list[np.ndarray]) -> list[int]:
+def _boundaries(C: np.ndarray, tables: list[np.ndarray], bound: float | None = None
+                ) -> list[int] | None:
     """The fitted tree's inner boundaries, ascending: boundary k separates
-    bin k - 1 from bin k, at threshold ``thresholds[k - 1]``."""
+    bin k - 1 from bin k, at threshold ``thresholds[k - 1]``. From the root,
+    a node keeps its leaf unless a split is strictly cheaper, and then takes
+    the first cheapest split. Given the per-leaf error ``bound`` of the
+    module docstring, returns None as soon as a decision at depth d wins by
+    no more than ``2**(d + 1) * bound``: the leaf against the best split, or
+    the best split against every other split."""
     chosen: list[int] = []
-    _extract_boundaries(C, tables, 0, len(C) - 1, TREE_DEPTH, chosen)
-    return chosen
+    nodes = [(0, len(C) - 1, TREE_DEPTH)]
+    while nodes:
+        i, j, d = nodes.pop()
+        if d == 0 or j - i < 2:
+            continue
+        splits = tables[d - 1][i, i + 1:j] + tables[d - 1][i + 1:j, j]
+        k = int(np.argmin(splits))
+        split = splits[k] < C[i, j]
+        if bound is not None:
+            margin = 2 ** (d + 1) * bound
+            if not abs(C[i, j] - splits[k]) > margin:
+                return None
+            if split and len(splits) > 1 and not np.min(np.delete(splits, k)) - splits[k] > margin:
+                return None
+        if split:
+            k += i + 1
+            chosen.append(k)
+            nodes += [(i, k, d - 1), (k, j, d - 1)]
+    return sorted(chosen)
 
 
-def _reg_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray, fallback):
-    """Boundaries and leaf values of the regression tree on finite, stable-sorted
-    ``xs`` with labels ``ysrt`` in the same order."""
+def _reg_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray, fallback) -> np.ndarray:
+    """Each bin's leaf value in the regression tree on finite, stable-sorted
+    ``xs`` with labels ``ysrt`` in the same order; an empty leaf gets
+    ``fallback``."""
     pos = np.concatenate([[0], np.searchsorted(xs, thresholds, side="right"), [len(xs)]]).astype(np.int64)
     C, bound, medians = _segment_costs_fast(ysrt, pos)
-    tables = _depth_tables(C)
-    if not _decided(C, tables, bound, 0, len(pos) - 1, TREE_DEPTH):
+    chosen = _boundaries(C, _depth_tables(C), bound)
+    if chosen is None:
         C = _segment_costs_reg(ysrt, pos)
-        tables = _depth_tables(C)
-    chosen = _boundaries(C, tables)
-    edges = [0, *chosen, len(pos) - 1]
-    return chosen, [medians[a, b] if pos[b] > pos[a] else fallback for a, b in zip(edges[:-1], edges[1:])]
+        chosen = _boundaries(C, _depth_tables(C))
+    edges = np.asarray([0, *chosen, len(pos) - 1])
+    a, b = edges[:-1], edges[1:]
+    return np.repeat(np.where(pos[b] > pos[a], medians[a, b], fallback), np.diff(edges))
 
 
-def _cls_tree(counts: np.ndarray, fallback: int):
-    """Boundaries and leaf classes of the classification tree from
-    ``counts[bin, class]``, the training rows' class counts per bin."""
+def _cls_tree(counts: np.ndarray, fallback: int) -> np.ndarray:
+    """Each bin's leaf class in the classification tree from
+    ``counts[bin, class]``, the training rows' class counts per bin; an
+    empty leaf gets ``fallback``."""
     cum = np.zeros((len(counts) + 1, counts.shape[1]), dtype=np.int64)
     np.cumsum(counts, axis=0, out=cum[1:])
     C = _segment_costs_cls(cum)
-    chosen = _boundaries(C, _depth_tables(C))
-    edges = [0, *chosen, len(counts)]
+    edges = np.asarray([0, *_boundaries(C, _depth_tables(C)), len(counts)])
     leaves = cum[edges[1:]] - cum[edges[:-1]]
-    return chosen, [int(np.argmax(c)) if c.any() else fallback for c in leaves]
-
-
-def _by_bin(chosen: list[int], leaves: list, n_bins: int) -> np.ndarray:
-    """Each bin's leaf value."""
-    return np.repeat(leaves, np.diff([0, *chosen, n_bins]))
-
-
-@dataclass
-class _NumericTree:
-    thresholds: np.ndarray
-    leaf_values: np.ndarray
-    fallback: float
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.full(len(x), self.fallback, dtype=self.leaf_values.dtype)
-        seen = np.isfinite(x)
-        if seen.any():
-            idx = np.searchsorted(self.thresholds, x[seen], side="left")
-            out[seen] = self.leaf_values[idx]
-        return out
-
-
-def fit_numeric_tree(xs: np.ndarray, ysrt: np.ndarray, thresholds: np.ndarray,
-                     n_classes: int | None, fallback) -> _NumericTree:
-    """Optimal depth-limited quantile tree on one numeric feature; ``xs`` must
-    be finite and in stable-sorted order, ``ysrt`` in the same order.
-    Classification when n_classes is given (ysrt holds class codes)."""
-    if n_classes is None:
-        chosen, leaves = _reg_tree(xs, ysrt, thresholds, fallback)
-    else:
-        bins = np.searchsorted(thresholds, xs, side="left")
-        counts = np.bincount(bins * n_classes + np.asarray(ysrt, dtype=np.int64),
-                             minlength=(len(thresholds) + 1) * n_classes).reshape(-1, n_classes)
-        chosen, leaves = _cls_tree(counts, fallback)
-    dtype = np.float64 if n_classes is None else np.int64
-    return _NumericTree(thresholds[np.asarray(chosen, dtype=np.int64) - 1],
-                        np.asarray(leaves, dtype=dtype), fallback)
+    return np.repeat(np.where(leaves.any(axis=1), leaves.argmax(axis=1), fallback), np.diff(edges))
 
 
 def _l1_cost(y: np.ndarray) -> float:
@@ -421,7 +382,7 @@ def _isolate(present: np.ndarray, step_costs, current) -> list[int]:
     return isolated
 
 
-def _categorical_cls(counts: np.ndarray, fallback: int) -> np.ndarray:
+def _categorical_cls(counts: np.ndarray) -> np.ndarray:
     """The classification tree's class for every code, from
     ``counts[code, class]``, the training rows' class counts per code."""
     total = counts.sum(axis=0)
@@ -432,20 +393,14 @@ def _categorical_cls(counts: np.ndarray, fallback: int) -> np.ndarray:
         return iso_cost[isolated].sum() + iso_cost[cand] + rest.sum(axis=1) - rest.max(axis=1)
 
     isolated = _isolate(np.flatnonzero(counts.sum(axis=1)), step_costs, total.sum() - total.max())
-    rest = total - counts[isolated].sum(axis=0)
-    values = np.full(len(counts), int(np.argmax(rest)) if rest.any() else fallback, dtype=np.int64)
+    values = np.full(len(counts), np.argmax(total - counts[isolated].sum(axis=0)), dtype=np.int64)
     values[isolated] = counts[isolated].argmax(axis=1)
     return values
 
 
-def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
-                         n_classes: int | None, fallback) -> np.ndarray:
-    """Greedy one-vs-rest tree on category codes (0 .. n_codes - 1, in
-    sorted token order); returns the predicted value for every code.
-    Classification when n_classes is given (y holds class codes)."""
-    if n_classes is not None:
-        return _categorical_cls(np.bincount(codes * n_classes + y, minlength=n_codes * n_classes
-                                            ).reshape(n_codes, n_classes), fallback)
+def _categorical_reg(codes: np.ndarray, y: np.ndarray, n_codes: int) -> np.ndarray:
+    """The regression tree's median for every code (0 .. n_codes - 1), from
+    the training rows' codes and labels."""
     present = np.flatnonzero(np.bincount(codes, minlength=n_codes))
     iso_cost = {int(c): _l1_cost(y[codes == c]) for c in present}
 
@@ -456,8 +411,7 @@ def fit_categorical_tree(codes: np.ndarray, y: np.ndarray, n_codes: int,
                            for c in cand])
 
     isolated = _isolate(present, step_costs, _l1_cost(y))
-    rest = y[~np.isin(codes, isolated)]
-    values = np.full(n_codes, float(np.median(rest)) if len(rest) else fallback)
+    values = np.full(n_codes, float(np.median(y[~np.isin(codes, isolated)])))
     for c in isolated:
         values[c] = np.median(y[codes == c])
     return values
@@ -538,9 +492,9 @@ def _pps_single(values: np.ndarray, numeric: bool, cv: _Folds) -> float:
         # fold f's training counts: every row's minus its own validation rows'
         for f, train in enumerate(counts.sum(axis=0) - counts):
             if numeric:
-                table[f, :-1] = _by_bin(*_cls_tree(train[:-1], cv.fallback[f]), n_cells - 1)
+                table[f, :-1] = _cls_tree(train[:-1], cv.fallback[f])
             else:
-                table[f] = _categorical_cls(train, cv.fallback[f])
+                table[f] = _categorical_cls(train)
     elif numeric:
         # a stable sort of a subset is the subset's subsequence of the stable
         # sort of all rows, so every fold reads its order from this one
@@ -549,12 +503,11 @@ def _pps_single(values: np.ndarray, numeric: bool, cv: _Folds) -> float:
             fit_rows = (fold_of != f) & finite
             if fit_rows.any():
                 order = order_all[fit_rows[order_all]]
-                table[f, :-1] = _by_bin(*_reg_tree(x[order], y[order], thresholds, cv.fallback[f]),
-                                        n_cells - 1)
+                table[f, :-1] = _reg_tree(x[order], y[order], thresholds, cv.fallback[f])
     else:
         for f in range(n_folds):
             train = fold_of != f
-            table[f] = fit_categorical_tree(values[train], y[train], n_cells, None, cv.fallback[f])
+            table[f] = _categorical_reg(values[train], y[train], n_cells)
     return cv.score(table[fold_of, cells])
 
 

@@ -10,7 +10,9 @@ Standard and minmax statistics are fitted on the column as given, unless
 its spread overflows a float there (cells near the float limit). Then the
 column is scaled by a power of two, which is exact, so that its largest
 magnitude is below 1, and the statistics and every normalized value use the
-scaled numbers.
+scaled numbers. Mode none scales a column whose largest magnitude reaches
+2**500 (about 3e150) to below it, so that a difference of two values and its
+square stay finite; smaller columns keep their values.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ class ColumnStats:
     stddev: float = 0.0
     vmin: float = 0.0
     vmax: float = 0.0
-    # standard and minmax read values as v * 2**-exponent; 0 unless the
-    # column's spread overflows a float
+    # standard, minmax and none read values as v * 2**-exponent; 0 unless the
+    # column's spread overflows a float (none: unless it reaches 2**500)
     exponent: int = 0
 
     @cached_property
@@ -58,7 +60,8 @@ def fit_column(name: str, values: np.ndarray, mode: str) -> ColumnStats:
     vals = vals[np.isfinite(vals)]
     n = len(vals)
     if mode == MODE_NONE:
-        return ColumnStats(column=name, mode=mode, degenerate=False)
+        exponent = _headroom(float(vals.min()), float(vals.max())) if n else 0
+        return ColumnStats(column=name, mode=mode, degenerate=False, exponent=exponent)
     if n == 0:
         return ColumnStats(column=name, mode=mode, degenerate=True)
 
@@ -94,6 +97,12 @@ def _exponent(srt: np.ndarray) -> int:
     return math.frexp(max(-float(srt[0]), float(srt[-1])))[1]
 
 
+def _headroom(vmin: float, vmax: float) -> int:
+    """The least e >= 0 with every |value| * 2**-e below 2**500, for
+    values in [vmin, vmax]."""
+    return max(0, math.frexp(max(-vmin, vmax))[1] - 500)
+
+
 def fit_stats(d: ds.Dataset, train_rows, mode: str = MODE_QUANTILE,
               overrides: dict[str, str] | None = None) -> dict[str, ColumnStats]:
     """Fit stats for every numerical feature from training rows only."""
@@ -110,7 +119,7 @@ def apply_array(stats: ColumnStats, values) -> np.ndarray:
     degenerate constant applies to every input."""
     v = np.asarray(values, dtype=np.float64)
     if stats.mode == MODE_NONE:
-        return v.copy()
+        return np.ldexp(v, -stats.exponent) if stats.exponent else v.copy()
     if stats.degenerate:
         const = 0.0 if stats.mode == MODE_STANDARD else 0.5
         return np.full_like(v, const)
@@ -118,11 +127,11 @@ def apply_array(stats: ColumnStats, values) -> np.ndarray:
         return np.interp(v, stats.quantile_knots, stats.quantile_grid)
     if stats.exponent:
         v = np.ldexp(v, -stats.exponent)
-    if stats.mode == MODE_STANDARD:
-        return (v - stats.mean) / stats.stddev
-    # a value far outside the fitted range overflows to +-inf, which the
-    # clip maps to 1 or 0
+    # a value far outside the fitted range overflows to +-inf, which retrieval
+    # counts as missing (standard) and the clip maps to 1 or 0 (minmax)
     with np.errstate(over="ignore"):
+        if stats.mode == MODE_STANDARD:
+            return (v - stats.mean) / stats.stddev
         out = (v - stats.vmin) / (stats.vmax - stats.vmin)
     return np.clip(out, 0.0, 1.0)
 

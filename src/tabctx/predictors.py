@@ -147,10 +147,6 @@ def _tokens(length: int, chars_per_token: float) -> int:
     return math.ceil(length / chars_per_token)
 
 
-def estimate_tokens(text: str, chars_per_token: float = 4.0) -> int:
-    return _tokens(len(text), chars_per_token)
-
-
 class PromptOverflowError(ValueError):
     pass
 

@@ -180,7 +180,8 @@ def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
 
     raw_q = [query.get(feature, math.nan) for query in queries]
     qv = nz.apply_array(pool.stats[feature], [math.nan if v is None else float(v) for v in raw_q])
-    raw = pool.normalized[feature][eligible][None, :] - qv[:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf is a missing distance
+        raw = pool.normalized[feature][eligible][None, :] - qv[:, None]
     np.abs(raw, out=raw)
     if not pool.cfg.distance_minmax_rescale:
         raw[~np.isfinite(raw)] = 1.0

@@ -332,15 +332,15 @@ def categorical_tree_reference(tokens: np.ndarray, y: np.ndarray, n_classes: int
     return lambda token: values.get(token, rest_value)
 
 
-def fit_prompt_reference(serialize, estimate, tmpl, rows, query, features, label_name,
-                         token_budget):
+def fit_prompt_reference(serialize, tmpl, rows, query, features, label_name, token_budget):
     """Drop context rows from the far end, re-rendering the whole prompt
-    after each drop, until it fits; (text, rows kept) or None if the bare
-    query overflows."""
+    after each drop, until its token estimate, ceil(characters /
+    chars_per_token), fits; (text, rows kept) or None if the bare query
+    overflows."""
     kept = list(rows)
     while True:
         text = serialize(tmpl, kept, query, features, label_name)
-        if estimate(text, tmpl.chars_per_token) <= token_budget:
+        if math.ceil(len(text) / tmpl.chars_per_token) <= token_budget:
             return text, len(kept)
         if not kept:
             return None
@@ -421,9 +421,10 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
                                 seed: int = 0) -> dict[str, float]:
     """PPS of each feature with one tree per fold fitted on that fold's
     gathered training rows: a numerical feature's finite rows stable-sorted on
-    their own, a categorical feature's codes and labels passed to
-    ``fit_categorical_tree``. The single-tree fits are the library's; the
-    folds' shared counts, the predictions and the scores are not."""
+    their own (classification counts from their own ``bincount``), a
+    categorical feature's codes and labels. The per-fold fits go through the
+    library's private fitters; the folds, the predictions (numeric bins from
+    ``searchsorted``) and the scores do not."""
     from tabctx import importance as imp
 
     rows = np.asarray(train_rows, dtype=np.int64)
@@ -446,6 +447,7 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
             thresholds = imp.quantile_candidates(x[np.isfinite(x)])
         else:
             codes = np.asarray(d.codes(name)[rows], dtype=np.int64)
+            n_codes = int(codes.max()) + 1
         tree_preds = np.empty(n, dtype=y.dtype)
         naive_preds = np.empty_like(tree_preds)
         for val_idx in folds:
@@ -456,8 +458,12 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
                         else int(np.argmax(np.bincount(yt, minlength=n_classes))))
             naive_preds[val] = fallback
             if not numeric:
-                by_code = imp.fit_categorical_tree(codes[~val], yt, int(codes.max()) + 1,
-                                                   n_classes, fallback)
+                if n_classes is None:
+                    by_code = imp._categorical_reg(codes[~val], yt, n_codes)
+                else:
+                    by_code = imp._categorical_cls(np.bincount(
+                        codes[~val] * n_classes + yt, minlength=n_codes * n_classes
+                    ).reshape(n_codes, n_classes))
                 tree_preds[val] = by_code[codes[val]]
                 continue
             xt = x[~val]
@@ -466,8 +472,19 @@ def pps_per_fold_sort_reference(d: ds.Dataset, train_rows, cv_folds: int = 4,
                 tree_preds[val] = fallback
                 continue
             order = np.argsort(xt[ft], kind="stable")
-            tree = imp.fit_numeric_tree(xt[ft][order], yt[ft][order], thresholds, n_classes, fallback)
-            tree_preds[val] = tree.predict(x[val])
+            xs, ys = xt[ft][order], yt[ft][order]
+            if n_classes is None:
+                by_bin = imp._reg_tree(xs, ys, thresholds, fallback)
+            else:
+                bins = np.searchsorted(thresholds, xs, side="left")
+                by_bin = imp._cls_tree(np.bincount(bins * n_classes + ys,
+                                                   minlength=(len(thresholds) + 1) * n_classes
+                                                   ).reshape(-1, n_classes), fallback)
+            xv = x[val]
+            seen = np.isfinite(xv)
+            preds = np.full(len(xv), fallback, dtype=y.dtype)
+            preds[seen] = by_bin[np.searchsorted(thresholds, xv[seen], side="left")]
+            tree_preds[val] = preds
         out[name] = float(min(1.0, _oracle_score(y, tree_preds, naive_preds, n_classes)))
     return out
 

@@ -17,7 +17,7 @@ from tabctx import metrics as mt
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.importance import pps_importance
-from tabctx.predictors import EndpointConfig, LlmClient, PromptTemplate, estimate_tokens, fit_prompt, knn_predict, serialize_prompt
+from tabctx.predictors import EndpointConfig, LlmClient, PromptTemplate, fit_prompt, knn_predict, serialize_prompt
 from tabctx.util import dump_json, rng_for, subseed
 from conftest import make_dataset
 from llm_stub import stub_server
@@ -327,10 +327,10 @@ def test_c11_llm_client_conformance():
 
     wide_rows = [({f: "v" * 120 for f in features}, "yes") for _ in range(128)]
     full = serialize_prompt(tmpl, wide_rows, query, features, "label")
-    assert estimate_tokens(full, tmpl.chars_per_token) > 16384
+    assert math.ceil(len(full) / tmpl.chars_per_token) > 16384
     text, used = fit_prompt(tmpl, wide_rows, query, features, "label", token_budget=16384)
     assert used < 128
-    assert estimate_tokens(text, tmpl.chars_per_token) <= 16384
+    assert math.ceil(len(text) / tmpl.chars_per_token) <= 16384
     with pytest.raises(ValueError, match="budget"):
         fit_prompt(tmpl, [], {f: "w" * 900 for f in features}, features, "label", token_budget=16)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 
 import pytest
 
@@ -262,11 +263,11 @@ def test_fit_powerlaw_verb(tmp_path, capsys):
 
 def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
     from llm_stub import stub_server
-    from tabctx.predictors import PromptTemplate, estimate_tokens, serialize_prompt
+    from tabctx.predictors import PromptTemplate, serialize_prompt
     d = write_toy_files(tmp_path, n=40)
     split = ds.make_split(d, (0.8, 0.1, 0.1), 3)
-    bare = {int(i): estimate_tokens(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
-                                                     ["x1", "x2"], "label"))
+    bare = {int(i): math.ceil(len(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
+                                                   ["x1", "x2"], "label")) / 4.0)
             for i in split.test}
     budget = min(bare.values())  # only the shortest query rows fit, with no context
     over = {i for i, t in bare.items() if t > budget}
@@ -289,11 +290,11 @@ def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
 
 
 def test_manifest_counts_flags_per_predictor(tmp_path):
-    from tabctx.predictors import PromptTemplate, estimate_tokens, serialize_prompt
+    from tabctx.predictors import PromptTemplate, serialize_prompt
     d = write_toy_files(tmp_path, n=40)
     split = ds.make_split(d, (0.8, 0.1, 0.1), 3)
-    bare = [estimate_tokens(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
-                                             ["x1", "x2"], "label")) for i in split.test]
+    bare = [math.ceil(len(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
+                                           ["x1", "x2"], "label")) / 4.0) for i in split.test]
     budget = min(bare)  # the longer query rows overflow; the others reach no endpoint
     over = sum(t > budget for t in bare)
     assert 0 < over < len(bare)

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,18 @@ def test_pearson_scale_invariance():
     w1 = imp.pearson_importance(d1, range(40))["f"]
     w2 = imp.pearson_importance(d2, range(40))["f"]
     assert abs(w1 - w2) <= 1e-12
+
+
+def test_pearson_of_a_huge_column_equals_its_unscaled_weight():
+    # x * 2**600 squares past the float limit; scaled by a power of two it
+    # gives x's correlation bit for bit
+    rng = rng_for(1, "huge-pearson")
+    x = rng.normal(size=60)
+    y = x + rng.normal(size=60)
+    for task, label in (("regression", y), ("classification", [str(v) for v in y > 0])):
+        w = [imp.pearson_importance(make_dataset(num={"f": f}, label=label, task=task), range(60))["f"]
+             for f in (x, np.ldexp(x, 600))]
+        assert w[0] > 0.5 and w[0].hex() == w[1].hex()
 
 
 def test_pearson_missing_pairs_skipped():
@@ -232,9 +245,15 @@ def test_categorical_tree_matches_token_reference(data):
     train[data.draw(st.integers(0, n - 1))] = True
     lookup, codes = np.unique(tokens, return_inverse=True)
     yt = y[train]
-    fallback = float(np.median(yt)) if n_classes is None else int(np.argmax(np.bincount(yt)))
-    by_code = imp.fit_categorical_tree(codes[train], yt, len(lookup), n_classes, fallback)
-    reference = categorical_tree_reference(tokens[train], yt, n_classes, fallback)
+    if n_classes is None:
+        by_code = imp._categorical_reg(codes[train], yt, len(lookup))
+    else:
+        by_code = imp._categorical_cls(np.bincount(codes[train] * n_classes + yt,
+                                                   minlength=len(lookup) * n_classes
+                                                   ).reshape(len(lookup), n_classes))
+    # no tree value equals this fallback: the rest leaf never empties
+    reference = categorical_tree_reference(tokens[train], yt, n_classes,
+                                           math.nan if n_classes is None else -1)
     want = [reference(t) for t in lookup]
     if n_classes is None:
         assert np.array_equal(_bits(by_code), _bits(want))
@@ -299,8 +318,15 @@ def test_pps_preconditions():
 
 
 def _exact_only():
-    """Patch that sends every regression tree down the exact-cost path."""
-    return mock.patch.object(imp, "_decided", lambda *args: False)
+    """Patch that sends every regression tree down the exact-cost path: no
+    decision wins by more than an infinite error bound."""
+    fast = imp._segment_costs_fast
+
+    def infinite_bound(y_sorted, pos):
+        C, _, medians = fast(y_sorted, pos)
+        return C, np.inf, medians
+
+    return mock.patch.object(imp, "_segment_costs_fast", infinite_bound)
 
 
 def _mirror_case(half_labels, half_cuts):
@@ -317,8 +343,8 @@ def _mirror_case(half_labels, half_cuts):
 
 @st.composite
 def regression_trees(draw):
-    """(xs, y, thresholds, tied): a fit_numeric_tree input; ``tied`` marks the
-    families whose exact costs tie on the extraction path."""
+    """(xs, y, thresholds, tied): a ``_reg_tree`` input; ``tied`` marks the
+    families whose exact costs tie on the decision path."""
     family = draw(st.sampled_from(["tied", "constant", "duplicated", "mirror", "offset"]))
     if family == "mirror":
         h = draw(st.integers(2, 40))
@@ -346,11 +372,10 @@ def test_numeric_tree_equals_exact_cost_tree(case):
     xs, y, thresholds, tied = case
     fallback = float(np.median(y))
     with mock.patch.object(imp, "_segment_costs_reg", wraps=imp._segment_costs_reg) as exact:
-        got = imp.fit_numeric_tree(xs, y, thresholds, None, fallback)
+        got = imp._reg_tree(xs, y, thresholds, fallback)
     with _exact_only():
-        want = imp.fit_numeric_tree(xs, y, thresholds, None, fallback)
-    assert np.array_equal(_bits(got.thresholds), _bits(want.thresholds))
-    assert np.array_equal(_bits(got.leaf_values), _bits(want.leaf_values))
+        want = imp._reg_tree(xs, y, thresholds, fallback)
+    assert np.array_equal(_bits(got), _bits(want))
     if tied:
         assert exact.call_count == 1
 

@@ -79,6 +79,14 @@ def test_none_mode_is_identity():
     assert norm(s, 42.0) == 42.0
 
 
+def test_none_mode_scales_columns_from_2_to_the_500():
+    below = np.ldexp(np.nextafter(1.0, 0.0), 500)
+    assert fit([-below, 1.0], nz.MODE_NONE).exponent == 0
+    assert norm(fit([-below, 1.0], nz.MODE_NONE), 3.5) == 3.5
+    s = fit([np.ldexp(1.0, 500), 1.0], nz.MODE_NONE)
+    assert s.exponent == 1 and norm(s, 3.5) == 1.75
+
+
 def test_knot_cap():
     s = nz.fit_column("c", np.arange(5000, dtype=float), nz.MODE_QUANTILE)
     assert len(s.quantile_knots) == 1000

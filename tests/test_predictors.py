@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -94,10 +95,10 @@ def test_prompt_truncates_farthest_rows():
     tmpl = pr.PromptTemplate()
     rows = rows_fixture(128)
     full = pr.serialize_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
-    budget = pr.estimate_tokens(full, 4.0) // 2
+    budget = math.ceil(len(full) / 4.0) // 2
     text, used = pr.fit_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y", budget)
     assert used < 128
-    assert pr.estimate_tokens(text, 4.0) <= budget
+    assert math.ceil(len(text) / 4.0) <= budget
     # nearest rows survive
     assert "size: 0.0" in text and f"size: {float(used - 1)}" in text
 
@@ -114,8 +115,7 @@ def test_fit_prompt_matches_drop_one_reference(n_rows, budget, layout, anonymize
     tmpl = pr.PromptTemplate(layout=layout, anonymize=anonymize, chars_per_token=cpt)
     rows = [({"size": i * 1.25, "color": "c" * (i % 7)}, i % 3) for i in range(n_rows)]
     query = {"size": 0.5, "color": "c1"}
-    want = fit_prompt_reference(pr.serialize_prompt, pr.estimate_tokens, tmpl, rows, query,
-                                FEATURES, "y", budget)
+    want = fit_prompt_reference(pr.serialize_prompt, tmpl, rows, query, FEATURES, "y", budget)
     if want is None:
         with pytest.raises(pr.PromptOverflowError):
             pr.fit_prompt(tmpl, rows, query, FEATURES, "y", budget)
@@ -129,7 +129,7 @@ def test_fit_prompt_renders_once(monkeypatch):
     monkeypatch.setattr(pr, "serialize_prompt", lambda *a: calls.append(1) or render(*a))
     rows = rows_fixture(64)
     full = render(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
-    for budget in (pr.estimate_tokens(full) // 3, pr.estimate_tokens(full)):
+    for budget in (math.ceil(len(full) / 4.0) // 3, math.ceil(len(full) / 4.0)):
         calls.clear()
         pr.fit_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y", budget)
         assert len(calls) == 1

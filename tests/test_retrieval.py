@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,21 @@ def test_rescale_bounds_equal_masked_reduce(column, queries, norm, rescale):
     got = rt._feature_distances(pool, block, "x", np.arange(pool.size))
     want = masked_rescale_reference(raw, rescale)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("column, query", [([1.5e308, -1.5e308, 0.0, np.nan, 1.0], -1.5e308),
+                                           ([1e160, -1e160, 0.0, 2.0], -1e160)])
+@pytest.mark.parametrize("rescale", [True, False])
+def test_huge_cells_rank_under_no_normalization(column, query, rescale):
+    # the distances overflow a float unless the column is scaled
+    d = make_dataset(num={"x": column}, label=np.zeros(len(column)), task="regression")
+    cfg = rt.RetrievalConfig(quota=len(column), importance_mode="uniform", numeric_norm="none",
+                             distance_minmax_rescale=rescale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = rt.retrieve(rt.build_pool(d, range(len(column)), cfg), {"x": query})
+    dist = dict(zip(ctx.indices.tolist(), ctx.distances.tolist()))
+    assert dist[1] == 0.0 and dist[0] > dist[2]
 
 
 def dual_test_dataset():
