@@ -35,7 +35,7 @@ DEFAULT_TRAIN_CAP = 100_000
 DEFAULT_TEST_CAP = 512
 
 # load_dataset reads the table this many rows at a time
-CHUNK_ROWS = 8192
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,13 @@ class _Encoder:
 
 def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
     """Read a comma-delimited UTF-8 table (header row, quoting allowed) against
-    its JSON schema sidecar, ``CHUNK_ROWS`` rows at a time into column arrays.
-    Numerical cells that fail to parse, or are not finite, become NaN and are
-    counted in ``coerced_cells``; categorical cells become codes as they are
-    read. Errors name the file, the 1-based data row and the column.
+    its JSON schema sidecar, ``CHUNK_ROWS`` rows at a time into column arrays:
+    each chunk's rows fill one flat cell list, and each column is a strided
+    slice of it. Numerical cells parse with ``float``; those that fail to
+    parse, or are not finite, become NaN and are counted in ``coerced_cells``.
+    Categorical cells become codes as they are read. Errors name the file,
+    the 1-based data row and the column, or the row and the csv module's
+    message (a field over ``csv.field_size_limit()``).
     """
     schema, task = load_schema(schema_file)
     names = [c.name for c in schema]
@@ -269,7 +272,10 @@ def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
     coerced = dict.fromkeys(numbers, 0)
     with open(table_file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{table_file}: header: {exc}") from None
         if header is None:
             raise ValueError(f"{table_file}: empty table")
         if header != names:
@@ -277,23 +283,33 @@ def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
                                 if a != b)
             raise ValueError(f"{table_file}: header {header} does not match schema columns {names}: "
                              f"column {j + 1} is {got!r}, schema says {want!r}")
-        start = 0
-        while chunk := list(islice(reader, CHUNK_ROWS)):
-            for i, cells in enumerate(chunk):
-                if len(cells) != len(names):
-                    where = (f"no cell for column {names[len(cells)]!r}" if len(cells) < len(names)
-                             else f"extra cells after column {names[-1]!r}")
-                    raise ValueError(f"{table_file}: data row {start + i + 1} has {len(cells)} "
-                                     f"cells, expected {len(names)} ({where})")
-            for name, cells in zip(names, zip(*chunk)):
+        width = len(names)
+        start = 0  # data rows read so far
+        while True:
+            rows, cells = 0, []
+            try:
+                for row in islice(reader, CHUNK_ROWS):
+                    rows += 1
+                    if len(row) != width:
+                        where = (f"no cell for column {names[len(row)]!r}" if len(row) < width
+                                 else f"extra cells after column {names[-1]!r}")
+                        raise ValueError(f"{table_file}: data row {start + rows} has {len(row)} "
+                                         f"cells, expected {width} ({where})")
+                    cells += row
+            except csv.Error as exc:
+                raise ValueError(f"{table_file}: data row {start + rows + 1}: {exc}") from None
+            if not rows:
+                break
+            for j, name in enumerate(names):
+                column = cells[j::width]
                 if name in numbers:
-                    values, n_coerced = _parse_numbers(cells)
+                    values, n_coerced = _parse_numbers(column)
                     numbers[name].append(values)
                     coerced[name] += n_coerced
                 else:
-                    encoders[name].add(cells)
-            start += len(chunk)
-            del chunk, cells
+                    encoders[name].add(column)
+            start += rows
+            del cells, column
     if start == 0:
         raise ValueError(f"{table_file}: empty table")
     columns = {**{k: np.concatenate(v) for k, v in numbers.items()},

@@ -139,9 +139,18 @@ def _max_abs_corr(F: np.ndarray, L: np.ndarray) -> float:
     return float(min(1.0, np.max(np.abs(R))))
 
 
+def _scaled(a: np.ndarray) -> np.ndarray:
+    """``a``, a float64 array the caller owns, scaled in place by the exact
+    power of two ``_headroom`` picks. r does not depend on scale; the scaling
+    keeps ``a ** 2`` finite for cells of 2**500 and more, and leaves smaller
+    arrays as given."""
+    exponent = _headroom(float(a.min()), float(a.max()))
+    return np.ldexp(a, -exponent, out=a) if exponent else a
+
+
 def _label_matrix(d: ds.Dataset, rows: np.ndarray) -> np.ndarray:
     if d.task == ds.TASK_REGRESSION:
-        return np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1)
+        return _scaled(np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1))
     return (d.class_codes()[rows][:, None] == np.arange(len(d.class_labels))).astype(np.float64)
 
 
@@ -166,12 +175,7 @@ def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
             if keep.sum() < 2:
                 out[col.name] = 0.0
                 continue
-            F = np.asarray(vals, dtype=np.float64)[keep].reshape(-1, 1)
-            # r does not depend on scale; an exact power of two keeps F ** 2
-            # finite for cells of 2**500 and more, and smaller columns as given
-            exponent = _headroom(float(F.min()), float(F.max()))
-            if exponent:
-                np.ldexp(F, -exponent, out=F)
+            F = _scaled(np.asarray(vals, dtype=np.float64)[keep].reshape(-1, 1))
             L = labels[keep]
         else:
             F = _indicator_matrix(np.unique(d.codes(col.name)[rows], return_inverse=True)[1])

@@ -31,30 +31,55 @@ def parse_cell(text: str) -> float:
 
 
 def load_dataset_reference(table_file, schema_file) -> ds.Dataset:
-    """Read every row of the table, parse each cell on its own, and build the
-    Dataset from token and number lists."""
+    """Read the whole table with one ``csv.reader``, row by row, parse each
+    numerical cell on its own, and build the Dataset from token and number
+    lists. Errors carry the loader's messages."""
     schema, task = ds.load_schema(schema_file)
+    names = [c.name for c in schema]
     with open(table_file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty table") from None
-        if header != [c.name for c in schema]:
-            raise ValueError(f"header {header} does not match schema columns")
-        rows = list(reader)
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{table_file}: header: {exc}") from None
+        if header is None:
+            raise ValueError(f"{table_file}: empty table")
+        if header != names:
+            j = next(j for j in range(max(len(header), len(names)))
+                     if j >= len(header) or j >= len(names) or header[j] != names[j])
+            got = header[j] if j < len(header) else None
+            want = names[j] if j < len(names) else None
+            raise ValueError(f"{table_file}: header {header} does not match schema columns {names}: "
+                             f"column {j + 1} is {got!r}, schema says {want!r}")
+        rows = []
+        while True:
+            try:
+                cells = next(reader, None)
+            except csv.Error as exc:
+                raise ValueError(f"{table_file}: data row {len(rows) + 1}: {exc}") from None
+            if cells is None:
+                break
+            if len(cells) != len(names):
+                where = (f"no cell for column {names[len(cells)]!r}" if len(cells) < len(names)
+                         else f"extra cells after column {names[-1]!r}")
+                raise ValueError(f"{table_file}: data row {len(rows) + 1} has {len(cells)} "
+                                 f"cells, expected {len(names)} ({where})")
+            rows.append(cells)
     if not rows:
-        raise ValueError("empty table")
+        raise ValueError(f"{table_file}: empty table")
 
-    columns: dict[str, list] = {c.name: [] for c in schema}
-    for r, cells in enumerate(rows):
-        if len(cells) != len(schema):
-            raise ValueError(f"row {r} has {len(cells)} cells, expected {len(schema)}")
-        for col, cell in zip(schema, cells):
-            columns[col.name].append(parse_cell(cell) if col.kind == ds.KIND_NUMERICAL else cell)
-    return ds.Dataset(schema, {c.name: np.asarray(columns[c.name], dtype=np.float64)
-                               if c.kind == ds.KIND_NUMERICAL
-                               else np.asarray(columns[c.name], dtype=object) for c in schema}, task)
+    columns, coerced = {}, {}
+    for j, col in enumerate(schema):
+        cells = [r[j] for r in rows]
+        if col.kind == ds.KIND_NUMERICAL:
+            columns[col.name] = np.asarray([parse_cell(c) for c in cells], dtype=np.float64)
+            coerced[col.name] = sum(1 for c, v in zip(cells, columns[col.name]) if c and math.isnan(v))
+        else:
+            columns[col.name] = np.asarray(cells, dtype=object)
+    try:
+        return ds.Dataset(schema, columns, task, coerced_cells=coerced)
+    except ValueError as exc:
+        raise ValueError(f"{table_file}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabctx import dataset as ds
@@ -13,7 +15,6 @@ from oracles import load_dataset_reference, parse_cell
 
 
 def write_csv(path, header, rows):
-    import csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -215,27 +216,117 @@ def test_column_parser_equals_cell_parser(cells):
 category = st.sampled_from(["", "a", "b", "c,d", 'say "hi"', "z"]) | token
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(cell_text.filter(lambda c: "\r" not in c and "\x00" not in c),
-                          category, st.sampled_from(["", "p", "q", "r,s"])),
-                min_size=1, max_size=14),
-       st.integers(1, 5))
-def test_chunked_loader_equals_reference(tmp_path_factory, rows, chunk_rows):
-    tmp = tmp_path_factory.mktemp("chunks")
-    table, schema = _write_cls(tmp, rows)
-    with mock.patch.object(ds, "CHUNK_ROWS", chunk_rows):
-        got = ds.load_dataset(table, schema)
-    want = load_dataset_reference(table, schema)
-    assert got.class_labels == want.class_labels
-    assert np.array_equal(got.column("f1").view(np.int64), want.column("f1").view(np.int64))
-    for name in ("g", "y"):
+def _write_text(tmp_path, text, cols, task):
+    (tmp_path / "t.csv").write_text(text, encoding="utf-8", newline="")
+    schema_json(tmp_path / "s.json", cols, task)
+    return tmp_path / "t.csv", tmp_path / "s.json"
+
+
+CLS3 = [("f1", "numerical", "feature"), ("g", "categorical", "feature"), ("y", "categorical", "label")]
+TABLE_SCHEMAS = {"cls3": (CLS3, "classification"),
+                 "cls1": ([("y", "categorical", "label")], "classification"),
+                 "reg2": ([("x", "numerical", "feature"), ("y", "numerical", "label")], "regression")}
+# CR, NUL, quotes, commas, newlines and fields past a small csv size limit
+odd_cell = st.sampled_from(["1_0", "\u0661\u0662", " 3 ", "0x10", "a,b", 'q"t', "l\nm", "c\rd", "n\x00l",
+                            "x" * 9])
+number_cell = st.sampled_from(["", "1", "2.5", "-3", "1e3"]) | cell_text | odd_cell
+text_cell = category | st.sampled_from(["p", "q", "r,s"]) | odd_cell
+
+
+label_number = st.sampled_from(["1", "2.5", "-3", "1e3", " 4 ", "1_0"]) \
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+def _table_rows(cols):
+    # half the tables have every row whole; the rest may hold ragged rows
+    whole = st.tuples(*(text_cell if kind == "categorical" else label_number if role == "label"
+                        else number_cell for _, kind, role in cols)).map(list)
+    ragged = st.lists(number_cell | text_cell, max_size=len(cols) + 1)
+    return st.lists(whole, min_size=1, max_size=12) | st.lists(whole | ragged, max_size=12)
+
+
+def _load_or_error(loader, table, schema):
+    try:
+        return loader(table, schema)
+    except Exception as exc:  # the loader and the reference must fail alike
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+# a quoted newline from the last row of a chunk into the next
+@example(table=("cls3", [["1", "u", "a"], ["2", "v", "b"], ["3", "u", "b"], ["4", "w\nx", "a"],
+                         ["5", "u", "b"]]),
+         terminator="\n", cut_last=False, chunk_rows=2, field_limit=None)
+# csv.reader reads a blank line as a row of no cells
+@example(table=("cls1", [["a"], [], ["b"]]), terminator="\n", cut_last=False, chunk_rows=3,
+         field_limit=None)
+# a ragged row among whole ones, no final newline
+@example(table=("cls3", [["1", "u", "a"], ["2", "v"], ["3", "w", "a"]]), terminator="\n",
+         cut_last=True, chunk_rows=3, field_limit=None)
+@given(st.sampled_from(sorted(TABLE_SCHEMAS)).flatmap(
+           lambda k: st.tuples(st.just(k), _table_rows(TABLE_SCHEMAS[k][0]))),
+       st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 3),
+       st.sampled_from([None, None, None, 16, 3]))
+def test_chunked_loader_equals_reference(tmp_path_factory, table, terminator, cut_last, chunk_rows,
+                                         field_limit):
+    # chunk boundaries anywhere (a quoted newline may cross one), CRLF or LF,
+    # NUL, blank and ragged rows, a missing final newline and fields over
+    # the csv size limit: the same Dataset as one csv.reader, or the same error
+    key, rows = table
+    cols, task = TABLE_SCHEMAS[key]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=terminator)
+    writer.writerow([c[0] for c in cols])
+    writer.writerows(rows)
+    text = buf.getvalue().removesuffix(terminator) if cut_last else buf.getvalue()
+    paths = _write_text(tmp_path_factory.mktemp("chunks"), text, cols, task)
+    old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+    try:
+        with mock.patch.object(ds, "CHUNK_ROWS", chunk_rows):
+            got = _load_or_error(ds.load_dataset, *paths)
+        want = _load_or_error(load_dataset_reference, *paths)
+    finally:
+        csv.field_size_limit(old_limit)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert isinstance(got, ds.Dataset), got
+    assert got.class_labels == want.class_labels and got.coerced_cells == want.coerced_cells
+    if task == "classification":
+        assert np.array_equal(got.class_codes(), want.class_codes())
+    for name, kind, _ in cols:
+        if kind == "numerical":
+            assert np.array_equal(got.column(name).view(np.int64), want.column(name).view(np.int64))
+            continue
         assert got.column(name).tolist() == want.column(name).tolist()
         assert got.vocabulary(name).tolist() == want.vocabulary(name).tolist()
         assert np.array_equal(got.codes(name), want.codes(name)) and got.codes(name).dtype == np.int32
         assert got.vocabulary(name)[got.codes(name)].tolist() == got.column(name).tolist()
         assert [got.feature_row(i).get(name, got.labels()[i]) for i in range(got.n_rows)] \
             == want.column(name).tolist()
-    assert np.array_equal(got.class_codes(), want.class_codes())
+
+
+def test_field_over_the_csv_limit_names_file_and_row(tmp_path):
+    limit = csv.field_size_limit()
+    long_cell = "v" * (limit + 1)
+    table, schema = _write_cls(tmp_path, [["1", "u", "a"], ["2", long_cell, "b"]])
+    with pytest.raises(ValueError, match="data row 2: field larger than field limit") as err:
+        ds.load_dataset(table, schema)
+    assert str(table) in str(err.value)
+    table, schema = _write_cls(tmp_path, [["1", "u", "a"]], header=("f1", long_cell, "y"))
+    with pytest.raises(ValueError, match="header: field larger than field limit") as err:
+        ds.load_dataset(table, schema)
+    assert str(table) in str(err.value)
+
+
+def test_numerical_cells_parse_as_float_does(tmp_path):
+    # the README promises ``float``: underscores, other scripts' digits and
+    # surrounding spaces parse; hexadecimal does not and is a coerced cell
+    paths = _write_text(tmp_path, "x,y\n1_0,1\n\u0661\u0662,2\n 2.5 ,3\n0x10,4\n",
+                        [("x", "numerical", "feature"), ("y", "numerical", "label")], "regression")
+    d = ds.load_dataset(*paths)
+    assert d.column("x")[:3].tolist() == [10.0, 12.0, 2.5] and math.isnan(d.column("x")[3])
+    assert d.coerced_cells == {"x": 1, "y": 0}
 
 
 def test_split_exact_fractions():

@@ -57,6 +57,18 @@ def test_pearson_of_a_huge_column_equals_its_unscaled_weight():
         assert w[0] > 0.5 and w[0].hex() == w[1].hex()
 
 
+def test_pearson_of_a_huge_label_equals_its_unscaled_weight():
+    # labels of about 1.3e154 and more square past the float limit
+    rng = rng_for(1, "huge-pearson")
+    x = rng.normal(size=60)
+    y = x + rng.normal(size=60)
+    w, w_exact, w_1e160 = (imp.pearson_importance(make_dataset(num={"f": x}, label=label, task="regression"),
+                                                  range(60))["f"]
+                           for label in (y, np.ldexp(y, 600), y * 1e160))
+    assert w > 0.5 and w_exact.hex() == w.hex()
+    assert w_1e160 == pytest.approx(w, rel=1e-12)
+
+
 def test_pearson_missing_pairs_skipped():
     d = make_dataset(num={"f": [1, np.nan, 3, np.nan]}, label=[1, 9, 3, 9], task="regression")
     assert imp.pearson_importance(d, range(4))["f"] == pytest.approx(1.0, abs=1e-12)
