@@ -35,6 +35,21 @@ reproducibility):
 How the contract is computed (the results are the same bits as the direct
 per-leaf formulas, which ``tests/oracles.py`` keeps as references):
 
+* Pearson holds one feature's matrix at a time and copies none. A
+  categorical feature's indicator matrix ``F`` is built by one scatter and
+  centred in place. The label matrix is centred once per call, without its
+  zero-norm columns, and shared by every feature that pairs all rows; a
+  numerical column with missing cells centres the labels of its finite rows.
+  The weights keep the bits of the dense formula (``pearson_dense_reference``),
+  whose product multiplies the Fortran-ordered copies that numpy's boolean
+  index on axis 1 makes. So ``F`` and the label matrix are Fortran-ordered
+  and ``F.T @ Lc`` takes them whole: OpenBLAS rounds the product differently
+  for a C-ordered operand or when it is split by columns. Column square sums
+  come from C-ordered blocks of two or three columns, because numpy sums a
+  C-ordered block of two or more columns row by row, as it does the whole
+  C-ordered matrix, but a single column pairwise; a one-column matrix keeps
+  its pairwise sum. Column means need no such care: the indicator columns
+  sum 0/1 values, which is exact in any order.
 * Regression segment medians come from order statistics, not one
   ``np.median`` per segment. The fold's labels are ranked once (one
   argsort; the order among equal labels changes no median and no bound
@@ -121,21 +136,31 @@ _RANK_BUCKET = 16
 # Pearson
 
 
-def _max_abs_corr(F: np.ndarray, L: np.ndarray) -> float:
-    """Largest |r| between a column of F and a column of L; centres F in
-    place, which saves a copy the size of F."""
-    n = F.shape[0]
-    if n < 2:
+def _square_sums(A: np.ndarray) -> np.ndarray:
+    """``(A ** 2).sum(axis=0)`` as a C-ordered ``A`` gives it, bit for bit, for
+    either layout of ``A``: its squares are summed in C-ordered blocks of two
+    or three columns. See the module docstring."""
+    k = A.shape[1]
+    out = np.empty(k)
+    bounds = [*range(0, max(k - 1, 1), 2), k]
+    for a, b in zip(bounds, bounds[1:]):
+        out[a:b] = np.multiply(A[:, a:b], A[:, a:b], order="C").sum(axis=0)
+    return out
+
+
+def _max_abs_corr(F: np.ndarray, Lc: np.ndarray, sl: np.ndarray) -> float:
+    """Largest |r| between a column of F, Fortran-ordered, and a column of
+    ``Lc``, from ``_centred_labels`` with norms ``sl``; centres F in place,
+    which saves a copy the size of F."""
+    if F.shape[0] < 2 or Lc.shape[1] == 0:
         return 0.0
     F -= F.mean(axis=0)
-    Lc = L - L.mean(axis=0)
-    sf = np.sqrt((F ** 2).sum(axis=0))
-    sl = np.sqrt((Lc ** 2).sum(axis=0))
-    keep_f = sf > 0
-    keep_l = sl > 0
-    if not keep_f.any() or not keep_l.any():
+    sf = np.sqrt(_square_sums(F))
+    # an indicator matrix over the categories the rows hold is constant only
+    # when it has one column, and a numerical F has one column
+    if not sf.all():
         return 0.0
-    R = (F[:, keep_f].T @ Lc[:, keep_l]) / np.outer(sf[keep_f], sl[keep_l])
+    R = (F.T @ Lc) / np.outer(sf, sl)
     return float(min(1.0, np.max(np.abs(R))))
 
 
@@ -148,15 +173,44 @@ def _scaled(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -exponent, out=a) if exponent else a
 
 
-def _label_matrix(d: ds.Dataset, rows: np.ndarray) -> np.ndarray:
+def _indicator_matrix(codes: np.ndarray, k: int) -> np.ndarray:
+    """One indicator column per code in ``range(k)``, in code order,
+    Fortran-ordered."""
+    F = np.zeros((len(codes), k), order="F")
+    F[np.arange(len(codes)), codes] = 1.0
+    return F
+
+
+def _centred_labels(d: ds.Dataset, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The label matrix of ``labels`` (scaled regression labels or class
+    codes), centred, without its zero-norm columns and Fortran-ordered, and
+    the norms of the columns it keeps."""
     if d.task == ds.TASK_REGRESSION:
-        return _scaled(np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1))
-    return (d.class_codes()[rows][:, None] == np.arange(len(d.class_labels))).astype(np.float64)
+        L = labels.reshape(-1, 1).copy()
+    else:
+        L = _indicator_matrix(labels, len(d.class_labels))
+    L -= L.mean(axis=0)
+    sl = np.sqrt(_square_sums(L))
+    keep = sl > 0
+    return (L, sl) if keep.all() else (np.asfortranarray(L[:, keep]), sl[keep])
 
 
-def _indicator_matrix(codes: np.ndarray) -> np.ndarray:
-    """One indicator column per category code, in code order."""
-    return (codes[:, None] == np.arange(codes.max() + 1)).astype(np.float64)
+def _category_indicators(codes: np.ndarray) -> np.ndarray:
+    """``_indicator_matrix`` of the categories ``codes`` holds."""
+    dense = np.unique(codes, return_inverse=True)[1]
+    return _indicator_matrix(dense, dense.max() + 1)
+
+
+def _numerical_weight(d: ds.Dataset, values: np.ndarray, labels: np.ndarray, shared) -> float:
+    """``_max_abs_corr`` over the rows where ``values``, a float64 array the
+    caller owns, is finite; a column with no missing cell uses the
+    ``shared`` label matrix of all rows."""
+    keep = np.isfinite(values)
+    if keep.all():
+        return _max_abs_corr(_scaled(values.reshape(-1, 1)), *shared)
+    if keep.sum() < 2:
+        return 0.0
+    return _max_abs_corr(_scaled(values[keep].reshape(-1, 1)), *_centred_labels(d, labels[keep]))
 
 
 def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
@@ -166,22 +220,17 @@ def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
     rows = np.asarray(train_rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValueError("training rows must be non-empty")
-    out: dict[str, float] = {}
-    labels = _label_matrix(d, rows)
-    for col in d.feature_columns:
-        if col.kind == ds.KIND_NUMERICAL:
-            vals = d.column(col.name)[rows]
-            keep = np.isfinite(np.asarray(vals, dtype=np.float64))
-            if keep.sum() < 2:
-                out[col.name] = 0.0
-                continue
-            F = _scaled(np.asarray(vals, dtype=np.float64)[keep].reshape(-1, 1))
-            L = labels[keep]
-        else:
-            F = _indicator_matrix(np.unique(d.codes(col.name)[rows], return_inverse=True)[1])
-            L = labels
-        out[col.name] = _max_abs_corr(F, L)
-    return out
+    if d.task == ds.TASK_REGRESSION:
+        labels = _scaled(np.asarray(d.labels()[rows], dtype=np.float64))
+    else:
+        labels = d.class_codes()[rows]
+    shared = _centred_labels(d, labels)
+    # each feature's matrix is built in the call that uses it, so only one
+    # is live at a time
+    return {col.name: _numerical_weight(d, d.column(col.name)[rows], labels, shared)
+            if col.kind == ds.KIND_NUMERICAL
+            else _max_abs_corr(_category_indicators(d.codes(col.name)[rows]), *shared)
+            for col in d.feature_columns}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from tabctx import dataset as ds
+from tabctx.normalize import _headroom
 from tabctx.util import kfold_indices, subseed
 
 MISSING = float("nan")
@@ -225,6 +226,61 @@ def boundary_grid_reference(pool, resolution) -> np.ndarray:
             ctx = retrieve(pool, {fx: gx, fy: gy})
             probs[iy, ix, :] = knn_predict(ctx, d, None).class_probabilities
     return probs
+
+
+# ---------------------------------------------------------------------------
+# Pearson: the dense indicator formula
+
+
+def _dense_scaled(a: np.ndarray) -> np.ndarray:
+    exponent = _headroom(float(a.min()), float(a.max()))
+    return np.ldexp(a, -exponent) if exponent else a
+
+
+def _dense_max_abs_corr(F: np.ndarray, L: np.ndarray) -> float:
+    n = F.shape[0]
+    if n < 2:
+        return 0.0
+    F = F - F.mean(axis=0)
+    Lc = L - L.mean(axis=0)
+    sf = np.sqrt((F ** 2).sum(axis=0))
+    sl = np.sqrt((Lc ** 2).sum(axis=0))
+    keep_f = sf > 0
+    keep_l = sl > 0
+    if not keep_f.any() or not keep_l.any():
+        return 0.0
+    R = (F[:, keep_f].T @ Lc[:, keep_l]) / np.outer(sf[keep_f], sl[keep_l])
+    return float(min(1.0, np.max(np.abs(R))))
+
+
+def pearson_dense_reference(d: ds.Dataset, train_rows) -> dict[str, float]:
+    """Pearson weights from whole C-ordered matrices: the ``==``/``astype``
+    indicator of the training rows' categories (or classes), the label
+    matrix centred per feature, both squared whole, and the product of the
+    nonzero-norm columns as numpy's boolean index on axis 1 copies them.
+    Columns and labels of 2**500 and more are scaled by the power of two
+    ``normalize._headroom`` picks; a numerical feature pairs its finite rows."""
+    rows = np.asarray(train_rows, dtype=np.int64)
+    if d.task == ds.TASK_REGRESSION:
+        labels = _dense_scaled(np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1))
+    else:
+        labels = (d.class_codes()[rows][:, None] == np.arange(len(d.class_labels))).astype(np.float64)
+    out = {}
+    for col in d.feature_columns:
+        if col.kind == ds.KIND_NUMERICAL:
+            vals = np.asarray(d.column(col.name)[rows], dtype=np.float64)
+            keep = np.isfinite(vals)
+            if keep.sum() < 2:
+                out[col.name] = 0.0
+                continue
+            F = _dense_scaled(vals[keep].reshape(-1, 1))
+            L = labels[keep]
+        else:
+            codes = np.unique(d.codes(col.name)[rows], return_inverse=True)[1]
+            F = (codes[:, None] == np.arange(codes.max() + 1)).astype(np.float64)
+            L = labels
+        out[col.name] = _dense_max_abs_corr(F, L)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from tabctx import dataset as ds
 from tabctx import importance as imp
 from tabctx.util import kfold_indices, rng_for, subseed
 from conftest import make_dataset
-from oracles import (categorical_tree_reference, exhaustive_tree_score, pps_per_fold_sort_reference,
-                     segment_costs_reg_reference)
+from oracles import (categorical_tree_reference, exhaustive_tree_score, pearson_dense_reference,
+                     pps_per_fold_sort_reference, segment_costs_reg_reference)
 
 
 def test_pearson_perfect_linear_regression():
@@ -72,6 +73,67 @@ def test_pearson_of_a_huge_label_equals_its_unscaled_weight():
 def test_pearson_missing_pairs_skipped():
     d = make_dataset(num={"f": [1, np.nan, 3, np.nan]}, label=[1, 9, 3, 9], task="regression")
     assert imp.pearson_importance(d, range(4))["f"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _pearson_table(task: str, n: int, n_classes: int, absent: bool, huge: bool, seed: int):
+    """``n`` training rows, then 5 rows that hold a category the training rows
+    lack, and with ``absent`` a class they lack too. Categorical columns hold
+    1, 2, 3, 5, 6, 7 and 13 categories; ``gap_class`` is missing on every
+    row of class 0."""
+    rng = rng_for(seed, "pearson-dense")
+    y = rng.integers(0, n_classes, n)
+    num = {"full": y + rng.normal(size=n), "const": np.full(n, 3.0),
+           "gaps": np.where(rng.random(n) < 0.3, np.nan, y * rng.normal(size=n)),
+           "gap_class": np.where(y == 0, np.nan, y + rng.normal(size=n))}
+    cat = {}
+    for k in (1, 2, 3, 5, 6, 7, 13):
+        codes = (y + rng.integers(0, k, n)) % k
+        codes[:k] = np.arange(k)
+        cat[f"c{k}"] = [f"t{c:02d}" for c in codes]
+    num = {name: np.concatenate([v, rng.normal(size=5)]) for name, v in num.items()}
+    cat = {name: v + ["zz"] * 5 for name, v in cat.items()}
+    if task == "classification":
+        label = [f"y{c}" for c in y] + ["absent" if absent else "y0"] * 5
+    else:
+        label = np.concatenate([y + rng.normal(size=n), np.zeros(5)]) * (2.0 ** 600 if huge else 1.0)
+    return make_dataset(num=num, cat=cat, label=label, task=task)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.sampled_from(["classification", "regression"]), n=st.integers(13, 400),
+       n_classes=st.integers(1, 7), absent=st.booleans(), huge=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(task="classification", n=60_000, n_classes=3, absent=False, huge=False, seed=0)
+def test_pearson_matches_dense_reference(task, n, n_classes, absent, huge, seed):
+    # float.hex equality with the whole-matrix formula: the indicator and
+    # label operands keep their layout, the square sums their order
+    d = _pearson_table(task, n, n_classes, absent, huge, seed)
+    got, want = imp.pearson_importance(d, range(n)), pearson_dense_reference(d, range(n))
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_pearson_holds_one_indicator_matrix_at_a_time():
+    # transient peak of a 50k-row pool: one 13-column indicator matrix and
+    # two label matrices (the shared one and that of a column with gaps); a
+    # squared copy of F, a column-selected copy of F or the previous
+    # feature's F would each add another indicator matrix
+    n, n_classes, k = 50_000, 3, 13
+    rng = rng_for(0, "pearson-memory")
+    y = rng.integers(0, n_classes, n)
+    x = np.where(rng.random(n) < 0.1, np.nan, y + rng.normal(size=n))
+    d = make_dataset(num={"x": x}, cat={c: [f"t{v:02d}" for v in (y + rng.integers(0, k, n)) % k]
+                                        for c in ("a", "b")},
+                     label=[f"y{v}" for v in y])
+    budget = n * k * 8 + 2 * n * n_classes * 8 + 2 * 2 ** 20
+    imp.pearson_importance(d, range(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        imp.pearson_importance(d, range(n))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)
 
 
 def test_pps_threshold_split_scores_high():
