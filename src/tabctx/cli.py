@@ -46,8 +46,7 @@ PREDICTIONS_HEADER = ["dataset", "policy", "train_size", "context_size", "predic
 
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
 SPLIT_KEYS = {"ratios", "seed", "file"}
-PROMPT_KEYS = {"preamble", "anonymize", "chars_per_token", "file", "token_budget", "shuffle_context",
-               "answer_slot"}
+PROMPT_KEYS = {"preamble", "anonymize", "chars_per_token", "file", "token_budget", "shuffle_context"}
 LLM_KEYS = {f.name for f in fields(EndpointConfig)} - {"retry_backoff"}
 PREDICTOR_KEYS = {"knn": set(), "llm": LLM_KEYS, "external": {"path"}, "ensemble": {"members"}}
 
@@ -136,8 +135,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             problems.append(f"dataset {e.id!r}: split file {e.split['file']!r} does not exist")
         if "ratios" in e.split and abs(sum(e.split["ratios"]) - 1.0) > 1e-9:
             problems.append(f"dataset {e.id!r}: split ratios must sum to 1")
-    if not isinstance(slot := cfg.prompt.get("answer_slot", ""), str):
-        problems.append(f"prompt.answer_slot must be a string, got {slot!r}")
     try:
         _resolve_retrieval(cfg.retrieval, {})
         base_ok = True
@@ -208,7 +205,7 @@ def _load_split(entry: DatasetEntry, d: ds.Dataset, run_seed: int) -> ds.SplitAs
 
 def _prompt_template(cfg: RunConfig) -> PromptTemplate:
     p = cfg.prompt
-    kwargs = {k: p[k] for k in ("preamble", "anonymize", "chars_per_token", "answer_slot") if k in p}
+    kwargs = {k: p[k] for k in ("preamble", "anonymize", "chars_per_token") if k in p}
     if p.get("file"):
         return PromptTemplate.from_file(p["file"], **kwargs)
     return PromptTemplate(**kwargs)

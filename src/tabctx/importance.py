@@ -173,32 +173,27 @@ def _scaled(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -exponent, out=a) if exponent else a
 
 
-def _indicator_matrix(codes: np.ndarray, k: int) -> np.ndarray:
-    """One indicator column per code in ``range(k)``, in code order,
+def _indicator_matrix(codes: np.ndarray) -> np.ndarray:
+    """One indicator column per code ``codes`` holds, in code order,
     Fortran-ordered."""
-    F = np.zeros((len(codes), k), order="F")
-    F[np.arange(len(codes)), codes] = 1.0
+    present, dense = np.unique(codes, return_inverse=True)
+    F = np.zeros((len(codes), len(present)), order="F")
+    F[np.arange(len(codes)), dense] = 1.0
     return F
 
 
 def _centred_labels(d: ds.Dataset, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The label matrix of ``labels`` (scaled regression labels or class
-    codes), centred, without its zero-norm columns and Fortran-ordered, and
-    the norms of the columns it keeps."""
+    """The label matrix of ``labels`` (scaled regression labels, which are
+    centred in place, or class codes), centred, without its zero-norm columns
+    and Fortran-ordered, and the norms of the columns it keeps."""
     if d.task == ds.TASK_REGRESSION:
-        L = labels.reshape(-1, 1).copy()
+        L = labels.reshape(-1, 1)
     else:
-        L = _indicator_matrix(labels, len(d.class_labels))
+        L = _indicator_matrix(labels)
     L -= L.mean(axis=0)
     sl = np.sqrt(_square_sums(L))
     keep = sl > 0
     return (L, sl) if keep.all() else (np.asfortranarray(L[:, keep]), sl[keep])
-
-
-def _category_indicators(codes: np.ndarray) -> np.ndarray:
-    """``_indicator_matrix`` of the categories ``codes`` holds."""
-    dense = np.unique(codes, return_inverse=True)[1]
-    return _indicator_matrix(dense, dense.max() + 1)
 
 
 def _numerical_weight(d: ds.Dataset, values: np.ndarray, labels: np.ndarray, shared) -> float:
@@ -222,14 +217,15 @@ def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
         raise ValueError("training rows must be non-empty")
     if d.task == ds.TASK_REGRESSION:
         labels = _scaled(np.asarray(d.labels()[rows], dtype=np.float64))
+        shared = _centred_labels(d, labels.copy())
     else:
         labels = d.class_codes()[rows]
-    shared = _centred_labels(d, labels)
+        shared = _centred_labels(d, labels)
     # each feature's matrix is built in the call that uses it, so only one
     # is live at a time
     return {col.name: _numerical_weight(d, d.column(col.name)[rows], labels, shared)
             if col.kind == ds.KIND_NUMERICAL
-            else _max_abs_corr(_category_indicators(d.codes(col.name)[rows]), *shared)
+            else _max_abs_corr(_indicator_matrix(d.codes(col.name)[rows]), *shared)
             for col in d.feature_columns}
 
 

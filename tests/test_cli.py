@@ -513,8 +513,7 @@ def test_unknown_split_prompt_and_predictor_keys_are_named(tmp_path, capsys):
         state.default = (200, "1")
         cfg = base_config(tmp_path, prompt={"preamble": "rows:", "anonymize": True,
                                             "chars_per_token": 4.0, "token_budget": 4096,
-                                            "shuffle_context": True, "answer_slot": " <answer>"},
-                          predictors=[
+                                            "shuffle_context": True}, predictors=[
             {"id": "llm", "type": "llm", "base_url": url, "model": "m", "api_key_env": "NO_KEY",
              "timeout": 5.0, "max_retries": 1, "concurrency": 2, "max_output_tokens": 8,
              "chat": False}])
@@ -523,16 +522,6 @@ def test_unknown_split_prompt_and_predictor_keys_are_named(tmp_path, capsys):
         assert cli.main(["run", str(write_config(tmp_path, cfg, "all.json"))]) == 0
     body = state.requests[0]["body"]
     assert body["model"] == "m" and body["max_tokens"] == 8 and body["prompt"].startswith("rows:")
-    assert all(r["body"]["prompt"].endswith("label: <answer>") for r in state.requests)
-
-
-def test_non_string_answer_slot_is_rejected(tmp_path, capsys):
-    write_toy_files(tmp_path)
-    bad = write_config(tmp_path, base_config(tmp_path, prompt={"answer_slot": 5}), "bad.json")
-    for verb in ("validate-config", "run"):
-        assert cli.main([verb, str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "error: prompt.answer_slot must be a string, got 5" in err and "Traceback" not in err
 
 
 def test_policy_quota_is_rejected(tmp_path):
