@@ -214,7 +214,8 @@ def _prompt_template(cfg: RunConfig) -> PromptTemplate:
 def _score_records(d: ds.Dataset, records: list[PredictionRecord],
                    dataset_id: str, predictor_id: str) -> mt.MetricReport:
     if d.task == ds.TASK_CLASSIFICATION:
-        labels = [d.labels()[r.row_index] for r in records]
+        codes = d.class_codes()
+        labels = [d.class_labels[codes[r.row_index]] for r in records]
         P = [r.class_probabilities for r in records]
         value = mt.auroc(labels, P, d.class_labels)
         kind = mt.METRIC_AUROC

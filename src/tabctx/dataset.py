@@ -236,38 +236,52 @@ def _float_or_nan(text: str) -> float:
 
 
 class _Encoder:
-    """Encodes one categorical column chunk by chunk: codes in first-seen
-    order while reading, remapped once to the sorted vocabulary at the end."""
+    """Encodes one categorical column chunk by chunk into one int32 buffer
+    that grows in place: codes in first-seen order while reading, remapped in
+    place to the sorted vocabulary at the end."""
 
     def __init__(self):
         self.lookup: dict[str, int] = {}
-        self.parts: list[np.ndarray] = []
+        self.codes = np.empty(0, dtype=np.int32)
 
     def add(self, cells: Sequence[str]) -> None:
         lookup = self.lookup
-        self.parts.append(np.fromiter((lookup.setdefault(c, len(lookup)) for c in cells),
-                                      dtype=np.int32, count=len(cells)))
+        _extend(self.codes, np.fromiter((lookup.setdefault(c, len(lookup)) for c in cells),
+                                        dtype=np.int32, count=len(cells)))
 
     def finish(self) -> Coded:
         vocabulary = sorted(self.lookup)
         remap = np.empty(len(vocabulary), dtype=np.int32)
         remap[[self.lookup[t] for t in vocabulary]] = np.arange(len(vocabulary), dtype=np.int32)
-        return Coded(np.asarray(vocabulary, dtype=object), remap[np.concatenate(self.parts)])
+        # a chunk at a time, so the remap makes no column-sized temporary
+        for start in range(0, len(self.codes), CHUNK_ROWS):
+            part = self.codes[start:start + CHUNK_ROWS]
+            part[...] = remap[part]
+        return Coded(np.asarray(vocabulary, dtype=object), self.codes)
+
+
+def _extend(buffer: np.ndarray, values: np.ndarray) -> None:
+    """Append ``values`` to a 1-D array that owns its memory, in place: the
+    memory is reallocated, so the column is never held twice."""
+    start = len(buffer)
+    buffer.resize(start + len(values), refcheck=False)
+    buffer[start:] = values
 
 
 def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
     """Read a comma-delimited UTF-8 table (header row, quoting allowed) against
-    its JSON schema sidecar, ``CHUNK_ROWS`` rows at a time into column arrays:
-    each chunk's rows fill one flat cell list, and each column is a strided
-    slice of it. Numerical cells parse with ``float``; those that fail to
-    parse, or are not finite, become NaN and are counted in ``coerced_cells``.
-    Categorical cells become codes as they are read. Errors name the file,
-    the 1-based data row and the column, or the row and the csv module's
-    message (a field over ``csv.field_size_limit()``).
+    its JSON schema sidecar, ``CHUNK_ROWS`` rows at a time: each chunk's rows
+    fill one flat cell list, and each column is a strided slice of it that is
+    appended to the column's one buffer, which grows in place (no per-chunk
+    arrays, and no column held twice). Numerical cells parse with ``float``;
+    those that fail to parse, or are not finite, become NaN and are counted in
+    ``coerced_cells``. Categorical cells become codes as they are read. Errors
+    name the file, the 1-based data row and the column, or the row and the csv
+    module's message (a field over ``csv.field_size_limit()``).
     """
     schema, task = load_schema(schema_file)
     names = [c.name for c in schema]
-    numbers: dict[str, list[np.ndarray]] = {c.name: [] for c in schema if c.kind == KIND_NUMERICAL}
+    numbers = {c.name: np.empty(0) for c in schema if c.kind == KIND_NUMERICAL}
     encoders = {c.name: _Encoder() for c in schema if c.kind == KIND_CATEGORICAL}
     coerced = dict.fromkeys(numbers, 0)
     with open(table_file, newline="", encoding="utf-8") as fh:
@@ -304,7 +318,7 @@ def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
                 column = cells[j::width]
                 if name in numbers:
                     values, n_coerced = _parse_numbers(column)
-                    numbers[name].append(values)
+                    _extend(numbers[name], values)
                     coerced[name] += n_coerced
                 else:
                     encoders[name].add(column)
@@ -312,8 +326,7 @@ def load_dataset(table_file: str | Path, schema_file: str | Path) -> Dataset:
             del cells, column
     if start == 0:
         raise ValueError(f"{table_file}: empty table")
-    columns = {**{k: np.concatenate(v) for k, v in numbers.items()},
-               **{k: v.finish() for k, v in encoders.items()}}
+    columns = {**numbers, **{k: v.finish() for k, v in encoders.items()}}
     try:
         return Dataset(schema, columns, task, coerced_cells=coerced)
     except ValueError as exc:
@@ -340,18 +353,26 @@ def save_table(d: Dataset, table_file: str | Path) -> None:
 
 @dataclass(frozen=True)
 class SplitAssignment:
+    """Row indices of the three split sets. Each set is kept as an int64
+    array, ascending and without repeats: one that already is one is kept as
+    given, any other is sorted and its repeats dropped. Sets that share a
+    row raise ``ValueError``."""
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
     seed: int
 
     def __post_init__(self):
-        # sorts and adjacent comparisons: np.unique's hash path is slower on
-        # 100k rows than the sort it replaces
         for name in ("train", "validation", "test"):
-            rows = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
-            object.__setattr__(self, name, rows[~_repeats(rows)])
-        if _repeats(np.sort(np.concatenate([self.train, self.validation, self.test]))).any():
+            rows = np.asarray(getattr(self, name), dtype=np.int64)
+            if (rows[1:] <= rows[:-1]).any():
+                # sorts and adjacent comparisons: np.unique's hash path is
+                # slower on 100k rows than the sort it replaces
+                rows = np.sort(rows)
+                rows = rows[~_repeats(rows)]
+            object.__setattr__(self, name, rows)
+        train, validation, test = self.train, self.validation, self.test
+        if _share_a_row(train, validation) or _share_a_row(train, test) or _share_a_row(validation, test):
             raise ValueError("split sets overlap")
 
 
@@ -360,6 +381,18 @@ def _repeats(sorted_rows: np.ndarray) -> np.ndarray:
     out = np.zeros(len(sorted_rows), dtype=bool)
     out[1:] = sorted_rows[1:] == sorted_rows[:-1]
     return out
+
+
+def _share_a_row(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two ascending arrays hold a common entry: the shorter one is
+    looked up in the longer one, which is neither copied nor sorted."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not len(a):
+        return False
+    at = np.searchsorted(b, a)
+    np.minimum(at, len(b) - 1, out=at)
+    return bool((b[at] == a).any())
 
 
 def _downsample(idx: np.ndarray, cap: int, seed: int, tag: str) -> np.ndarray:

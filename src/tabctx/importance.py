@@ -342,12 +342,19 @@ def _segment_costs_cls(cum: np.ndarray) -> np.ndarray:
 
 
 def _depth_tables(C: np.ndarray) -> list[np.ndarray]:
+    """``tables[d][i, j]``: the least cost of bins i .. j - 1 under a tree of
+    depth at most d, for the entries ``_boundaries`` reads. Tables below depth
+    ``TREE_DEPTH - 1`` are whole; at that depth only the root reads them, in
+    row 0 and the last column, so only those are built (inf elsewhere)."""
     tables = [C]
-    M = C
-    for _ in range(TREE_DEPTH):
-        S = np.min(M[:, :, None] + M[None, :, :], axis=1)
-        M = np.minimum(C, S)
-        tables.append(M)
+    for _ in range(TREE_DEPTH - 2):
+        M = tables[-1]
+        tables.append(np.minimum(C, np.min(M[:, :, None] + M[None, :, :], axis=1)))
+    M = tables[-1]
+    top = np.full_like(C, np.inf)
+    top[0] = np.minimum(C[0], np.min(M[0][:, None] + M, axis=0))
+    top[:, -1] = np.minimum(C[:, -1], np.min(M + M[:, -1], axis=1))
+    tables.append(top)
     return tables
 
 

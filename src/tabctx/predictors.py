@@ -85,8 +85,7 @@ def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | Non
 @dataclass(frozen=True)
 class PromptTemplate:
     preamble: str = "Predict the label of the final row from the labeled rows above it."
-    layout: str = "{preamble}\n\n{rows}\n{query}{answer_slot}"
-    answer_slot: str = ""
+    layout: str = "{preamble}\n\n{rows}\n{query}"
     anonymize: bool = False
     chars_per_token: float = 4.0
 
@@ -100,10 +99,18 @@ class PromptTemplate:
 
 def _rows_fields(layout: str) -> int:
     """How many times the layout inserts the context rows. Each must be a
-    plain ``{rows}``, so the prompt's length grows with the rows' text alone."""
+    plain ``{rows}``, so the prompt's length grows with the rows' text alone.
+    Any field but ``{preamble}``, ``{rows}`` and ``{query}`` is rejected."""
     count = 0
     for _, field, spec, conversion in string.Formatter().parse(layout):
-        if field is not None and re.match(r"rows\b", field):
+        if field is None:
+            continue
+        name = re.match(r"[^.[]*", field)[0]  # the name before any attribute or index
+        if name not in ("preamble", "rows", "query"):
+            raise ValueError(f"prompt layout field {{{field}}} is unknown: a layout names "
+                             f"{{preamble}}, {{rows}} and {{query}}, and prints any other text "
+                             f"as written")
+        if name == "rows":
             if field != "rows" or spec or conversion:
                 raise ValueError(f"prompt layout field {{{field}}} must be a plain {{rows}}")
             count += 1
@@ -131,8 +138,7 @@ def _row_lines(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dic
 
 
 def _compose(tmpl: PromptTemplate, lines: list[str], query_line: str) -> str:
-    return tmpl.layout.format(preamble=tmpl.preamble, rows="\n".join(lines),
-                              query=query_line, answer_slot=tmpl.answer_slot)
+    return tmpl.layout.format(preamble=tmpl.preamble, rows="\n".join(lines), query=query_line)
 
 
 def serialize_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]],

@@ -151,7 +151,9 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
     with this config's ``pps_folds`` and ``seed``; a measure the mode needs and
     the dict lacks is fitted and added to it. The pool keeps only the measures
     its mode consumes. A match constraint must name a categorical feature."""
-    rows = np.sort(np.asarray(train_rows, dtype=np.int64))
+    rows = np.asarray(train_rows, dtype=np.int64)
+    if (rows[1:] < rows[:-1]).any():  # sorted rows are kept as given, not copied
+        rows = np.sort(rows)
     if len(rows) == 0:
         raise ValueError("context pool must be non-empty")
     bad = [name for name in cfg.match_constraints if name not in dataset.categorical_features]

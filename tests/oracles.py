@@ -370,6 +370,17 @@ def segment_costs_reg_reference(y_sorted: np.ndarray, pos) -> np.ndarray:
     return C
 
 
+def depth_tables_reference(C: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Every min-plus table of the tree DP, whole: ``tables[d][i, j]`` is the
+    least cost of bins i .. j - 1 under a tree of depth at most d."""
+    tables = [C]
+    M = C
+    for _ in range(depth):
+        M = np.minimum(C, np.min(M[:, :, None] + M[None, :, :], axis=1))
+        tables.append(M)
+    return tables
+
+
 def categorical_tree_reference(tokens: np.ndarray, y: np.ndarray, n_classes: int | None,
                                fallback, depth: int = 4):
     """Greedy one-vs-rest categorical tree on string tokens: each level

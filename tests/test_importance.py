@@ -11,8 +11,9 @@ from tabctx import dataset as ds
 from tabctx import importance as imp
 from tabctx.util import kfold_indices, rng_for, subseed
 from conftest import make_dataset
-from oracles import (categorical_tree_reference, exhaustive_tree_score, pearson_dense_reference,
-                     pps_per_fold_sort_reference, segment_costs_reg_reference)
+from oracles import (categorical_tree_reference, depth_tables_reference, exhaustive_tree_score,
+                     pearson_dense_reference, pps_per_fold_sort_reference,
+                     segment_costs_reg_reference)
 
 
 def test_pearson_perfect_linear_regression():
@@ -465,6 +466,34 @@ def test_fast_segment_costs_within_their_bound(labels, cuts):
     assert np.array_equal(np.isinf(fast), np.isinf(exact))
     finite = np.isfinite(exact)
     assert np.all(np.abs(fast[finite] - exact[finite]) <= bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 52), st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_tree_from_partial_tables_equals_full_dp(bins, seed, regression, use_bound):
+    # cost matrices as the fitters make them: regression costs from the rank
+    # tables with their error bound, and tie-heavy integer class-count costs;
+    # the root reads only row 0 and the last column of the last table
+    rng = np.random.default_rng(seed)
+    if regression:
+        n = int(rng.integers(bins, 8 * bins + 1))
+        y = np.round(rng.normal(size=n), 1)
+        pos = np.concatenate([[0], np.sort(rng.integers(0, n + 1, bins - 1)), [n]]).astype(np.int64)
+        C, bound, _ = imp._segment_costs_fast(y, pos)
+    else:
+        counts = rng.integers(0, 3, (bins, 3))
+        cum = np.zeros((bins + 1, 3), dtype=np.int64)
+        np.cumsum(counts, axis=0, out=cum[1:])
+        C, bound = imp._segment_costs_cls(cum), 0.25
+    bound = bound if use_bound else None
+    tables = imp._depth_tables(C)
+    want = depth_tables_reference(C, imp.TREE_DEPTH)
+    assert len(tables) == imp.TREE_DEPTH
+    for got, full in zip(tables[:-1], want):
+        assert np.array_equal(got, full)
+    assert np.array_equal(tables[-1][0], want[-2][0])
+    assert np.array_equal(tables[-1][:, -1], want[-2][:, -1])
+    assert imp._boundaries(C, tables, bound) == imp._boundaries(C, want, bound)
 
 
 def test_mirror_case_ties_at_the_root():

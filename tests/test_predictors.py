@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,8 +104,8 @@ def test_prompt_truncates_farthest_rows():
     assert "size: 0.0" in text and f"size: {float(used - 1)}" in text
 
 
-LAYOUTS = [pr.PromptTemplate.layout, "{rows}\n---\n{preamble}\n{rows}\n{query}{answer_slot}",
-           "{preamble} {query}{answer_slot}"]
+LAYOUTS = [pr.PromptTemplate.layout, "{rows}\n---\n{preamble}\n{rows}\n{query}",
+           "{preamble} {query}"]
 
 
 @settings(max_examples=120, deadline=None)
@@ -141,6 +142,15 @@ def test_layout_rows_field_must_be_plain(layout):
         pr.PromptTemplate(layout=layout)
 
 
+@pytest.mark.parametrize("layout, field", [("{preamble}\n\n{rows}\n{query}{answer_slot}", "answer_slot"),
+                                           ("{rows} {query} {}", ""), ("{rows} {label.x}", "label.x"),
+                                           ("{rows_} {query}", "rows_")])
+def test_layout_names_only_preamble_rows_and_query(layout, field):
+    # answer text goes after {query} as plain text, as in test_template_file_placeholders
+    with pytest.raises(ValueError, match=re.escape(f"prompt layout field {{{field}}} is unknown")):
+        pr.PromptTemplate(layout=layout)
+
+
 def test_prompt_renders_numpy_scalars_as_plain_numbers():
     d = sg.generate_toy(sg.ToySpec("circle", 0.1, 8, 0))
     query = d.feature_row(0)
@@ -158,8 +168,8 @@ def test_prompt_query_alone_over_budget():
 
 def test_template_file_placeholders(tmp_path):
     f = tmp_path / "tmpl.txt"
-    f.write_text("PREFIX {preamble} | {rows} | {query}{answer_slot} SUFFIX", encoding="utf-8")
-    tmpl = pr.PromptTemplate.from_file(f, preamble="p!", answer_slot="<ans>")
+    f.write_text("PREFIX {preamble} | {rows} | {query}<ans> SUFFIX", encoding="utf-8")
+    tmpl = pr.PromptTemplate.from_file(f, preamble="p!")
     text = pr.serialize_prompt(tmpl, rows_fixture(1), {"size": 1.0, "color": "c0"}, FEATURES, "y")
     assert text.startswith("PREFIX p! | ") and text.endswith("label:<ans> SUFFIX".replace("label", "y"))
 

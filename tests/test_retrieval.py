@@ -258,6 +258,14 @@ def test_category_absent_from_pool_rows_matches_none():
     assert len(rt.retrieve(rt.build_pool(d, range(6), cfg), {"x": 1.0, "g": "w"})) == 0
 
 
+def test_pool_keeps_sorted_rows_and_sorts_others():
+    d = make_dataset(num={"x": np.arange(8.0)}, label=np.zeros(8), task="regression")
+    cfg = rt.RetrievalConfig(quota=3, importance_mode="uniform")
+    rows = np.asarray([1, 2, 2, 5])
+    assert rt.build_pool(d, rows, cfg).rows is rows
+    assert rt.build_pool(d, [5, 2, 1, 2], cfg).rows.tolist() == [1, 2, 2, 5]
+
+
 def test_match_constraint_must_be_a_categorical_feature():
     d = make_dataset(num={"x": np.arange(6.0)}, cat={"g": ["u", "v"] * 3}, label=np.zeros(6),
                      task="regression")
