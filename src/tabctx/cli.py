@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,77 +235,90 @@ def _prediction_row(dataset_id, policy_id, train_size, ctx_size, rec: Prediction
             str(rec.row_index), str(rec.context_size), rec.flag or "", est, probs]
 
 
-def _process_dataset(cfg: RunConfig, entry: DatasetEntry):
-    """One dataset's full sweep. Returns (pred_rows, report_dicts, weights, traces, info)."""
+class DatasetResult(NamedTuple):
+    """One dataset's sweep: prediction rows and metric reports in output order,
+    ``weights.json`` and ``traces.jsonl`` entries, and manifest facts."""
+    pred_rows: list[list]
+    reports: list[dict]
+    weights: dict[str, dict]
+    traces: list[dict]
+    info: dict
+
+
+def _contexts(cfg: RunConfig, entry_id: str, d: ds.Dataset, pol: dict, train_size: int,
+              subset: np.ndarray, test_rows: list[int], fitted: dict) -> tuple[dict, dict | None]:
+    """Each test row's contexts under the policy, one per context size, and
+    the weights of the policy's pool (None when it has none). ``fitted`` holds
+    the weights already fitted on ``subset`` by (pps_folds, seed). The pool
+    lives only here, so it is freed before prediction."""
+    if pol.get("type", "rag") == "random":
+        return {row: tuple(retrieve_random(subset, size, subseed(
+            cfg.seed, "random-policy", entry_id, train_size, size, row))
+            for size in cfg.context_sizes) for row in test_rows}, None
+    rcfg = _resolve_retrieval(cfg.retrieval, pol)
+    pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
+    weights = ({"pearson": pool.pearson_weights, "pps": pool.pps_weights}
+               if pool.pearson_weights or pool.pps_weights else None)
+    return {row: retrieve(pool, d.feature_row(row), tuple(cfg.context_sizes)) for row in test_rows}, weights
+
+
+def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
+    """One dataset's full sweep."""
     d = ds.load_dataset(entry.table, entry.schema)
     split = _load_split(entry, d, cfg.seed)
-    test_rows = split.test
-    pred_rows, reports, weights_out, traces = [], [], {}, []
+    test_rows = split.test.tolist()
+    out = DatasetResult([], [], {}, [], {
+        "n_rows": d.n_rows, "n_train": len(split.train), "n_test": len(test_rows),
+        "split_seed": split.seed,
+        "coerced_cells": {name: n for name, n in d.coerced_cells.items() if n}})
 
-    sizes = cfg.train_sizes or [len(split.train)]
-    subsets = generate_scaling_pools(split.train, sorted(sizes), subseed(cfg.seed, "subsets", entry.id))
+    def emit(recs: list[PredictionRecord], predictor_id: str, *scope) -> None:
+        """Rows and a report for ``recs``; ``scope`` is (policy, train size, context size) or none."""
+        pol_id, train_size, ctx_size = scope or ("external", 0, 0)
+        out.pred_rows.extend(_prediction_row(entry.id, pol_id, train_size, ctx_size, r) for r in recs)
+        out.reports.append({**_score_records(d, recs, entry.id, predictor_id).to_dict(),
+                            **dict(zip(("policy", "train_size", "context_size"), scope))})
+
+    external = {p["id"]: ingest_predictions(p["path"], d, p["id"], valid_rows=test_rows)
+                for p in cfg.predictors if p["type"] == "external"}
+    for pid, recs in external.items():
+        emit(recs, pid)
+
+    sizes = sorted(cfg.train_sizes or [len(split.train)])
+    subsets = generate_scaling_pools(split.train, sizes, subseed(cfg.seed, "subsets", entry.id))
     tmpl = _prompt_template(cfg)
     token_budget = cfg.prompt.get("token_budget", 16384)
     shuffle_ctx = cfg.prompt.get("shuffle_context", False)
-
-    external_records: dict[str, list[PredictionRecord]] = {}
-    for p in cfg.predictors:
-        if p["type"] == "external":
-            external_records[p["id"]] = ingest_predictions(p["path"], d, p["id"], valid_rows=test_rows)
-            pred_rows.extend(_prediction_row(entry.id, "external", 0, 0, r)
-                             for r in external_records[p["id"]])
-            reports.append(_score_records(d, external_records[p["id"]], entry.id, p["id"]).to_dict())
-
-    for train_size, subset in zip(sorted(sizes), subsets):
+    for train_size, subset in zip(sizes, subsets):
         fitted: dict[tuple[int, int], dict] = {}  # (pps_folds, seed) -> weights on this subset
         # the regression stand-in for an empty context (subset rows are sorted)
         fallback_mean = (float(np.mean(np.asarray(d.labels()[subset], dtype=np.float64)))
                          if d.task == ds.TASK_REGRESSION else None)
         for pol in cfg.policies:
             pol_id = _policy_id(pol)
-            pol_type = pol.get("type", "rag")
-            if pol_type == "rag":
-                rcfg = _resolve_retrieval(cfg.retrieval, pol)
-                pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
-                if pool.pearson_weights or pool.pps_weights:
-                    weights_out[f"{pol_id}/n{train_size}"] = {
-                        "pearson": pool.pearson_weights, "pps": pool.pps_weights}
-                ranked = {int(row): retrieve(pool, d.feature_row(int(row)), tuple(cfg.context_sizes))
-                          for row in test_rows}
+            by_row, weights = _contexts(cfg, entry.id, d, pol, train_size, subset, test_rows, fitted)
+            if weights:
+                out.weights[f"{pol_id}/n{train_size}"] = weights
             for i, ctx_size in enumerate(cfg.context_sizes):
-                if pol_type == "random":
-                    contexts = {int(row): retrieve_random(subset, ctx_size, subseed(
-                        cfg.seed, "random-policy", entry.id, train_size, ctx_size, int(row)))
-                        for row in test_rows}
-                else:
-                    contexts = {row: by_size[i] for row, by_size in ranked.items()}
+                contexts = {row: by_size[i] for row, by_size in by_row.items()}
                 if cfg.write_traces:
-                    traces.extend({"dataset": entry.id, "policy": pol_id, "train_size": train_size,
-                                   "context_size": ctx_size, **context_trace(c, r)}
-                                  for r, c in contexts.items())
-
-                coord_records: dict[str, list[PredictionRecord]] = dict(external_records)
+                    out.traces.extend({"dataset": entry.id, "policy": pol_id, "train_size": train_size,
+                                       "context_size": ctx_size, **context_trace(c, r)}
+                                      for r, c in contexts.items())
+                records: dict[str, list[PredictionRecord]] = dict(external)
                 for p in cfg.predictors:
                     if p["type"] == "knn":
-                        recs = [knn_predict(contexts[int(r)], d, fallback_mean, p["id"], int(r))
-                                for r in test_rows]
+                        recs = [knn_predict(contexts[r], d, fallback_mean, p["id"], r) for r in test_rows]
                     elif p["type"] == "llm":
                         recs = _llm_records(p, d, fallback_mean, contexts, test_rows, tmpl,
                                             token_budget, shuffle_ctx, cfg.seed)
                     elif p["type"] == "ensemble":
-                        recs = ensemble([coord_records[m] for m in p["members"]], p["id"])
+                        recs = ensemble([records[m] for m in p["members"]], p["id"])
                     else:
                         continue
-                    coord_records[p["id"]] = recs
-                    pred_rows.extend(_prediction_row(entry.id, pol_id, train_size, ctx_size, r)
-                                     for r in recs)
-                    reports.append({**_score_records(d, recs, entry.id, p["id"]).to_dict(),
-                                    "policy": pol_id, "train_size": train_size,
-                                    "context_size": ctx_size})
-    info = {"n_rows": d.n_rows, "n_train": len(split.train), "n_test": len(test_rows),
-            "split_seed": split.seed,
-            "coerced_cells": {name: n for name, n in d.coerced_cells.items() if n}}
-    return pred_rows, reports, weights_out, traces, info
+                    records[p["id"]] = recs
+                    emit(recs, p["id"], pol_id, train_size, ctx_size)
+    return out
 
 
 def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, test_rows,
@@ -315,11 +329,10 @@ def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, 
     label_name = d.label_column.name
     jobs, overflowed = [], {}
     for row in test_rows:
-        ctx = contexts[int(row)]
-        seed = subseed(run_seed, "prompt-order", int(row)) if shuffle_ctx else None
-        rows_lab = context_rows_for_prompt(ctx, d, shuffle_seed=seed)
+        seed = subseed(run_seed, "prompt-order", row) if shuffle_ctx else None
+        rows_lab = context_rows_for_prompt(contexts[row], d, shuffle_seed=seed)
         try:
-            text, used = fit_prompt(tmpl, rows_lab, d.feature_row(int(row)), features,
+            text, used = fit_prompt(tmpl, rows_lab, d.feature_row(row), features,
                                     label_name, token_budget)
         except PromptOverflowError:
             text, used = None, 0
@@ -329,13 +342,13 @@ def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, 
         else:
             ctx_mean = 0.0
         if text is None:
-            overflowed[int(row)] = fallback_record(d.task, d.class_labels, ctx_mean, int(row), 0,
-                                                   p["id"], FLAG_PROMPT_OVERFLOW)
+            overflowed[row] = fallback_record(d.task, d.class_labels, ctx_mean, row, 0,
+                                              p["id"], FLAG_PROMPT_OVERFLOW)
             continue
         jobs.append({"prompt": text, "task": d.task, "class_labels": d.class_labels,
-                     "context_mean": ctx_mean, "row_index": int(row), "context_size": used})
+                     "context_mean": ctx_mean, "row_index": row, "context_size": used})
     answered = iter(client.predict_many(jobs, predictor_id=p["id"]))
-    return [overflowed.get(int(row)) or next(answered) for row in test_rows]
+    return [overflowed.get(row) or next(answered) for row in test_rows]
 
 
 class ConfigError(ValueError):
@@ -355,8 +368,8 @@ def _checked(cfg: RunConfig) -> RunConfig:
     return replace(cfg, context_sizes=_context_sizes(cfg))
 
 
-def _sweep(cfg: RunConfig) -> tuple[dict, dict[str, str]]:
-    """({id: _process_dataset payload}, {id: error}) over the datasets in order."""
+def _sweep(cfg: RunConfig) -> tuple[dict[str, DatasetResult], dict[str, str]]:
+    """({id: result}, {id: error}) over the datasets in order."""
     results, errors = {}, {}
     for entry in cfg.datasets:
         try:
@@ -385,17 +398,15 @@ def _flag_counts(pred_rows: list[list]) -> dict[str, dict[str, int]]:
     return counts
 
 
-def _write_run(cfg: RunConfig, out: Path, results: dict, errors: dict[str, str],
-               started: float) -> None:
+def _write_run(cfg: RunConfig, out: Path, results: dict[str, DatasetResult],
+               errors: dict[str, str], started: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTIONS_HEADER)
-        for entry in cfg.datasets:
-            if entry.id in results:
-                writer.writerows(results[entry.id][0])
+        writer.writerows(r for res in results.values() for r in res.pred_rows)
 
-    reports = [r for e in cfg.datasets if e.id in results for r in results[e.id][1]]
+    reports = [r for res in results.values() for r in res.reports]
     dump_json(out / "metrics.json", {"metrics": reports})
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -406,28 +417,24 @@ def _write_run(cfg: RunConfig, out: Path, results: dict, errors: dict[str, str],
                              r.get("train_size", ""), r.get("context_size", ""),
                              r["metric"], fmt_float(r["value"]), r["n_test"], r["flag"] or ""])
 
-    weights = {e.id: results[e.id][2] for e in cfg.datasets if e.id in results and results[e.id][2]}
+    weights = {i: res.weights for i, res in results.items() if res.weights}
     if weights:
         dump_json(out / "weights.json", weights)
     if cfg.write_traces:
         with open(out / "traces.jsonl", "w", encoding="utf-8") as fh:
-            for entry in cfg.datasets:
-                if entry.id in results:
-                    for t in results[entry.id][3]:
-                        fh.write(json.dumps(t) + "\n")
+            fh.writelines(json.dumps(t) + "\n" for res in results.values() for t in res.traces)
 
     manifest = {
         "config": cfg.to_dict(),
         "seed_scheme": "blake2b(root:tag) sub-seeds",
-        "datasets": {e.id: ({"status": "ok", **results[e.id][4],
-                             "flags": _flag_counts(results[e.id][0])} if e.id in results
+        "datasets": {e.id: ({"status": "ok", **results[e.id].info,
+                             "flags": _flag_counts(results[e.id].pred_rows)} if e.id in results
                             else {"status": "error", "error": errors[e.id]})
                      for e in cfg.datasets},
         "started_at": started,
         "finished_at": time.time(),
     }
     dump_json(out / "manifest.json", manifest)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +493,12 @@ def compare(paths, target: str | None = None, baseline: str | None = None) -> di
     return out
 
 
-def _policy_part(payload, pol_id: str):
-    """One dataset's payload as a run with ``pol_id`` as its only policy gives it."""
-    pred_rows, reports, weights, traces, info = payload
-    return ([r for r in pred_rows if r[1] in (pol_id, "external")],
-            [r for r in reports if r.get("policy", pol_id) == pol_id],
-            {k: w for k, w in weights.items() if k.rpartition("/")[0] == pol_id},
-            [t for t in traces if t["policy"] == pol_id], info)
+def _policy_part(res: DatasetResult, pol_id: str) -> DatasetResult:
+    """One dataset's result as a run with ``pol_id`` as its only policy gives it."""
+    return DatasetResult([r for r in res.pred_rows if r[1] in (pol_id, "external")],
+                         [r for r in res.reports if r.get("policy", pol_id) == pol_id],
+                         {k: w for k, w in res.weights.items() if k.rpartition("/")[0] == pol_id},
+                         [t for t in res.traces if t["policy"] == pol_id], res.info)
 
 
 def ablate(cfg: RunConfig, output_dir: str | Path) -> Path:
@@ -562,7 +568,6 @@ def scaling(cfg: RunConfig, sizes: list[int], output_dir: str | Path) -> Path:
 def _add_run_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", "-o", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quota", type=int, default=None)
     p.add_argument("--traces", action="store_true")
 
 
@@ -573,8 +578,6 @@ def _load_config(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "output_dir", None) is not None:
         cfg.output_dir = args.output_dir
-    if getattr(args, "quota", None) is not None:
-        cfg.context_sizes = [args.quota]
     if getattr(args, "traces", False):
         cfg.write_traces = True
     return cfg

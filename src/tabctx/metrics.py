@@ -105,11 +105,6 @@ class PowerLawFit:
         return {"d_c": self.d_c, "alpha": self.alpha, "r_squared": self.r_squared,
                 "points": [list(p) for p in self.points], "degenerate": self.degenerate}
 
-    def predict(self, d: float) -> float:
-        if self.d_c is None:
-            raise ValueError("degenerate fit has no scale constant")
-        return (self.d_c / d) ** self.alpha
-
 
 def fit_power_law(points) -> PowerLawFit:
     """Least squares on log L = alpha*log(d_c) - alpha*log(D). A slope within

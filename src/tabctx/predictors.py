@@ -174,7 +174,7 @@ def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dic
         if kept == 0:
             raise PromptOverflowError("query row alone exceeds the token budget")
         kept -= 1
-    return serialize_prompt(tmpl, rows[:kept], query, features, label_name), kept
+    return _compose(tmpl, lines[:kept], query_line), kept
 
 
 def context_rows_for_prompt(ctx: RetrievedContext, d: ds.Dataset,

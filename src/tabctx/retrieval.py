@@ -36,6 +36,12 @@ features)`` array, which is never built. That order is numpy's, not an API:
 ``tests/golden.json`` records the numpy version its digests were made
 with, and ``tests/test_retrieval.py`` checks the sums against ``np.sum``
 bit for bit.
+
+A far query, one whose squared distances overflow a float (possible only
+without the min-max rescale), is ranked with its feature distances scaled
+by a power of two, as ``normalize`` scales a far column, and its reported
+distances are capped at the float maximum. Equal capped distances keep the
+row-index order. Queries whose squares are finite keep their bits.
 """
 from __future__ import annotations
 
@@ -49,6 +55,7 @@ import numpy as np
 from . import dataset as ds
 from . import normalize as nz
 from .importance import IMPORTANCE_MODES, pearson_importance, pps_importance
+from .normalize import _headroom
 from .util import rng_for
 
 TAG_PEARSON = "pearson-half"
@@ -329,10 +336,31 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
 
     def squared_column(j):
         d = _feature_distances(pool, queries, pool.features[j], columns_at)
+        if shift is not None:
+            np.ldexp(d, -shift, out=d)
         return np.multiply(d, d, out=d)
 
+    def reported(dist):
+        """The distances of each query scaled back by its shift, capped at the float maximum."""
+        if shift is None:
+            return dist
+        with np.errstate(over="ignore"):
+            return np.minimum(np.ldexp(dist, shift), np.finfo(np.float64).max)
+
     vectors = [w for w in pool.weight_vectors() if w is not None]
-    d_primary, *rest = _row_distances(squared_column, (n_queries, n_rows), vectors)
+    shift = None
+    with np.errstate(over="ignore", invalid="ignore"):  # a far query's squares overflow
+        sums = _row_distances(squared_column, (n_queries, n_rows), vectors)
+    # rescaled distances are at most 1, so only unrescaled ones can overflow
+    if not cfg.distance_minmax_rescale and not all(np.isfinite(s.max(initial=0.0)) for s in sums):
+        # rank each far query with its distances scaled by a power of two, which
+        # is exact, so that their squares and sums stay finite; other queries keep shift 0
+        far = ~(np.max([s.max(axis=1, initial=0.0) for s in sums], axis=0) < np.inf)
+        largest = np.max([_feature_distances(pool, queries, f, columns_at).max(axis=1, initial=0.0)
+                          for f in pool.features], axis=0)
+        shift = np.where(far, [_headroom(0.0, v) for v in largest.tolist()], 0)[:, None]
+        sums = _row_distances(squared_column, (n_queries, n_rows), vectors)
+    d_primary, *rest = sums
     d_secondary = rest[0] if rest else None
     K = max(sizes)
 
@@ -341,7 +369,7 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
         tag = TAGS.index({"pearson_only": TAG_PEARSON, "pps_only": TAG_PPS,
                           "uniform": TAG_MERGED}[cfg.importance_mode])
         top = _top(d_primary, K)
-        dist = d_primary[block, top]
+        dist = reported(d_primary[block, top])
         tags = np.full(top.shape, tag, dtype=np.int8)
         return tuple(Selection(eligible[top[:, :s]], dist[:, :s], tags[:, :s]) for s in sizes)
 
@@ -375,7 +403,7 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
         # exactly `target` columns per query are picked, and they sort first
         order = np.lexsort((pos, dist), axis=1)[:, :target]
         tags = (order >= pick_p.shape[1]).astype(np.int8) + (order >= pick_p.shape[1] + pick_s.shape[1])
-        out.append(Selection(eligible[pos[block, order]], dist[block, order], tags))
+        out.append(Selection(eligible[pos[block, order]], reported(dist[block, order]), tags))
     return tuple(out)
 
 

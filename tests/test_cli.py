@@ -1,7 +1,14 @@
 import csv
+import importlib
+import importlib.util
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +17,8 @@ from tabctx import dataset as ds
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.util import dump_json, load_json
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def write_toy_files(tmp_path, name="toy", shape="circle", noise=0.15, n=80, seed=0):
@@ -347,6 +356,10 @@ def test_retrieval_quota_sets_context_size_when_sizes_absent(tmp_path, caplog):
         both = base_config(tmp_path, retrieval={"importance_mode": "uniform", "quota": 3})
         assert sizes_of(both, "both") == ({4}, [4])
     assert "retrieval.quota 3 is ignored" in caplog.text
+    # the config sets the context sizes; the run verbs take no --quota
+    for verb in (["run"], ["ablate"], ["scaling", "--sizes", "8"]):
+        with pytest.raises(SystemExit):
+            cli.main([*verb, str(tmp_path / "both.json"), "--quota", "3"])
 
 
 def test_partial_external_predictions_file_is_rejected(tmp_path):
@@ -408,6 +421,53 @@ def test_scaling_builds_one_pool_per_training_subset(tmp_path, monkeypatch):
     assert sorted(len(args[1]) for args in pools) == [32, 64, 128]
     policies = {r["policy"] for r in load_json(out / "metrics.json")["metrics"]}
     assert policies == {"rag", "random"}
+
+
+def test_pool_is_freed_before_prediction(tmp_path, monkeypatch):
+    write_toy_files(tmp_path)
+    pools, alive = [], []
+    build, knn = cli.build_pool, cli.knn_predict
+    monkeypatch.setattr(cli, "build_pool", lambda *a: pools.append(weakref.ref(p := build(*a))) or p)
+    monkeypatch.setattr(cli, "knn_predict",
+                        lambda *a: alive.append(any(ref() is not None for ref in pools)) or knn(*a))
+    cfg = base_config(tmp_path, retrieval={"importance_mode": "dual"}, train_sizes=[20, 40])
+    out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    assert load_json(out / "manifest.json")["datasets"]["toy"]["status"] == "ok"
+    assert len(pools) == 2 and alive and not any(alive)
+
+
+def test_traced_names_resolve_and_retrieve_runs_once_per_row(tmp_path):
+    # perfbench's tracer wraps these names and skips any that is gone, so a
+    # renamed function would silently read 0 calls in the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, qual in tracer.TRACED:
+        owner = importlib.import_module(f"tabctx.{mod_name}")
+        for attr in qual.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (mod_name, qual)
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, context_sizes=[2, 4], train_sizes=[20, 40],
+                      policies=[{"id": "rag"}, {"id": "random", "type": "random"},
+                                {"id": "near", "importance_mode": "pearson_only"}])
+    path = write_config(tmp_path, cfg)
+    # install() rebinds module globals for good, so the traced run gets its own process
+    code = (f"import json, sys; sys.path.insert(0, {str(PERFBENCH)!r}); from tabctx import cli; "
+            f"from tracer import Tracer; t = Tracer(); t.install(); "
+            f"assert cli.main(['run', {str(path)!r}, '-o', {str(tmp_path / 'out')!r}]) == 0; "
+            f"print(json.dumps({{k: v['calls'] for k, v in t.summary().items()}}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    n_test = load_json(tmp_path / "out" / "manifest.json")["datasets"]["toy"]["n_test"]
+    # one ranking per test row, rag policy and training size serves both context sizes
+    assert calls["retrieval.retrieve"] == n_test * 2 * 2
+    assert calls["retrieval.retrieve_random"] == n_test * 2 * 2
+    assert calls["retrieval.build_pool"] == 2 * 2
 
 
 def test_dual_and_pps_only_policies_share_one_pps_fit(tmp_path, monkeypatch):

@@ -126,10 +126,10 @@ def test_fit_prompt_matches_drop_one_reference(n_rows, budget, layout, anonymize
 
 def test_fit_prompt_renders_once(monkeypatch):
     calls = []
-    render = pr.serialize_prompt
-    monkeypatch.setattr(pr, "serialize_prompt", lambda *a: calls.append(1) or render(*a))
+    render = pr._row_lines
+    monkeypatch.setattr(pr, "_row_lines", lambda *a: calls.append(1) or render(*a))
     rows = rows_fixture(64)
-    full = render(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
+    full = pr.serialize_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
     for budget in (math.ceil(len(full) / 4.0) // 3, math.ceil(len(full) / 4.0)):
         calls.clear()
         pr.fit_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y", budget)

@@ -183,6 +183,31 @@ def test_huge_cells_rank_under_no_normalization(column, query, rescale):
     assert dist[1] == 0.0 and dist[0] > dist[2]
 
 
+@pytest.mark.parametrize("norm", ["standard", "none"])
+@pytest.mark.parametrize("mode", ["uniform", "dual"])
+def test_far_query_ranks_without_overflow(norm, mode):
+    # without the rescale a far query's squared distances overflow a float;
+    # every row is then equally far, so the row index breaks the tie
+    d = make_dataset(num={"x": [0.0, 1.0, 2.0, 3.0], "y": [0.0, 1.0, 2.0, 3.0]},
+                     label=np.zeros(4), task="regression")
+    cfg = rt.RetrievalConfig(quota=2, importance_mode=mode, numeric_norm=norm,
+                             distance_minmax_rescale=False)
+    pool = pool_for(d, range(4), cfg, pearson={"x": 1.0, "y": 1.0})
+    near = {"x": 1.0, "y": 2.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for far, capped in (({"x": 1e200}, False), ({"x": 1.7e308, "y": 1.7e308}, True)):
+            ctx = rt.retrieve(pool, far)
+            assert ctx.indices.tolist() == [0, 1]
+            assert np.isfinite(ctx.distances).all() and ctx.distances[0] == ctx.distances[1] > 1e199
+            assert (ctx.distances[0] == np.finfo(np.float64).max) == capped
+            # a query ranked in the same block keeps the bits it has alone
+            [sel] = rt.select_block(pool, [far, near], (2,))
+            [alone] = rt.select_block(pool, [near], (2,))
+            assert sel.positions[1].tolist() == alone.positions[0].tolist()
+            assert sel.distances[1].tobytes() == alone.distances[0].tobytes()
+
+
 def dual_test_dataset():
     # feature "a" ranks rows 0..15 nearest, feature "b" ranks rows 16..31 nearest
     a = np.concatenate([np.arange(16.0), 1000 + np.arange(16.0)])
