@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -235,6 +236,14 @@ def _prediction_row(dataset_id, policy_id, train_size, ctx_size, rec: Prediction
             str(rec.row_index), str(rec.context_size), rec.flag or "", est, probs]
 
 
+@contextmanager
+def _stage(what: str):
+    """Log ``what`` and the wall time of the block at INFO when it ends."""
+    start = time.perf_counter()
+    yield
+    log.info("%s: %.3f s", what, time.perf_counter() - start)
+
+
 class DatasetResult(NamedTuple):
     """One dataset's sweep: prediction rows and metric reports in output order,
     ``weights.json`` and ``traces.jsonl`` entries, and manifest facts."""
@@ -251,21 +260,28 @@ def _contexts(cfg: RunConfig, entry_id: str, d: ds.Dataset, pol: dict, train_siz
     the weights of the policy's pool (None when it has none). ``fitted`` holds
     the weights already fitted on ``subset`` by (pps_folds, seed). The pool
     lives only here, so it is freed before prediction."""
+    scope = f"{entry_id} {_policy_id(pol)} n{train_size}"
     if pol.get("type", "rag") == "random":
-        return {row: tuple(retrieve_random(subset, size, subseed(
-            cfg.seed, "random-policy", entry_id, train_size, size, row))
-            for size in cfg.context_sizes) for row in test_rows}, None
+        with _stage(f"{scope} retrieve"):
+            return {row: tuple(retrieve_random(subset, size, subseed(
+                cfg.seed, "random-policy", entry_id, train_size, size, row))
+                for size in cfg.context_sizes) for row in test_rows}, None
     rcfg = _resolve_retrieval(cfg.retrieval, pol)
-    pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
+    with _stage(f"{scope} weights"):
+        pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
     weights = ({"pearson": pool.pearson_weights, "pps": pool.pps_weights}
                if pool.pearson_weights or pool.pps_weights else None)
-    return {row: retrieve(pool, d.feature_row(row), tuple(cfg.context_sizes)) for row in test_rows}, weights
+    with _stage(f"{scope} retrieve"):
+        return {row: retrieve(pool, d.feature_row(row), tuple(cfg.context_sizes))
+                for row in test_rows}, weights
 
 
 def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
     """One dataset's full sweep."""
-    d = ds.load_dataset(entry.table, entry.schema)
-    split = _load_split(entry, d, cfg.seed)
+    with _stage(f"{entry.id} load"):
+        d = ds.load_dataset(entry.table, entry.schema)
+    with _stage(f"{entry.id} split"):
+        split = _load_split(entry, d, cfg.seed)
     test_rows = split.test.tolist()
     out = DatasetResult([], [], {}, [], {
         "n_rows": d.n_rows, "n_train": len(split.train), "n_test": len(test_rows),
@@ -307,15 +323,17 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
                                       for r, c in contexts.items())
                 records: dict[str, list[PredictionRecord]] = dict(external)
                 for p in cfg.predictors:
-                    if p["type"] == "knn":
-                        recs = [knn_predict(contexts[r], d, fallback_mean, p["id"], r) for r in test_rows]
-                    elif p["type"] == "llm":
-                        recs = _llm_records(p, d, fallback_mean, contexts, test_rows, tmpl,
-                                            token_budget, shuffle_ctx, cfg.seed)
-                    elif p["type"] == "ensemble":
-                        recs = ensemble([records[m] for m in p["members"]], p["id"])
-                    else:
+                    if p["type"] == "external":
                         continue
+                    with _stage(f"{entry.id} {pol_id} n{train_size} c{ctx_size} predict/{p['id']}"):
+                        if p["type"] == "knn":
+                            recs = [knn_predict(contexts[r], d, fallback_mean, p["id"], r)
+                                    for r in test_rows]
+                        elif p["type"] == "llm":
+                            recs = _llm_records(p, d, fallback_mean, contexts, test_rows, tmpl,
+                                                token_budget, shuffle_ctx, cfg.seed)
+                        else:
+                            recs = ensemble([records[m] for m in p["members"]], p["id"])
                     records[p["id"]] = recs
                     emit(recs, p["id"], pol_id, train_size, ctx_size)
     return out
@@ -383,7 +401,9 @@ def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
     cfg = _checked(cfg)
     out = Path(output_dir or cfg.output_dir)
     started = time.time()
-    _write_run(cfg, out, *_sweep(cfg), started)
+    results, errors = _sweep(cfg)
+    with _stage(f"write {out}"):
+        _write_run(cfg, out, results, errors, started)
     return out
 
 
@@ -513,8 +533,9 @@ def ablate(cfg: RunConfig, output_dir: str | Path) -> Path:
     for name, overrides in ABLATION_VARIANTS.items():
         vcfg = replace(cfg, retrieval={**cfg.retrieval, **overrides},
                        policies=[{"id": name, "type": "rag"}])
-        _write_run(vcfg, out / name, {k: _policy_part(v, name) for k, v in results.items()},
-                   errors, started)
+        with _stage(f"write {out / name}"):
+            _write_run(vcfg, out / name, {k: _policy_part(v, name) for k, v in results.items()},
+                       errors, started)
     dump_json(out / "ablation.json", compare([out / name for name in ABLATION_VARIANTS]))
     return out
 
@@ -569,6 +590,8 @@ def _add_run_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", "-o", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--traces", action="store_true")
+    p.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="WARNING",
+                   help="log to stderr at this level; INFO gives each stage and its wall time")
 
 
 def _load_config(args) -> RunConfig:
@@ -647,7 +670,21 @@ def main(argv=None) -> int:
     p_bnd.add_argument("--output-dir", "-o", default="boundary_out")
 
     args = parser.parse_args(argv)
+    if not hasattr(args, "log_level"):
+        return _dispatch(args)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package = logging.getLogger("tabctx")
+    package.addHandler(handler)
+    package.setLevel(args.log_level)
+    try:
+        return _dispatch(args)
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(logging.NOTSET)
 
+
+def _dispatch(args) -> int:
     if args.verb in ("run", "validate-config", "ablate", "scaling"):
         try:
             cfg = _load_config(args)

@@ -19,13 +19,24 @@ pool is exhausted. All orderings break ties by (distance, row index).
 One call ranks the query once and selects a context for every requested
 size from the same candidates.
 
-Block ranking: ``select_block`` ranks a block of queries in one numpy pass
-over ``(queries, rows)`` arrays (distances, per-query rescale, row
-distances, partial selection and the dual rule), and ``retrieve`` is its
-one-query case, so every query gets the same context whatever block it
-is ranked in. A block holds at most ``BLOCK_PAIRS`` (query, pool row)
-pairs; with match constraints each query has its own eligible rows, so a
-block holds one query.
+Block ranking: ``select_block`` ranks a block of queries over ``(queries,
+rows)`` arrays (distances, per-query rescale, row distances, partial
+selection and the dual rule), and ``retrieve`` is its one-query case, so
+every query gets the same context whatever block it is ranked in. A block
+holds at most ``BLOCK_PAIRS`` (query, pool row) pairs; with match
+constraints each query has its own eligible rows, so a block holds one
+query.
+
+Slabs: the same budget bounds the rows ranked at once. Eligible rows are
+taken in slabs of at most ``BLOCK_PAIRS // queries`` rows; each slab's
+feature distances and running sums are made and dropped in turn, and only
+the row distances (one ``(queries, rows)`` array per weight vector) span
+the pool. Under the min-max rescale a first pass takes each query's bounds
+slab by slab (min and max are exact in any order), and the far-query shift
+below takes each feature's largest distance slab by slab. Each row's sum is
+its own and the rescale is elementwise, so no bit depends on the slabs. A
+pool that fits in one slab is ranked in one pass with no bounds pass; so is
+every block of several queries, as it holds at most ``BLOCK_PAIRS`` pairs.
 
 Row distances are summed column by column: each feature's ``(queries,
 rows)`` squared distances are made once and added into running sums, one
@@ -63,10 +74,12 @@ TAG_PPS = "pps-half"
 TAG_MERGED = "merged"
 TAGS = (TAG_PEARSON, TAG_PPS, TAG_MERGED)
 
-# A ranking block holds at most this many (query, pool row) pairs: blocks
-# amortize per-call overhead over many queries on a small pool, and small
-# blocks keep the (queries, rows) columns and running sums out of peak memory.
-BLOCK_PAIRS = 8192
+# The one budget of (query, pool row) pairs that bounds a ranking step: a
+# block holds at most this many pairs on a small pool, which amortizes
+# per-call overhead over many queries, and a large pool is ranked in slabs of
+# at most BLOCK_PAIRS // queries rows, so the per-feature columns and running
+# sums stay small; only each weight vector's row distances span every row.
+BLOCK_PAIRS = 32768
 
 
 @dataclass(frozen=True)
@@ -179,32 +192,50 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
                        weights["pps"] if use_pps else None)
 
 
-def _feature_distances(pool: ContextPool, queries: Sequence[dict], feature: str,
-                       eligible: np.ndarray | slice) -> np.ndarray:
-    """(queries, eligible rows) distances for one feature; ``eligible``
-    indexes the pool's rows."""
+def _query_values(pool: ContextPool, queries: Sequence[dict], feature: str) -> np.ndarray:
+    """Each query's value of one feature as the pool holds it: its code for a
+    categorical feature, its normalized number for a numerical one."""
     if feature in pool.codes:
-        q = np.asarray([pool.dataset.code(feature, query.get(feature)) for query in queries])
-        return (pool.codes[feature][eligible][None, :] != q[:, None]).astype(np.float64)
-
+        return np.asarray([pool.dataset.code(feature, query.get(feature)) for query in queries])
     raw_q = [query.get(feature, math.nan) for query in queries]
-    qv = nz.apply_array(pool.stats[feature], [math.nan if v is None else float(v) for v in raw_q])
+    return nz.apply_array(pool.stats[feature], [math.nan if v is None else float(v) for v in raw_q])
+
+
+def _gaps(pool: ContextPool, feature: str, values: np.ndarray, rows: np.ndarray | slice
+          ) -> np.ndarray:
+    """(queries, rows) absolute differences of one numerical feature."""
     with np.errstate(invalid="ignore"):  # inf - inf is a missing distance
-        raw = pool.normalized[feature][eligible][None, :] - qv[:, None]
-    np.abs(raw, out=raw)
-    if not pool.cfg.distance_minmax_rescale:
-        raw[~np.isfinite(raw)] = 1.0
-        return raw
-    # min-max over each query's present (finite) values. fmin/fmax skip NaN,
-    # so they give the masked bounds unless an infinite distance reaches hi;
-    # then the block takes the masked reduce. When hi == lo every present
-    # value is lo, and (lo - lo) / 1 gives the 0.
+        raw = pool.normalized[feature][rows][None, :] - values[:, None]
+    return np.abs(raw, out=raw)
+
+
+def _bounds(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's (lo, hi) over its present (finite) entries of ``raw``.
+    fmin/fmax skip NaN, so they give the masked bounds unless an infinite
+    distance reaches hi; then ``raw`` takes the masked reduce."""
     lo = np.fmin.reduce(raw, axis=1, initial=np.inf, keepdims=True)
     hi = np.fmax.reduce(raw, axis=1, initial=-np.inf, keepdims=True)
     if (hi == np.inf).any():
         present = np.isfinite(raw)
         lo = np.minimum.reduce(raw, axis=1, where=present, initial=np.inf, keepdims=True)
         hi = np.maximum.reduce(raw, axis=1, where=present, initial=-np.inf, keepdims=True)
+    return lo, hi
+
+
+def _feature_distances(pool: ContextPool, feature: str, values: np.ndarray,
+                       rows: np.ndarray | slice, bounds=None) -> np.ndarray:
+    """(queries, rows) distances for one feature; ``values`` come from
+    ``_query_values`` and ``rows`` index the pool's rows. Under the min-max
+    rescale, ``bounds`` are each query's (lo, hi) over every eligible row,
+    or None when ``rows`` are all of them."""
+    if feature in pool.codes:
+        return (pool.codes[feature][rows][None, :] != values[:, None]).astype(np.float64)
+    raw = _gaps(pool, feature, values, rows)
+    if not pool.cfg.distance_minmax_rescale:
+        raw[~np.isfinite(raw)] = 1.0
+        return raw
+    # when hi == lo every present value is lo, and (lo - lo) / 1 gives the 0
+    lo, hi = _bounds(raw) if bounds is None else bounds
     with np.errstate(invalid="ignore"):  # inf - inf only on missing entries
         raw -= lo
     raw /= np.where(hi > lo, hi - lo, 1.0)
@@ -235,14 +266,15 @@ def _summation_order(lo: int, n: int) -> list[int | None]:
     return _summation_order(lo, half) + _summation_order(lo + half, n - half) + [None]
 
 
-def _row_distances(squared_column, shape: tuple[int, ...], vectors: Sequence[np.ndarray]
-                   ) -> list[np.ndarray]:
+def _row_distances(squared_column, shape: tuple[int, ...], vectors: Sequence[np.ndarray],
+                   out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
     """``sqrt(sum_j S_j * w[j])`` of the given shape for each weight vector
     ``w``, where ``squared_column(j)`` returns a new array of feature ``j``'s
-    squared distances. Each column is made once and its terms go into running
-    sums in ``_summation_order``, the order ``np.sum(S * w, axis=-1)`` adds a
-    contiguous last axis, so the bits are the same, but the stacked
-    ``(..., features)`` array ``S`` is never built."""
+    squared distances; written into ``out`` when given. Each column is made
+    once and its terms go into running sums in ``_summation_order``, the
+    order ``np.sum(S * w, axis=-1)`` adds a contiguous last axis, so the bits
+    are the same, but the stacked ``(..., features)`` array ``S`` is never
+    built."""
     stack: list[list[np.ndarray]] = []
     spare: list[np.ndarray] = []  # buffers of popped sums, reused for new terms
     for op in _summation_order(0, len(vectors[0])):
@@ -256,10 +288,11 @@ def _row_distances(squared_column, shape: tuple[int, ...], vectors: Sequence[np.
             stack.append([np.multiply(column, w[op], out=spare.pop() if spare else None)
                           for w in vectors])
     sums, = stack or [[np.zeros(shape) for _ in vectors]]  # no features: all at distance 0
-    for s in sums:
+    out = sums if out is None else out
+    for s, o in zip(sums, out):
         s += 0.0  # numpy's sum starts from 0.0, which turns a -0.0 total into 0.0
-        np.sqrt(s, out=s)
-    return sums
+        np.sqrt(s, out=o)
+    return list(out)
 
 
 def _eligible_rows(pool: ContextPool, query: dict) -> np.ndarray:
@@ -297,9 +330,10 @@ class Selection(NamedTuple):
 
 
 def block_size(pool: ContextPool) -> int:
-    """Most queries ``select_block`` takes at once on this pool: at most
-    ``BLOCK_PAIRS`` (query, pool row) pairs, and one query when match
-    constraints give each query its own rows."""
+    """Most queries ``select_block`` takes at once on this pool: as many as
+    fit ``BLOCK_PAIRS`` (query, pool row) pairs, at least one (a larger pool
+    is ranked in slabs), and one when match constraints give each query its
+    own rows."""
     return 1 if pool.cfg.match_constraints else max(1, BLOCK_PAIRS // pool.size)
 
 
@@ -320,9 +354,9 @@ def retrieve(pool: ContextPool, query: dict, quota: int | Sequence[int] | None =
 
 def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int]
                  ) -> tuple[Selection, ...]:
-    """Rank a block of queries in one pass and select a context of every
-    size for each, by the pool's config. A block holds at most
-    ``block_size(pool)`` queries."""
+    """Rank a block of queries, in slabs of rows on a large pool, and select
+    a context of every size for each, by the pool's config. A block holds at
+    most ``block_size(pool)`` queries."""
     sizes = tuple(sizes)
     if not sizes or min(sizes) < 1:
         raise ValueError("quota must be at least 1")
@@ -331,14 +365,36 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
     cfg = pool.cfg
     eligible = _eligible_rows(pool, queries[0]) if cfg.match_constraints else np.arange(pool.size)
     n_queries, n_rows = len(queries), len(eligible)
-    # every row is eligible without constraints: a slice reads the columns without a copy
-    columns_at = eligible if cfg.match_constraints else slice(None)
+    step = max(1, BLOCK_PAIRS // n_queries)
+    slabs = [slice(a, min(a + step, n_rows)) for a in range(0, max(n_rows, 1), step)]
 
-    def squared_column(j):
-        d = _feature_distances(pool, queries, pool.features[j], columns_at)
+    def pool_rows(slab):
+        # every row is eligible without constraints: a slice reads the columns without a copy
+        return eligible[slab] if cfg.match_constraints else slab
+
+    values = [_query_values(pool, queries, f) for f in pool.features]
+    bounds = [None] * len(pool.features)  # None: taken from the one slab's own distances
+    if cfg.distance_minmax_rescale and len(slabs) > 1:
+        for j, f in enumerate(pool.features):
+            if f in pool.normalized:
+                lows, highs = zip(*(_bounds(_gaps(pool, f, values[j], pool_rows(s))) for s in slabs))
+                bounds[j] = np.fmin.reduce(lows), np.fmax.reduce(highs)
+
+    def squared_column(j, slab):
+        d = _feature_distances(pool, pool.features[j], values[j], pool_rows(slab), bounds[j])
         if shift is not None:
             np.ldexp(d, -shift, out=d)
         return np.multiply(d, d, out=d)
+
+    def row_sums():
+        """Each weight vector's (queries, rows) distances, summed slab by slab."""
+        if len(slabs) == 1:
+            return _row_distances(lambda j: squared_column(j, slabs[0]), (n_queries, n_rows), vectors)
+        sums = [np.empty((n_queries, n_rows)) for _ in vectors]
+        for slab in slabs:
+            _row_distances(lambda j: squared_column(j, slab), (n_queries, slab.stop - slab.start),
+                           vectors, [s[:, slab] for s in sums])
+        return sums
 
     def reported(dist):
         """The distances of each query scaled back by its shift, capped at the float maximum."""
@@ -350,16 +406,16 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
     vectors = [w for w in pool.weight_vectors() if w is not None]
     shift = None
     with np.errstate(over="ignore", invalid="ignore"):  # a far query's squares overflow
-        sums = _row_distances(squared_column, (n_queries, n_rows), vectors)
+        sums = row_sums()
     # rescaled distances are at most 1, so only unrescaled ones can overflow
     if not cfg.distance_minmax_rescale and not all(np.isfinite(s.max(initial=0.0)) for s in sums):
         # rank each far query with its distances scaled by a power of two, which
         # is exact, so that their squares and sums stay finite; other queries keep shift 0
         far = ~(np.max([s.max(axis=1, initial=0.0) for s in sums], axis=0) < np.inf)
-        largest = np.max([_feature_distances(pool, queries, f, columns_at).max(axis=1, initial=0.0)
-                          for f in pool.features], axis=0)
+        largest = np.max([_feature_distances(pool, f, values[j], pool_rows(s)).max(axis=1, initial=0.0)
+                          for j, f in enumerate(pool.features) for s in slabs], axis=0)
         shift = np.where(far, [_headroom(0.0, v) for v in largest.tolist()], 0)[:, None]
-        sums = _row_distances(squared_column, (n_queries, n_rows), vectors)
+        sums = row_sums()
     d_primary, *rest = sums
     d_secondary = rest[0] if rest else None
     K = max(sizes)

@@ -675,6 +675,34 @@ def test_manifest_records_coerced_cells(tmp_path):
     assert info["status"] == "ok" and info["coerced_cells"] == {"x1": 2}
 
 
+def test_log_level_info_logs_each_stage_and_its_time(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, policies=[{"id": "rag"}, {"id": "random", "type": "random"}],
+                      predictors=[{"id": "knn", "type": "knn"},
+                                  {"id": "ens", "type": "ensemble", "members": ["knn"]}])
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path), "-o", str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["run", str(path), "-o", str(tmp_path / "loud"), "--log-level", "INFO"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    stages = []
+    for line in lines:
+        head, _, seconds = line.rpartition(": ")
+        assert head.startswith("INFO tabctx.cli: ") and seconds.endswith(" s")
+        assert float(seconds[:-2]) >= 0
+        stages.append(head.removeprefix("INFO tabctx.cli: "))
+    n = load_json(tmp_path / "loud" / "manifest.json")["datasets"]["toy"]["n_train"]
+    assert stages == ["toy load", "toy split",
+                      f"toy rag n{n} weights", f"toy rag n{n} retrieve",
+                      f"toy rag n{n} c4 predict/knn", f"toy rag n{n} c4 predict/ens",
+                      f"toy random n{n} retrieve",
+                      f"toy random n{n} c4 predict/knn", f"toy random n{n} c4 predict/ens",
+                      f"write {tmp_path / 'loud'}"]
+    for name in ("predictions.csv", "metrics.json"):
+        assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
+    assert logging.getLogger("tabctx").handlers == []
+
+
 def test_missing_config_file_is_an_error_line(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["scaling", str(missing), "--sizes", "8"]) == 1

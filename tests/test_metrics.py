@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tabctx import metrics as mt
@@ -72,13 +72,20 @@ def test_nmae_examples():
     assert mt.nmae([2.2250738585e-313], [1.0]) is None  # the ratio overflows
 
 
+# Scaling by c is exact enough only on zero or normal values whose products
+# with c stay normal (c >= 0.001): a subnormal loses bits when scaled.
+SCALABLE = st.floats(-100, 100, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) >= 1e-300)
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=1, max_size=30),
-       st.floats(0.001, 1000))
+@given(st.lists(st.tuples(SCALABLE, SCALABLE), min_size=1, max_size=30), st.floats(0.001, 1000))
 @example(pairs=[(2.2250738585e-313, 1.0)], c=1.0)  # subnormal label mean
 def test_nmae_scale_equivariance(pairs, c):
     y = [p[0] for p in pairs]
     est = [p[1] for p in pairs]
+    # a label mean that cancels much larger labels keeps their rounding
+    # errors, which the scaling changes: labels [1.0, -0.99999999] at c = 0.3
+    assume(abs(sum(y)) >= 0.01 * len(y) * max(map(abs, y)))
     base = mt.nmae(y, est)
     scaled = mt.nmae([c * v for v in y], [c * v for v in est])
     if base is None or scaled is None:

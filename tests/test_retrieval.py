@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,8 @@ def pool_for(d, rows, cfg, pearson=None, pps=None):
 
 def feature_distance(pool, query, feature):
     """One feature's distances from the query to every pool row."""
-    return rt._feature_distances(pool, [query], feature, np.arange(pool.size))[0]
+    values = rt._query_values(pool, [query], feature)
+    return rt._feature_distances(pool, feature, values, np.arange(pool.size))[0]
 
 
 def test_categorical_distance_indicator():
@@ -163,7 +165,7 @@ def test_rescale_bounds_equal_masked_reduce(column, queries, norm, rescale):
     with np.errstate(invalid="ignore", over="ignore"):
         qv = nz.apply_array(pool.stats["x"], [np.nan if v is None else v for v in queries])
         raw = np.abs(pool.normalized["x"][None, :] - qv[:, None])
-    got = rt._feature_distances(pool, block, "x", np.arange(pool.size))
+    got = rt._feature_distances(pool, "x", rt._query_values(pool, block, "x"), np.arange(pool.size))
     want = masked_rescale_reference(raw, rescale)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -467,6 +469,105 @@ def test_match_constraints_rank_one_query_per_block():
     assert rt.block_size(pool) == 1
     with pytest.raises(ValueError, match="block"):
         rt.select_block(pool, [d.feature_row(0), d.feature_row(1)], (3,))
+
+
+def slab_dataset():
+    """48 rows: missing cells in "x", an infinite cell in "y" (kept under
+    the "none" normalization, so the rescale takes the masked bounds), a
+    column "z" that a far query overflows, and two categorical features."""
+    rng = np.random.default_rng(5)
+    x = np.round(rng.normal(size=48), 1)
+    x[rng.random(48) < 0.2] = np.nan
+    y = rng.normal(size=48)
+    y[[7, 30]] = np.inf, np.nan
+    z = rng.normal(size=48) * 1e3
+    return make_dataset(num={"x": x, "y": y, "z": z},
+                        cat={"g": ["u", "v"] * 24, "c": rng.choice(["a", "b", "c", ""], 48)},
+                        label=np.zeros(48), task="regression")
+
+
+@pytest.mark.parametrize("mode", ["dual", "uniform", "pearson_only"])
+@pytest.mark.parametrize("rescale", [True, False])
+@pytest.mark.parametrize("constraints", [(), ("g",)])
+def test_slab_boundaries_change_no_bit(monkeypatch, mode, rescale, constraints):
+    d = slab_dataset()
+    train = np.arange(2, 44)
+    cfg = rt.RetrievalConfig(importance_mode=mode, distance_minmax_rescale=rescale,
+                             match_constraints=constraints,
+                             per_feature_norm={"y": "none", "z": "standard"})
+    w = {"x": 0.7, "y": 0.2, "z": 1.3, "g": 0.5, "c": 0.9}
+    pool = pool_for(d, train, cfg, pearson=w, pps={f: 1.0 / (1 + v) for f, v in w.items()})
+    # rows with missing cells, no values at all, a far query (its squares
+    # overflow without the rescale), an infinite one, and a token no row holds
+    queries = [d.feature_row(i) for i in (0, 1, 7, 30, 45, 46)] + [
+        {}, {"x": 1e200, "z": -1e300, "g": "v"}, {"y": np.inf, "g": "u"}, {"g": "zzz", "x": 0.0}]
+    sizes = (1, 5, 12, 60)
+    step = rt.block_size(pool)
+    # the default budget ranks a block of several queries in one slab
+    default = []
+    for start in range(0, len(queries), step):
+        block = queries[start:start + step]
+        selections = rt.select_block(pool, block, sizes)
+        default += [[(sel.positions[i], sel.distances[i], sel.tags[i]) for sel in selections]
+                    for i in range(len(block))]
+    monkeypatch.setattr(rt, "BLOCK_PAIRS", 6)
+    assert -(-len(train) // rt.BLOCK_PAIRS) >= 7 and rt.block_size(pool) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query, want in zip(queries, default):
+            for got, (positions, distances, tags) in zip(rt.select_block(pool, [query], sizes), want):
+                assert got.positions[0].tolist() == positions.tolist()
+                assert got.distances[0].tobytes() == distances.tobytes()
+                assert got.tags[0].tolist() == tags.tolist()
+    if constraints:  # the "zzz" query has no eligible row
+        assert [len(positions) for positions, _, _ in default[-1]] == [0] * len(sizes)
+
+
+def test_dual_retrieve_peak_stays_a_few_pool_columns():
+    # the row distances span the pool; the per-feature columns and running
+    # sums span one slab, so the peak does not grow with the feature count
+    n = 200_000
+    rng = np.random.default_rng(0)
+    num = {f"x{i}": rng.normal(size=n) for i in range(12)}
+    num["x0"][rng.random(n) < 0.05] = np.nan
+    cat = {f"c{j}": rng.choice([f"t{i}" for i in range(3 + 3 * j)], n) for j in range(4)}
+    d = make_dataset(num=num, cat=cat, label=np.zeros(n), task="regression")
+    feats = [c.name for c in d.feature_columns]
+    pool = pool_for(d, np.arange(n), rt.RetrievalConfig(importance_mode="dual", numeric_norm="standard"),
+                    pearson={f: 1.0 / (1 + i) for i, f in enumerate(feats)},
+                    pps={f: 0.1 * (i + 1) for i, f in enumerate(feats)})
+    query = d.feature_row(7)
+    rt.retrieve(pool, query, (16, 64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rt.retrieve(pool, query, (16, 64))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # two row-distance arrays, the partition copies and the merged ranking:
+    # about 5.3 arrays of n float64; ranking every row at once took about 12
+    assert peak < 6 * 8 * n
+
+
+def test_row_distances_hold_no_surplus_buffers():
+    # each pushed column takes as many buffers from `spare` as each pop returns,
+    # so the running sums never hold more than the deepest stack of them
+    n, n_features = 100_000, 16
+    vectors = [np.linspace(0.1, 1.0, n_features), np.linspace(1.0, 0.1, n_features)]
+    depth = deepest = 0
+    for op in rt._summation_order(0, n_features):
+        depth += 1 if op is not None else -1
+        deepest = max(deepest, depth)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rt._row_distances(lambda j: np.full((1, n), 1.0 + j), (1, n), vectors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the stacked sums plus the column being added and the next one
+    assert peak < (deepest * len(vectors) + 2) * 8 * n
 
 
 def test_none_categorical_query_is_the_missing_token():
