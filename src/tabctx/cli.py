@@ -2,9 +2,12 @@
 
 Verbs: run, compare, ablate, boundary, scaling, fit-powerlaw,
 validate-config. A run is driven by one declarative JSON config; CLI flags
-override scalar fields. All randomness flows from the run seed through
-named sub-seeds recorded in the manifest, so reruns with deterministic
-predictors are byte-identical apart from manifest timestamps.
+override scalar fields. Sub-seeds of the run seed give the split (unless a
+dataset sets its own), the training subsets, the random policy and the prompt
+order; ``retrieval.seed``, which ``--seed`` does not set, gives the PPS
+folds. The manifest records the config and the split seeds, not the
+sub-seeds. Reruns with deterministic predictors are byte-identical apart from
+manifest timestamps.
 """
 from __future__ import annotations
 
@@ -112,24 +115,23 @@ def _unknown(where: str, entry: dict, allowed: set[str]) -> list[str]:
 
 def validate_config(cfg: RunConfig) -> list[str]:
     """Collect every problem up front; run() refuses to start on a non-empty list."""
+    def repeats(values: list) -> list:  # each value given more than once, in first-seen order
+        return [v for i, v in enumerate(values) if values.count(v) > 1 and values.index(v) == i]
+
     problems = []
     if not cfg.datasets:
         problems.append("no datasets configured")
     if not cfg.predictors:
         problems.append("no predictors configured")
-    if cfg.context_sizes is not None:
-        if not cfg.context_sizes or min(cfg.context_sizes) < 1:
-            problems.append("context_sizes must be non-empty and each at least 1")
-        repeated = sorted({s for s in cfg.context_sizes if cfg.context_sizes.count(s) > 1})
-        if repeated:
-            problems.append(f"context_sizes repeats {', '.join(map(str, repeated))}")
+    if cfg.context_sizes is not None and (not cfg.context_sizes or min(cfg.context_sizes) < 1):
+        problems.append("context_sizes must be non-empty and each at least 1")
     if cfg.train_sizes is not None and (not cfg.train_sizes or min(cfg.train_sizes) < 1):
         problems.append("train_sizes must be non-empty when given, and each at least 1")
-    seen = set()
+    for key in ("context_sizes", "train_sizes"):
+        if repeated := repeats(getattr(cfg, key) or []):
+            problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
+    problems += [f"duplicate dataset id {i!r}" for i in repeats([e.id for e in cfg.datasets])]
     for e in cfg.datasets:
-        if e.id in seen:
-            problems.append(f"duplicate dataset id {e.id!r}")
-        seen.add(e.id)
         for p, kind in ((e.table, "table"), (e.schema, "schema")):
             if not Path(p).is_file():
                 problems.append(f"dataset {e.id!r}: {kind} path {p!r} does not exist")
@@ -161,6 +163,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
             if missing or not p.get("members"):
                 problems.append(f"predictor {pid!r}: members must be previously defined ids")
         ids.append(pid)
+    problems += [f"duplicate predictor id {pid!r}" for pid in repeats(ids)]
+    pol_ids = [_policy_id(pol) for pol in cfg.policies]
+    problems += [f"duplicate policy id {pid!r}" for pid in repeats(pol_ids)]
+    if "external" in pol_ids:  # _process_dataset files ingested prediction rows under it
+        problems.append("policy id 'external' is reserved for external prediction rows")
     for pol in cfg.policies:
         pol_type = pol.get("type", "rag")
         if pol_type not in ("rag", "random"):

@@ -149,19 +149,13 @@ class ContextPool:
         self.normalized = {name: nz.apply_array(stats[name], dataset.column(name)[rows])
                            for name in dataset.numerical_features}
         self.codes = {name: dataset.codes(name)[rows] for name in dataset.categorical_features}
+        # the kept measures as weight vectors, Pearson first; all ones when the mode keeps none
+        self.vectors = [np.asarray([w[f] for f in self.features]) for w in (pearson_weights, pps_weights)
+                        if w is not None] or [np.ones(len(self.features))]
 
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def weight_vectors(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The kept measures as vectors (Pearson first, a second one only in
-        dual mode); all ones when the mode keeps none."""
-        vecs = [np.asarray([w[f] for f in self.features])
-                for w in (self.pearson_weights, self.pps_weights) if w is not None]
-        if not vecs:
-            return np.ones(len(self.features)), None
-        return vecs[0], vecs[1] if len(vecs) == 2 else None
 
 
 def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
@@ -274,19 +268,18 @@ def _row_distances(squared_column, shape: tuple[int, ...], vectors: Sequence[np.
     once and its terms go into running sums in ``_summation_order``, the
     order ``np.sum(S * w, axis=-1)`` adds a contiguous last axis, so the bits
     are the same, but the stacked ``(..., features)`` array ``S`` is never
-    built."""
+    built. No buffer is kept for reuse: each term is a new array but the last
+    vector's, which takes the column's buffer, and a popped sum is added into
+    the one below it and dropped."""
+    *first, last = vectors
     stack: list[list[np.ndarray]] = []
-    spare: list[np.ndarray] = []  # buffers of popped sums, reused for new terms
-    for op in _summation_order(0, len(vectors[0])):
+    for op in _summation_order(0, len(last)):
         if op is None:
-            top = stack.pop()
-            for s, t in zip(stack[-1], top):
+            for s, t in zip(stack[-2], stack.pop()):
                 s += t
-            spare += top
         else:
             column = squared_column(op)
-            stack.append([np.multiply(column, w[op], out=spare.pop() if spare else None)
-                          for w in vectors])
+            stack.append([column * w[op] for w in first] + [np.multiply(column, last[op], out=column)])
     sums, = stack or [[np.zeros(shape) for _ in vectors]]  # no features: all at distance 0
     out = sums if out is None else out
     for s, o in zip(sums, out):
@@ -403,7 +396,7 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
         with np.errstate(over="ignore"):
             return np.minimum(np.ldexp(dist, shift), np.finfo(np.float64).max)
 
-    vectors = [w for w in pool.weight_vectors() if w is not None]
+    vectors = pool.vectors
     shift = None
     with np.errstate(over="ignore", invalid="ignore"):  # a far query's squares overflow
         sums = row_sums()
@@ -416,8 +409,7 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
                           for j, f in enumerate(pool.features) for s in slabs], axis=0)
         shift = np.where(far, [_headroom(0.0, v) for v in largest.tolist()], 0)[:, None]
         sums = row_sums()
-    d_primary, *rest = sums
-    d_secondary = rest[0] if rest else None
+    d_primary, d_secondary = sums[0], sums[-1]  # one array outside dual mode
     K = max(sizes)
 
     block = np.arange(n_queries)[:, None]

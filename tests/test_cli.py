@@ -10,6 +10,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tabctx import cli
@@ -717,3 +718,93 @@ def test_non_integer_scaling_size_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
     assert not (tmp_path / "sc").exists()
+
+
+def assert_one_config_error(tmp_path, capsys, cfg, *named):
+    """validate-config prints one error line, naming each of ``named``, and
+    run exits 1 before writing anything."""
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate-config", str(path)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and all(n in errors[0] for n in named), errors
+    assert cli.main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_predictor_ids_are_rejected(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, predictors=[{"id": "knn", "type": "knn"},
+                                            {"id": "knn", "type": "knn"}])
+    assert_one_config_error(tmp_path, capsys, cfg, "duplicate predictor id 'knn'")
+
+
+def test_duplicate_policy_ids_are_rejected(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    # a rag policy without an id takes the id "rag"
+    cfg = base_config(tmp_path, policies=[{"type": "rag"}, {"id": "rag", "importance_mode": "dual"},
+                                          {"id": "random", "type": "random"}])
+    assert_one_config_error(tmp_path, capsys, cfg, "duplicate policy id 'rag'")
+
+
+def test_policy_id_external_is_rejected(tmp_path, capsys):
+    # prediction rows read from files carry the policy "external"
+    write_toy_files(tmp_path)
+    cfg = base_config(tmp_path, policies=[{"id": "external", "type": "rag"}])
+    assert_one_config_error(tmp_path, capsys, cfg, "'external'")
+
+
+def test_repeated_train_sizes_are_rejected(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    assert_one_config_error(tmp_path, capsys, base_config(tmp_path, train_sizes=[50, 8, 50]),
+                            "train_sizes repeats 50")
+    path = write_config(tmp_path, base_config(tmp_path), "sweep.json")
+    assert cli.main(["scaling", str(path), "--sizes", "60,60", "-o", str(tmp_path / "sc")]) == 1
+    err = capsys.readouterr().err
+    assert "error: train_sizes repeats 60\n" in err and "Traceback" not in err
+    assert not (tmp_path / "sc").exists()
+
+
+def test_far_test_row_changes_no_other_row(tmp_path):
+    # without normalization or the rescale, a test row far outside the pool
+    # overflows its squared distances, and select_block ranks it a second time
+    # with its distances scaled; no other row's output may change
+    rng = np.random.default_rng(5)
+    x, z = rng.normal(size=60), rng.normal(size=60)
+    schema = [ds.ColumnSchema("x", "numerical"), ds.ColumnSchema("z", "numerical"),
+              ds.ColumnSchema("y", "numerical", "label")]
+    ds.save_schema(schema, "regression", tmp_path / "t.schema.json")
+    split = ds.make_split(ds.Dataset(schema, {"x": x, "z": z, "y": x + z}, "regression"),
+                          (0.6, 0.1, 0.3), 3)
+    ds.save_split_file(split, tmp_path / "split.json")
+    far = int(split.test[0])
+    outs = {}
+    for name, value in (("near", 0.5), ("far", 1e200)):
+        xs = x.copy()
+        xs[far] = value
+        table = tmp_path / f"{name}.csv"
+        ds.save_table(ds.Dataset(schema, {"x": xs, "z": z, "y": x + z}, "regression"), table)
+        cfg = base_config(tmp_path, datasets=[{"id": "t", "table": str(table),
+                                               "schema": str(tmp_path / "t.schema.json"),
+                                               "split": {"file": str(tmp_path / "split.json")}}],
+                          retrieval={"numeric_norm": "none", "distance_minmax_rescale": False},
+                          context_sizes=[4, 8], write_traces=True)
+        outs[name] = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg, f"{name}.json")),
+                             tmp_path / name)
+        assert load_json(outs[name] / "manifest.json")["datasets"]["t"]["status"] == "ok"
+
+    def others(name):
+        with open(outs[name] / "predictions.csv", encoding="utf-8") as fh:
+            preds = [line for line in fh if line.split(",")[5] != str(far)]
+        with open(outs[name] / "traces.jsonl", encoding="utf-8") as fh:
+            traces = [line for line in fh if json.loads(line)["query"] != far]
+        return preds, traces
+
+    near_preds, near_traces = others("near")
+    others_per_size = len(split.test) - 1
+    assert len(near_preds) == 1 + 2 * others_per_size and len(near_traces) == 2 * others_per_size
+    assert others("far") == (near_preds, near_traces)
+    with open(outs["far"] / "traces.jsonl", encoding="utf-8") as fh:
+        far_traces = [t for t in map(json.loads, fh) if t["query"] == far]
+    assert len(far_traces) == 2
+    for t in far_traces:
+        assert all(math.isfinite(v) for v in t["distances"]) and max(t["distances"]) > 1e150

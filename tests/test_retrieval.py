@@ -551,23 +551,28 @@ def test_dual_retrieve_peak_stays_a_few_pool_columns():
 
 
 def test_row_distances_hold_no_surplus_buffers():
-    # each pushed column takes as many buffers from `spare` as each pop returns,
-    # so the running sums never hold more than the deepest stack of them
-    n, n_features = 100_000, 16
-    vectors = [np.linspace(0.1, 1.0, n_features), np.linspace(1.0, 0.1, n_features)]
-    depth = deepest = 0
-    for op in rt._summation_order(0, n_features):
-        depth += 1 if op is not None else -1
-        deepest = max(deepest, depth)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rt._row_distances(lambda j: np.full((1, n), 1.0 + j), (1, n), vectors)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # the stacked sums plus the column being added and the next one
-    assert peak < (deepest * len(vectors) + 2) * 8 * n
+    # the kernel keeps no buffers for reuse, so its peak is the deepest stack of
+    # running sums plus one more column: the one being made, or a popped sum
+    # still referenced until the next column is made
+    n = 100_000
+    for n_features in (1, 3, 12, 16, 100, 300):
+        vectors = [np.linspace(0.1, 1.0, n_features), np.linspace(1.0, 0.1, n_features)]
+        depth = deepest = 0
+        for op in rt._summation_order(0, n_features):
+            depth += 1 if op is not None else -1
+            deepest = max(deepest, depth)
+        for n_vectors in (1, 2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sums = rt._row_distances(lambda j: np.full((1, n), 1.0 + j), (1, n),
+                                         vectors[:n_vectors])
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(sums) == n_vectors
+            # half a column covers the arrays' and lists' own overhead
+            assert peak < (deepest * n_vectors + 1.5) * 8 * n, (n_features, n_vectors, peak / (8 * n))
 
 
 def test_none_categorical_query_is_the_missing_token():
