@@ -28,10 +28,10 @@ from . import dataset as ds
 from . import metrics as mt
 from . import normalize as nz
 from .importance import IMPORTANCE_MODES
-from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient, PredictionRecord,
-                         PromptOverflowError, PromptTemplate, context_rows_for_prompt, ensemble,
-                         fallback_record, fit_prompt, ingest_predictions, knn_predict,
-                         url_problem)
+from .predictors import (DEFAULT_TOKEN_BUDGET, FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
+                         PredictionRecord, PromptOverflowError, PromptTemplate,
+                         context_rows_for_prompt, ensemble, fallback_record, finite_mean,
+                         fit_prompt, ingest_predictions, knn_predict, url_problem)
 from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 from .util import dump_json, fmt_float, load_json, subseed
@@ -113,11 +113,13 @@ def _unknown(where: str, entry: dict, allowed: set[str]) -> list[str]:
     return [f"{where}{k}" for k in sorted(entry.keys() - allowed)]
 
 
+def _repeats(values: list) -> list:
+    """Each value given more than once, in first-seen order."""
+    return [v for i, v in enumerate(values) if values.count(v) > 1 and values.index(v) == i]
+
+
 def validate_config(cfg: RunConfig) -> list[str]:
     """Collect every problem up front; run() refuses to start on a non-empty list."""
-    def repeats(values: list) -> list:  # each value given more than once, in first-seen order
-        return [v for i, v in enumerate(values) if values.count(v) > 1 and values.index(v) == i]
-
     problems = []
     if not cfg.datasets:
         problems.append("no datasets configured")
@@ -128,9 +130,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if cfg.train_sizes is not None and (not cfg.train_sizes or min(cfg.train_sizes) < 1):
         problems.append("train_sizes must be non-empty when given, and each at least 1")
     for key in ("context_sizes", "train_sizes"):
-        if repeated := repeats(getattr(cfg, key) or []):
+        if repeated := _repeats(getattr(cfg, key) or []):
             problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
-    problems += [f"duplicate dataset id {i!r}" for i in repeats([e.id for e in cfg.datasets])]
+    problems += [f"duplicate dataset id {i!r}" for i in _repeats([e.id for e in cfg.datasets])]
     for e in cfg.datasets:
         for p, kind in ((e.table, "table"), (e.schema, "schema")):
             if not Path(p).is_file():
@@ -163,9 +165,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
             if missing or not p.get("members"):
                 problems.append(f"predictor {pid!r}: members must be previously defined ids")
         ids.append(pid)
-    problems += [f"duplicate predictor id {pid!r}" for pid in repeats(ids)]
+    problems += [f"duplicate predictor id {pid!r}" for pid in _repeats(ids)]
     pol_ids = [_policy_id(pol) for pol in cfg.policies]
-    problems += [f"duplicate policy id {pid!r}" for pid in repeats(pol_ids)]
+    problems += [f"duplicate policy id {pid!r}" for pid in _repeats(pol_ids)]
     if "external" in pol_ids:  # _process_dataset files ingested prediction rows under it
         problems.append("policy id 'external' is reserved for external prediction rows")
     for pol in cfg.policies:
@@ -223,8 +225,7 @@ def _prompt_template(cfg: RunConfig) -> PromptTemplate:
 def _score_records(d: ds.Dataset, records: list[PredictionRecord],
                    dataset_id: str, predictor_id: str) -> mt.MetricReport:
     if d.task == ds.TASK_CLASSIFICATION:
-        codes = d.class_codes()
-        labels = [d.class_labels[codes[r.row_index]] for r in records]
+        labels = [d.class_labels[d.class_codes[r.row_index]] for r in records]
         P = [r.class_probabilities for r in records]
         value = mt.auroc(labels, P, d.class_labels)
         kind = mt.METRIC_AUROC
@@ -310,13 +311,12 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
     sizes = sorted(cfg.train_sizes or [len(split.train)])
     subsets = generate_scaling_pools(split.train, sizes, subseed(cfg.seed, "subsets", entry.id))
     tmpl = _prompt_template(cfg)
-    token_budget = cfg.prompt.get("token_budget", 16384)
+    token_budget = cfg.prompt.get("token_budget", DEFAULT_TOKEN_BUDGET)
     shuffle_ctx = cfg.prompt.get("shuffle_context", False)
     for train_size, subset in zip(sizes, subsets):
         fitted: dict[tuple[int, int], dict] = {}  # (pps_folds, seed) -> weights on this subset
         # the regression stand-in for an empty context (subset rows are sorted)
-        fallback_mean = (float(np.mean(np.asarray(d.labels()[subset], dtype=np.float64)))
-                         if d.task == ds.TASK_REGRESSION else None)
+        fallback_mean = finite_mean(d.labels()[subset]) if d.task == ds.TASK_REGRESSION else None
         for pol in cfg.policies:
             pol_id = _policy_id(pol)
             by_row, weights = _contexts(cfg, entry.id, d, pol, train_size, subset, test_rows, fitted)
@@ -363,7 +363,7 @@ def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, 
             text, used = None, 0
         if d.task == ds.TASK_REGRESSION:
             ctx_labels = [float(v) for _, v in rows_lab[:used]]
-            ctx_mean = float(np.mean(ctx_labels)) if ctx_labels else fallback_mean
+            ctx_mean = finite_mean(ctx_labels) if ctx_labels else fallback_mean
         else:
             ctx_mean = 0.0
         if text is None:
@@ -614,13 +614,19 @@ def _load_config(args) -> RunConfig:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    """The comma-separated ``--sizes`` entries as integers."""
+    """The comma-separated ``--sizes`` entries as integers, each at least 1
+    and given once."""
     sizes = []
     for entry in text.split(","):
         try:
             sizes.append(int(entry))
         except ValueError:
             raise ConfigError([f"--sizes entry {entry!r} is not an integer"]) from None
+    problems = [f"--sizes entry {s} is below 1" for s in sizes if s < 1]
+    if repeated := _repeats(sizes):
+        problems.append(f"--sizes repeats {', '.join(map(str, repeated))}")
+    if problems:
+        raise ConfigError(problems)
     return sizes
 
 

@@ -64,6 +64,7 @@ class Dataset:
     ``load_dataset`` gives it, or as tokens, which are encoded here; its
     tokens are built on the first ``column`` call. ``coerced_cells`` counts,
     per numerical column, the non-empty cells the loader turned into NaN.
+    ``class_codes`` holds each row's label as its index in ``class_labels``.
     """
 
     def __init__(self, schema: list[ColumnSchema], columns: dict[str, np.ndarray | Coded],
@@ -95,7 +96,11 @@ class Dataset:
         self.schema = list(schema)
         self.task = task
         self.coerced_cells = dict(coerced_cells or {})
-        self._n = n
+        self.n_rows = n
+        self.label_column = label
+        self.feature_columns = [c for c in schema if c.role == ROLE_FEATURE]
+        self.numerical_features = [c.name for c in self.feature_columns if c.kind == KIND_NUMERICAL]
+        self.categorical_features = [c.name for c in self.feature_columns if c.kind == KIND_CATEGORICAL]
         self._columns: dict[str, np.ndarray] = {}  # numbers, and tokens once built
         self._coded: dict[str, Coded] = {}
         for col in schema:
@@ -110,7 +115,7 @@ class Dataset:
                 self._coded[col.name] = encoder.finish()
 
         self.class_labels = tuple(class_labels)
-        self._class_codes = None
+        self.class_codes = None
         if task == TASK_REGRESSION:
             bad = np.flatnonzero(~np.isfinite(self._columns[label.name]))
             if len(bad):
@@ -123,32 +128,12 @@ class Dataset:
             self.class_labels = tuple(vocabulary[used[np.argsort(first)]].tolist())
         index = {c: i for i, c in enumerate(self.class_labels)}
         # the smallest signed type that holds every class index and -1
-        self._class_codes = np.asarray([index.get(t, -1) for t in vocabulary.tolist()],
-                                       dtype=np.min_scalar_type(-len(index)))[codes]
-        bad = np.flatnonzero(self._class_codes < 0)
+        self.class_codes = np.asarray([index.get(t, -1) for t in vocabulary.tolist()],
+                                      dtype=np.min_scalar_type(-len(index)))[codes]
+        bad = np.flatnonzero(self.class_codes < 0)
         if len(bad):
             raise ValueError(f"data row {bad[0] + 1}, column {label.name!r}: label value "
                              f"{vocabulary[codes[bad[0]]]!r} not in class_labels")
-
-    @property
-    def n_rows(self) -> int:
-        return self._n
-
-    @property
-    def label_column(self) -> ColumnSchema:
-        return next(c for c in self.schema if c.role == ROLE_LABEL)
-
-    @property
-    def feature_columns(self) -> list[ColumnSchema]:
-        return [c for c in self.schema if c.role == ROLE_FEATURE]
-
-    @property
-    def numerical_features(self) -> list[str]:
-        return [c.name for c in self.feature_columns if c.kind == KIND_NUMERICAL]
-
-    @property
-    def categorical_features(self) -> list[str]:
-        return [c.name for c in self.feature_columns if c.kind == KIND_CATEGORICAL]
 
     def column(self, name: str) -> np.ndarray:
         """Numbers (float64, NaN missing) or tokens (object array of ``str``)."""
@@ -184,11 +169,6 @@ class Dataset:
         vocabulary = self._coded[name].vocabulary
         i = int(np.searchsorted(vocabulary, token))
         return i if i < len(vocabulary) and vocabulary[i] == token else -1
-
-    def class_codes(self) -> np.ndarray:
-        """Each row's label as its index in ``class_labels`` (classification),
-        computed once at construction."""
-        return self._class_codes
 
 
 def category_token(value) -> str:

@@ -219,7 +219,7 @@ def pearson_importance(d: ds.Dataset, train_rows) -> dict[str, float]:
         labels = _scaled(np.asarray(d.labels()[rows], dtype=np.float64))
         shared = _centred_labels(d, labels.copy())
     else:
-        labels = d.class_codes()[rows]
+        labels = d.class_codes[rows]
         shared = _centred_labels(d, labels)
     # each feature's matrix is built in the call that uses it, so only one
     # is live at a time
@@ -583,7 +583,7 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
         n_classes = None
         fallback = np.asarray([np.median(y[fold_of != f]) for f in range(cv_folds)])
     else:
-        y = d.class_codes()[rows].astype(np.int64)
+        y = d.class_codes[rows].astype(np.int64)
         n_classes = len(d.class_labels)
         counts = np.bincount(fold_of * n_classes + y, minlength=cv_folds * n_classes
                              ).reshape(cv_folds, n_classes)

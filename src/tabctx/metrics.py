@@ -67,16 +67,19 @@ def auroc(labels, prob_matrix, class_labels) -> float | None:
 
 def nmae(labels, estimates) -> float | None:
     """Mean absolute error over the test set divided by |mean(label)|;
-    undefined (None) when the label mean is zero or the ratio is not finite
-    (a subnormal label mean can overflow it)."""
+    undefined (None) when the label mean is zero or not finite (labels near
+    the float maximum can overflow it), or the ratio is not finite (a
+    subnormal label mean can overflow that)."""
     y = np.asarray(labels, dtype=np.float64)
     est = np.asarray(estimates, dtype=np.float64)
     if len(y) != len(est):
         raise ValueError("labels and estimates differ in length")
-    denom = abs(float(np.mean(y)))
-    if denom == 0.0:
+    with np.errstate(over="ignore"):
+        denom = abs(float(np.mean(y)))
+        error = float(np.mean(np.abs(est - y)))
+    if denom == 0.0 or not math.isfinite(denom):
         return None
-    value = float(np.mean(np.abs(est - y))) / denom
+    value = error / denom
     return value if math.isfinite(value) else None
 
 

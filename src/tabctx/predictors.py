@@ -24,12 +24,15 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import dataset as ds
+from .normalize import _headroom
 from .retrieval import RetrievedContext
 from .util import rng_for
 
 FLAG_PARSE_FAILURE = "parse_failure"
 FLAG_TRANSPORT_ERROR = "transport_error"
 FLAG_PROMPT_OVERFLOW = "prompt_overflow"
+
+DEFAULT_TOKEN_BUDGET = 16384
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -63,6 +66,19 @@ def class_shares(codes: np.ndarray, n_classes: int) -> np.ndarray:
     return counts / codes.shape[-1]
 
 
+def finite_mean(values) -> float:
+    """The mean of the values, finite when they are: ``np.mean`` when its sum
+    stays finite, so such a mean keeps its bits, else the mean of the values
+    scaled by the power of two that ``normalize._headroom`` picks, scaled back."""
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(x))
+    if math.isfinite(mean) or not np.isfinite(x).all():
+        return mean
+    e = _headroom(float(x.min()), float(x.max()))
+    return float(np.ldexp(np.mean(np.ldexp(x, -e)), e))
+
+
 def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | None,
                 predictor_id: str = "knn", row_index: int = -1) -> PredictionRecord:
     """Unweighted vote over the context labels of ``d``; an empty context
@@ -72,9 +88,9 @@ def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | Non
         return fallback_record(d.task, d.class_labels, fallback_mean, row_index, 0,
                                predictor_id, None)
     if d.task == ds.TASK_CLASSIFICATION:
-        probs = tuple(class_shares(d.class_codes()[ctx.indices], len(d.class_labels)).tolist())
+        probs = tuple(class_shares(d.class_codes[ctx.indices], len(d.class_labels)).tolist())
         return PredictionRecord(row_index, d.task, predictor_id, len(ctx), class_probabilities=probs)
-    est = float(np.mean(np.asarray(d.labels()[ctx.indices], dtype=np.float64)))
+    est = finite_mean(d.labels()[ctx.indices])
     return PredictionRecord(row_index, d.task, predictor_id, len(ctx), point_estimate=est)
 
 
@@ -159,7 +175,7 @@ class PromptOverflowError(ValueError):
 
 def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dict,
                features: list[str], label_name: str,
-               token_budget: int = 16384) -> tuple[str, int]:
+               token_budget: int = DEFAULT_TOKEN_BUDGET) -> tuple[str, int]:
     """Render within the token budget, keeping the longest nearest-first
     prefix of the context rows (rows are ordered nearest first). Raises
     PromptOverflowError if the bare query overflows. The cut comes from the
@@ -435,7 +451,8 @@ def ensemble(per_predictor: list[list[PredictionRecord]],
              predictor_id: str = "ensemble") -> list[PredictionRecord]:
     """Arithmetic mean of probability vectors or point estimates. All member
     predictors must cover the same rows. fsum keeps the result independent of
-    predictor order."""
+    predictor order; estimates whose sum passes the float maximum are each
+    divided by the member count before they are summed."""
     if not per_predictor:
         raise ValueError("ensemble needs at least one member")
     keyed = [{r.row_index: r for r in records} for records in per_predictor]
@@ -456,6 +473,10 @@ def ensemble(per_predictor: list[list[PredictionRecord]],
             probs = tuple(p / total for p in probs)
             out.append(PredictionRecord(idx, task, predictor_id, size, class_probabilities=probs))
         else:
-            est = math.fsum(m.point_estimate for m in members) / len(members)
+            estimates = [m.point_estimate for m in members]
+            try:
+                est = math.fsum(estimates) / len(members)
+            except OverflowError:
+                est = math.fsum(e / len(members) for e in estimates)
             out.append(PredictionRecord(idx, task, predictor_id, size, point_estimate=est))
     return out

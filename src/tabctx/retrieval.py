@@ -65,7 +65,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import normalize as nz
-from .importance import IMPORTANCE_MODES, pearson_importance, pps_importance
+from .importance import DEFAULT_CV_FOLDS, IMPORTANCE_MODES, pearson_importance, pps_importance
 from .normalize import _headroom
 from .util import rng_for
 
@@ -90,7 +90,7 @@ class RetrievalConfig:
     per_feature_norm: dict = field(default_factory=dict)
     distance_minmax_rescale: bool = True
     match_constraints: tuple[str, ...] = ()
-    pps_folds: int = 4
+    pps_folds: int = DEFAULT_CV_FOLDS
     seed: int = 0
 
     def __post_init__(self):
@@ -140,6 +140,7 @@ class ContextPool:
                  pps_weights: dict[str, float] | None):
         self.dataset = dataset
         self.rows = rows
+        self.size = len(rows)
         self.cfg = cfg
         self.stats = stats
         self.pearson_weights = pearson_weights
@@ -152,10 +153,6 @@ class ContextPool:
         # the kept measures as weight vectors, Pearson first; all ones when the mode keeps none
         self.vectors = [np.asarray([w[f] for f in self.features]) for w in (pearson_weights, pps_weights)
                         if w is not None] or [np.ones(len(self.features))]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
 
 def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,

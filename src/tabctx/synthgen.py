@@ -151,7 +151,7 @@ def boundary_grid(pool: ContextPool, resolution: int | tuple[int, int] = 100) ->
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = xs.tolist(), ys.tolist()
-    labels = d.class_codes()[pool.rows]
+    labels = d.class_codes[pool.rows]
     probs = np.empty((nx * ny, len(d.class_labels)))
     step = block_size(pool)
     for start in range(0, nx * ny, step):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tabctx import dataset as ds
 
@@ -22,12 +21,3 @@ def make_dataset(num: dict | None = None, cat: dict | None = None,
     else:
         columns["target"] = np.asarray(label, dtype=np.float64)
     return ds.Dataset(schema, columns, task)
-
-
-@pytest.fixture
-def tiny_classification():
-    return make_dataset(
-        num={"a": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
-        cat={"b": ["x", "y", "x", "y", "x", "y"]},
-        label=["p", "p", "p", "q", "q", "q"],
-    )

@@ -264,7 +264,7 @@ def pearson_dense_reference(d: ds.Dataset, train_rows) -> dict[str, float]:
     if d.task == ds.TASK_REGRESSION:
         labels = _dense_scaled(np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1))
     else:
-        labels = (d.class_codes()[rows][:, None] == np.arange(len(d.class_labels))).astype(np.float64)
+        labels = (d.class_codes[rows][:, None] == np.arange(len(d.class_labels))).astype(np.float64)
     out = {}
     for col in d.feature_columns:
         if col.kind == ds.KIND_NUMERICAL:

@@ -760,7 +760,7 @@ def test_repeated_train_sizes_are_rejected(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path), "sweep.json")
     assert cli.main(["scaling", str(path), "--sizes", "60,60", "-o", str(tmp_path / "sc")]) == 1
     err = capsys.readouterr().err
-    assert "error: train_sizes repeats 60\n" in err and "Traceback" not in err
+    assert "error: --sizes repeats 60\n" in err and "Traceback" not in err
     assert not (tmp_path / "sc").exists()
 
 
@@ -808,3 +808,71 @@ def test_far_test_row_changes_no_other_row(tmp_path):
     assert len(far_traces) == 2
     for t in far_traces:
         assert all(math.isfinite(v) for v in t["distances"]) and max(t["distances"]) > 1e150
+
+
+def test_labels_near_the_float_maximum_lose_no_dataset(tmp_path):
+    # six finite labels of 1.7e308 at x = 0.5: the kNN mean of a context of
+    # four of them, the training label mean, the ensemble's sum and the test
+    # label mean all overflow a plain float sum; every estimate stays finite,
+    # and a row whose context holds none of them is the same as with labels of 10
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=200)
+    y = 2.0 * x + rng.normal(scale=0.1, size=200)
+    big = list(range(6))
+    x[:7] = 0.5
+    test = [0, 1, 6, *range(190, 200)]
+    ds.save_split_file(ds.SplitAssignment(train=np.setdiff1d(np.arange(200), test), validation=[],
+                                          test=test, seed=0), tmp_path / "split.json")
+    schema = [ds.ColumnSchema("x", "numerical"), ds.ColumnSchema("y", "numerical", "label")]
+    ds.save_schema(schema, "regression", tmp_path / "t.schema.json")
+    outs = {}
+    for label in (1.7e308, 10.0):
+        y[big] = label
+        table = tmp_path / f"{label}.csv"
+        ds.save_table(ds.Dataset(schema, {"x": x, "y": y}, "regression"), table)
+        cfg = base_config(tmp_path, datasets=[{"id": "t", "table": str(table),
+                                               "schema": str(tmp_path / "t.schema.json"),
+                                               "split": {"file": str(tmp_path / "split.json")}}],
+                          predictors=[{"id": "knn", "type": "knn"}, {"id": "knn2", "type": "knn"},
+                                      {"id": "ens", "type": "ensemble", "members": ["knn", "knn2"]}],
+                          write_traces=True)
+        out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg, f"{label}.json")),
+                      tmp_path / f"out{label}")
+        assert load_json(out / "manifest.json")["datasets"]["t"]["status"] == "ok"
+        with open(out / "predictions.csv", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        with open(out / "traces.jsonl", encoding="utf-8") as fh:
+            selected = {t["query"]: set(t["selected"]) for t in map(json.loads, fh)}
+        assert len(rows) == 3 * len(test)
+        assert all(math.isfinite(float(r[header.index("estimate")])) for r in rows)
+        outs[label] = {(r[4], int(r[5])): r for r in rows}, selected
+
+    (huge, selected), (plain, _) = outs[1.7e308], outs[10.0]
+    assert selected[6] == {2, 3, 4, 5}
+    assert {float(huge[p, 6][8]) for p in ("knn", "knn2", "ens")} == {1.7e308}
+    clear = [key for key in huge if not selected[key[1]] & set(big)]
+    assert len(clear) >= 3 * 8
+    assert [huge[k] for k in clear] == [plain[k] for k in clear]
+
+
+def test_benchmark_workloads_set_up_with_this_library(tmp_path, monkeypatch):
+    # perfbench/ is frozen: its workloads make these set-up calls and write
+    # these configs, so a library change that breaks them must fail here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    loaded = set(sys.modules)  # workloads.py imports perfbench's checks and stub by name
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        for name, make in workloads.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            wl = make(tmp_path / name, 5, "http://127.0.0.1:9/v1/chat/completions")
+            wl.setup()
+            for config in (Path(a) for a in wl.argv if a.endswith(".json")):
+                assert cli.validate_config(cli.RunConfig.from_file(config)) == [], (name, config)
+    finally:
+        for module in ("checks", "stub"):
+            if module not in loaded:
+                sys.modules.pop(module, None)

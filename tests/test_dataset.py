@@ -190,9 +190,9 @@ def test_dataset_codes_and_vocabulary():
     assert d.vocabulary("g").tolist() == ["", "u", "v"]
     assert d.codes("g").tolist() == [2, 0, 1, 2] and d.codes("g").dtype == np.int32
     assert d.class_labels == ("q", "p", "r")
-    assert d.class_codes().tolist() == [0, 1, 0, 2]
+    assert d.class_codes.tolist() == [0, 1, 0, 2]
     many = make_dataset(num={"a": range(400)}, label=[f"c{i % 200}" for i in range(400)])
-    assert many.class_codes().tolist() == [i % 200 for i in range(400)]
+    assert many.class_codes.tolist() == [i % 200 for i in range(400)]
     assert [d.code("g", t) for t in ("", "u", "v", None)] == [0, 1, 2, 0]
     assert d.code("g", "w") == -1 and d.code("g", "a") == -1
 
@@ -294,7 +294,7 @@ def test_chunked_loader_equals_reference(tmp_path_factory, table, terminator, cu
     assert isinstance(got, ds.Dataset), got
     assert got.class_labels == want.class_labels and got.coerced_cells == want.coerced_cells
     if task == "classification":
-        assert np.array_equal(got.class_codes(), want.class_codes())
+        assert np.array_equal(got.class_codes, want.class_codes)
     for name, kind, _ in cols:
         if kind == "numerical":
             assert np.array_equal(got.column(name).view(np.int64), want.column(name).view(np.int64))
@@ -366,7 +366,7 @@ def test_load_dataset_holds_each_column_once(tmp_path):
     finally:
         tracemalloc.stop()
     held = (sum(d.column(c).nbytes for c in d.numerical_features)
-            + sum(d.codes(c).nbytes for c in [*d.categorical_features, "y"]) + d.class_codes().nbytes)
+            + sum(d.codes(c).nbytes for c in [*d.categorical_features, "y"]) + d.class_codes.nbytes)
     assert peak < 1.3 * held, (peak, held)
 
 
@@ -376,7 +376,7 @@ def test_loader_at_chunk_edges_equals_reference(tmp_path, n):
     want = load_dataset_reference(*_mixed_table(tmp_path, n, seed=n))
     assert got.n_rows == n and got.coerced_cells == want.coerced_cells
     assert got.class_labels == want.class_labels
-    assert np.array_equal(got.class_codes(), want.class_codes())
+    assert np.array_equal(got.class_codes, want.class_codes)
     for name in got.numerical_features:
         assert np.array_equal(got.column(name).view(np.int64), want.column(name).view(np.int64))
     for name in [*got.categorical_features, "y"]:
