@@ -30,11 +30,11 @@ from . import normalize as nz
 from .importance import IMPORTANCE_MODES
 from .predictors import (DEFAULT_TOKEN_BUDGET, FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
                          PredictionRecord, PromptOverflowError, PromptTemplate,
-                         context_rows_for_prompt, ensemble, fallback_record, finite_mean,
+                         context_rows_for_prompt, ensemble, fallback_record,
                          fit_prompt, ingest_predictions, knn_predict, url_problem)
 from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
-from .util import dump_json, fmt_float, load_json, subseed
+from .util import dump_json, finite_mean, fmt_float, load_json, subseed
 
 log = logging.getLogger(__name__)
 
@@ -125,12 +125,13 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append("no datasets configured")
     if not cfg.predictors:
         problems.append("no predictors configured")
-    if cfg.context_sizes is not None and (not cfg.context_sizes or min(cfg.context_sizes) < 1):
-        problems.append("context_sizes must be non-empty and each at least 1")
-    if cfg.train_sizes is not None and (not cfg.train_sizes or min(cfg.train_sizes) < 1):
-        problems.append("train_sizes must be non-empty when given, and each at least 1")
     for key in ("context_sizes", "train_sizes"):
-        if repeated := _repeats(getattr(cfg, key) or []):
+        sizes = getattr(cfg, key)
+        if sizes is None:
+            continue
+        if not (isinstance(sizes, list) and sizes and all(type(v) is int and v >= 1 for v in sizes)):
+            problems.append(f"{key} must be a non-empty list of integers, each at least 1")
+        elif repeated := _repeats(sizes):
             problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
     problems += [f"duplicate dataset id {i!r}" for i in _repeats([e.id for e in cfg.datasets])]
     for e in cfg.datasets:

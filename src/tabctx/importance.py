@@ -110,7 +110,10 @@ Scores compare out-of-fold tree predictions with out-of-fold naive
 predictions (fold-train median / most frequent class):
 ``max(0, 1 - MAE_tree / MAE_naive)`` for regression and
 ``max(0, (F1w_tree - F1w_naive) / (1 - F1w_naive))`` for classification,
-with weighted F1; a perfect naive baseline scores 0.
+with weighted F1; a perfect naive baseline scores 0. Regression labels
+whose largest magnitude reaches 2**500 are scaled first, as Pearson's are
+(``_scaled``), so that the tree costs stay finite; the scores are ratios of
+errors, and the exact scaling changes none.
 """
 from __future__ import annotations
 
@@ -119,8 +122,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds
-from .normalize import _headroom
-from .util import kfold_indices, subseed
+from .util import headroom, kfold_indices, subseed
 
 IMPORTANCE_MODES = ("dual", "pearson_only", "pps_only", "uniform")
 
@@ -166,10 +168,10 @@ def _max_abs_corr(F: np.ndarray, Lc: np.ndarray, sl: np.ndarray) -> float:
 
 def _scaled(a: np.ndarray) -> np.ndarray:
     """``a``, a float64 array the caller owns, scaled in place by the exact
-    power of two ``_headroom`` picks. r does not depend on scale; the scaling
-    keeps ``a ** 2`` finite for cells of 2**500 and more, and leaves smaller
-    arrays as given."""
-    exponent = _headroom(float(a.min()), float(a.max()))
+    power of two ``util.headroom`` picks. Neither r nor a PPS score depends on
+    scale; the scaling keeps ``a ** 2`` and sums of ``a`` finite for cells of
+    2**500 and more, and leaves smaller arrays as given."""
+    exponent = headroom(float(a.min()), float(a.max()))
     return np.ldexp(a, -exponent, out=a) if exponent else a
 
 
@@ -579,7 +581,7 @@ def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
     for f, val_idx in enumerate(kfold_indices(len(rows), cv_folds, subseed(seed, "pps-folds"))):
         fold_of[val_idx] = f
     if d.task == ds.TASK_REGRESSION:
-        y = np.asarray(d.labels()[rows], dtype=np.float64)
+        y = _scaled(np.asarray(d.labels()[rows], dtype=np.float64))
         n_classes = None
         fallback = np.asarray([np.median(y[fold_of != f]) for f in range(cv_folds)])
     else:

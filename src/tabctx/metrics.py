@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import finite_mean
+
 METRIC_AUROC = "auroc"
 METRIC_NMAE = "nmae"
 
@@ -28,23 +30,18 @@ class MetricReport:
 
 def auroc_binary(y: np.ndarray, scores: np.ndarray) -> float | None:
     """Rank-based (Mann-Whitney) AUROC; tied scores contribute one half.
-    Returns None when either class is absent."""
+    Returns None when either class is absent. NaN scores, which no predictor
+    gives, rank last as one tie group."""
     y = np.asarray(y).astype(bool)
     scores = np.asarray(scores, dtype=np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # a tie group's rank is the mean of its 1-based positions in sorted order,
+    # a half-integer, so it is exact
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = float(np.sum(ranks[y]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -66,19 +63,20 @@ def auroc(labels, prob_matrix, class_labels) -> float | None:
 
 
 def nmae(labels, estimates) -> float | None:
-    """Mean absolute error over the test set divided by |mean(label)|;
-    undefined (None) when the label mean is zero or not finite (labels near
-    the float maximum can overflow it), or the ratio is not finite (a
-    subnormal label mean can overflow that)."""
+    """Mean absolute error over the test set divided by |mean(label)|, both
+    means from ``util.finite_mean``, so labels near the float maximum have
+    them. Undefined (None) when the label mean is zero or not finite, or the
+    ratio is not finite: a subnormal label mean can overflow it, and so can
+    an estimate whose error overflows a float."""
     y = np.asarray(labels, dtype=np.float64)
     est = np.asarray(estimates, dtype=np.float64)
     if len(y) != len(est):
         raise ValueError("labels and estimates differ in length")
-    with np.errstate(over="ignore"):
-        denom = abs(float(np.mean(y)))
-        error = float(np.mean(np.abs(est - y)))
+    denom = abs(finite_mean(y))
     if denom == 0.0 or not math.isfinite(denom):
         return None
+    with np.errstate(over="ignore"):
+        error = finite_mean(np.abs(est - y))
     value = error / denom
     return value if math.isfinite(value) else None
 

@@ -6,13 +6,14 @@ columns (all missing, or a single distinct value) normalize to a constant,
 0.5 for the bounded modes and 0 for standard mode, for every input including
 NaN, so their distance contribution between any two rows is zero.
 
-Standard and minmax statistics are fitted on the column as given, unless
-its spread overflows a float there (cells near the float limit). Then the
-column is scaled by a power of two, which is exact, so that its largest
-magnitude is below 1, and the statistics and every normalized value use the
-scaled numbers. Mode none scales a column whose largest magnitude reaches
-2**500 (about 3e150) to below it, so that a difference of two values and its
-square stay finite; smaller columns keep their values.
+Standard, minmax and none follow ``util``'s overflow rule: a column whose
+largest finite magnitude reaches 2**500 (about 3e150) is scaled by the power
+of two ``util.headroom`` picks, and its statistics and every normalized value
+use the scaled numbers. A difference of two such values and
+its square then stay finite, and so do the standard deviation's squares for
+columns of fewer than 2**22 finite cells. Smaller columns keep their values.
+The scaling is exact, so standard and minmax give the same values at any
+scale, up to the rounding of values it takes below the normal range.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dataset as ds
+from .util import headroom
 
 MODE_QUANTILE = "quantile"
 MODE_STANDARD = "standard"
@@ -44,7 +46,7 @@ class ColumnStats:
     vmin: float = 0.0
     vmax: float = 0.0
     # standard, minmax and none read values as v * 2**-exponent; 0 unless the
-    # column's spread overflows a float (none: unless it reaches 2**500)
+    # column's largest magnitude reaches 2**500
     exponent: int = 0
 
     @cached_property
@@ -58,49 +60,26 @@ def fit_column(name: str, values: np.ndarray, mode: str) -> ColumnStats:
         raise ValueError(f"unknown normalization mode {mode!r}")
     vals = np.asarray(values, dtype=np.float64)
     vals = vals[np.isfinite(vals)]
-    n = len(vals)
-    if mode == MODE_NONE:
-        exponent = _headroom(float(vals.min()), float(vals.max())) if n else 0
-        return ColumnStats(column=name, mode=mode, degenerate=False, exponent=exponent)
-    if n == 0:
-        return ColumnStats(column=name, mode=mode, degenerate=True)
-
-    srt = np.sort(vals)
-    degenerate = bool(srt[0] == srt[-1])
+    if len(vals) == 0:
+        return ColumnStats(column=name, mode=mode, degenerate=mode != MODE_NONE)
     if mode == MODE_QUANTILE:
-        if n > KNOT_CAP:
-            pick = np.round(np.linspace(0, n - 1, KNOT_CAP)).astype(np.int64)
-            knots = srt[pick]
-        else:
-            knots = srt
-        return ColumnStats(column=name, mode=mode, degenerate=degenerate, quantile_knots=knots)
-    exponent = 0
+        knots = np.sort(vals)
+        if len(knots) > KNOT_CAP:
+            knots = knots[np.round(np.linspace(0, len(knots) - 1, KNOT_CAP)).astype(np.int64)]
+        return ColumnStats(column=name, mode=mode, degenerate=bool(knots[0] == knots[-1]),
+                           quantile_knots=knots)
+    vmin, vmax = float(vals.min()), float(vals.max())
+    exponent = headroom(vmin, vmax)
+    if mode == MODE_NONE:
+        return ColumnStats(column=name, mode=mode, degenerate=False, exponent=exponent)
     if mode == MODE_STANDARD:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = float(np.mean(vals)), float(np.std(vals))
-        if not (math.isfinite(mean) and math.isfinite(std)):
-            exponent = _exponent(srt)
-            vals = np.ldexp(vals, -exponent)
-            mean, std = float(np.mean(vals)), float(np.std(vals))
+        vals = np.ldexp(vals, -exponent)
+        mean, std = float(np.mean(vals)), float(np.std(vals))
         return ColumnStats(column=name, mode=mode, degenerate=bool(std == 0.0),
                            mean=mean, stddev=std, exponent=exponent)
-    vmin, vmax = float(srt[0]), float(srt[-1])
-    if math.isinf(vmax - vmin):
-        exponent = _exponent(srt)
-        vmin, vmax = math.ldexp(vmin, -exponent), math.ldexp(vmax, -exponent)
-    return ColumnStats(column=name, mode=mode, degenerate=degenerate,
-                       vmin=vmin, vmax=vmax, exponent=exponent)
-
-
-def _exponent(srt: np.ndarray) -> int:
-    """The least e with every |value| below 2**e, for a sorted column."""
-    return math.frexp(max(-float(srt[0]), float(srt[-1])))[1]
-
-
-def _headroom(vmin: float, vmax: float) -> int:
-    """The least e >= 0 with every |value| * 2**-e below 2**500, for
-    values in [vmin, vmax]."""
-    return max(0, math.frexp(max(-vmin, vmax))[1] - 500)
+    return ColumnStats(column=name, mode=mode, degenerate=vmin == vmax,
+                       vmin=math.ldexp(vmin, -exponent), vmax=math.ldexp(vmax, -exponent),
+                       exponent=exponent)
 
 
 def fit_stats(d: ds.Dataset, train_rows, mode: str = MODE_QUANTILE,

@@ -24,9 +24,8 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import dataset as ds
-from .normalize import _headroom
 from .retrieval import RetrievedContext
-from .util import rng_for
+from .util import finite_mean, rng_for
 
 FLAG_PARSE_FAILURE = "parse_failure"
 FLAG_TRANSPORT_ERROR = "transport_error"
@@ -64,19 +63,6 @@ def class_shares(codes: np.ndarray, n_classes: int) -> np.ndarray:
     last axis (one context per row), as its count over the context length."""
     counts = np.stack([np.count_nonzero(codes == c, axis=-1) for c in range(n_classes)], axis=-1)
     return counts / codes.shape[-1]
-
-
-def finite_mean(values) -> float:
-    """The mean of the values, finite when they are: ``np.mean`` when its sum
-    stays finite, so such a mean keeps its bits, else the mean of the values
-    scaled by the power of two that ``normalize._headroom`` picks, scaled back."""
-    x = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(x))
-    if math.isfinite(mean) or not np.isfinite(x).all():
-        return mean
-    e = _headroom(float(x.min()), float(x.max()))
-    return float(np.ldexp(np.mean(np.ldexp(x, -e)), e))
 
 
 def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | None,

@@ -50,7 +50,7 @@ bit for bit.
 
 A far query, one whose squared distances overflow a float (possible only
 without the min-max rescale), is ranked with its feature distances scaled
-by a power of two, as ``normalize`` scales a far column, and its reported
+by the power of two ``util.headroom`` picks, and its reported
 distances are capped at the float maximum. Equal capped distances keep the
 row-index order. Queries whose squares are finite keep their bits.
 """
@@ -66,8 +66,7 @@ import numpy as np
 from . import dataset as ds
 from . import normalize as nz
 from .importance import DEFAULT_CV_FOLDS, IMPORTANCE_MODES, pearson_importance, pps_importance
-from .normalize import _headroom
-from .util import rng_for
+from .util import headroom, rng_for
 
 TAG_PEARSON = "pearson-half"
 TAG_PPS = "pps-half"
@@ -404,7 +403,7 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
         far = ~(np.max([s.max(axis=1, initial=0.0) for s in sums], axis=0) < np.inf)
         largest = np.max([_feature_distances(pool, f, values[j], pool_rows(s)).max(axis=1, initial=0.0)
                           for j, f in enumerate(pool.features) for s in slabs], axis=0)
-        shift = np.where(far, [_headroom(0.0, v) for v in largest.tolist()], 0)[:, None]
+        shift = np.where(far, [headroom(0.0, v) for v in largest.tolist()], 0)[:, None]
         sums = row_sums()
     d_primary, d_secondary = sums[0], sums[-1]  # one array outside dual mode
     K = max(sizes)

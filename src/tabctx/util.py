@@ -1,8 +1,17 @@
-"""Shared helpers: seed derivation, deterministic JSON output, fold assignment."""
+"""Shared helpers: seed derivation, deterministic JSON output, fold assignment,
+and the one overflow rule.
+
+The overflow rule: values whose largest magnitude reaches 2**500 (about
+3e150) are scaled by a power of two to below it, which is exact, so that
+their sums, differences and squares stay finite; ``headroom`` picks the
+power. Smaller values keep theirs. Normalization, Pearson and PPS weights,
+far-query ranking and regression means all follow it.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +42,25 @@ def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError(f"cannot split {n} rows into {k} folds")
     perm = rng_for(seed, "kfold", n, k).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, k)]
+
+
+def headroom(vmin: float, vmax: float) -> int:
+    """The least e >= 0 with every |value| * 2**-e below 2**500, for
+    values in [vmin, vmax]."""
+    return max(0, math.frexp(max(-vmin, vmax))[1] - 500)
+
+
+def finite_mean(values) -> float:
+    """The mean of the values, finite when they are: ``np.mean`` when its sum
+    stays finite, so such a mean keeps its bits, else the mean of the values
+    scaled by the power of two that ``headroom`` picks, scaled back."""
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(x))
+    if math.isfinite(mean) or not np.isfinite(x).all():
+        return mean
+    e = headroom(float(x.min()), float(x.max()))
+    return float(np.ldexp(np.mean(np.ldexp(x, -e)), e))
 
 
 def dump_json(path: str | Path, obj) -> None:

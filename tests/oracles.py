@@ -12,8 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from tabctx import dataset as ds
-from tabctx.normalize import _headroom
-from tabctx.util import kfold_indices, subseed
+from tabctx.util import headroom, kfold_indices, subseed
 
 MISSING = float("nan")
 
@@ -233,7 +232,7 @@ def boundary_grid_reference(pool, resolution) -> np.ndarray:
 
 
 def _dense_scaled(a: np.ndarray) -> np.ndarray:
-    exponent = _headroom(float(a.min()), float(a.max()))
+    exponent = headroom(float(a.min()), float(a.max()))
     return np.ldexp(a, -exponent) if exponent else a
 
 
@@ -259,7 +258,7 @@ def pearson_dense_reference(d: ds.Dataset, train_rows) -> dict[str, float]:
     matrix centred per feature, both squared whole, and the product of the
     nonzero-norm columns as numpy's boolean index on axis 1 copies them.
     Columns and labels of 2**500 and more are scaled by the power of two
-    ``normalize._headroom`` picks; a numerical feature pairs its finite rows."""
+    ``util.headroom`` picks; a numerical feature pairs its finite rows."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if d.task == ds.TASK_REGRESSION:
         labels = _dense_scaled(np.asarray(d.labels()[rows], dtype=np.float64).reshape(-1, 1))

@@ -67,7 +67,13 @@ def test_validate_config_catches_problems(tmp_path):
     # an empty training subset would leave the random policy nothing to sample
     empty = write_config(tmp_path, base_config(tmp_path, train_sizes=[0, 8]), "empty.json")
     assert cli.validate_config(cli.RunConfig.from_file(empty)) == [
-        "train_sizes must be non-empty when given, and each at least 1"]
+        "train_sizes must be a non-empty list of integers, each at least 1"]
+    # sizes that are not a list of integers are problems too, not a TypeError
+    for key, sizes in (("context_sizes", 4), ("context_sizes", [4, "8"]), ("train_sizes", "10")):
+        odd = write_config(tmp_path, base_config(tmp_path, **{key: sizes}), "odd.json")
+        assert cli.main(["validate-config", str(odd)]) == 1
+        assert cli.validate_config(cli.RunConfig.from_file(odd)) == [
+            f"{key} must be a non-empty list of integers, each at least 1"]
     duel = write_config(tmp_path, base_config(tmp_path, policies=[
         {"id": "rag", "importance_mode": "duel"}]), "duel.json")
     assert cli.main(["validate-config", str(duel)]) == 1
@@ -460,8 +466,8 @@ def test_traced_names_resolve_and_retrieve_runs_once_per_row(tmp_path):
             f"print(json.dumps({{k: v['calls'] for k, v in t.summary().items()}}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.splitlines()[-1])
     n_test = load_json(tmp_path / "out" / "manifest.json")["datasets"]["toy"]["n_test"]
@@ -609,7 +615,7 @@ def test_config_problems_exit_with_message(tmp_path, capsys, verb):
     path = write_config(tmp_path, cfg)
     assert cli.main([*verb, str(path), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "error: context_sizes must be non-empty and each at least 1\n" in err
+    assert "error: context_sizes must be a non-empty list of integers, each at least 1\n" in err
     if verb == ["run"]:  # ablate and scaling set their own policies
         assert "error: policy 'small': quota cannot be set per policy" in err
     assert "Traceback" not in err

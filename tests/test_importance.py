@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,22 @@ def test_pearson_categorical_indicator_match():
     d = make_dataset(cat={"f": ["a", "a", "b", "b"]}, label=["p", "p", "q", "q"])
     assert imp.pearson_importance(d, [0, 1, 2, 3])["f"] == pytest.approx(1.0, abs=1e-12)
 
+
+
+def test_regression_pps_scales_labels_near_the_float_maximum():
+    # six labels of 1.7e308 at x = 0.5: the tree costs of the labels as given
+    # overflow a float, those of the same table times 2**-524 do not
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=200)
+    y = 2.0 * x + rng.normal(scale=0.1, size=200)
+    x[:6], y[:6] = 0.5, 1.7e308
+    rows = np.arange(200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = imp.pps_importance(make_dataset(num={"x": x}, label=y, task="regression"), rows)
+        small = imp.pps_importance(make_dataset(num={"x": x}, label=np.ldexp(y, -524),
+                                                task="regression"), rows)
+    assert {k: v.hex() for k, v in huge.items()} == {k: v.hex() for k, v in small.items()}
 
 def test_pearson_scale_invariance():
     rng = rng_for(0, "scale")

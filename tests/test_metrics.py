@@ -72,6 +72,16 @@ def test_nmae_examples():
     assert mt.nmae([2.2250738585e-313], [1.0]) is None  # the ratio overflows
 
 
+def test_nmae_is_defined_for_labels_near_the_float_maximum():
+    # the labels' plain sum overflows a float, their mean does not
+    assert mt.nmae([1.7e308, 1.7e308, 2.0], [1.7e308, 1.7e308, 2.0]) == 0.0
+    y = [1.7e308, 1.7e308, 1.6e308, 2.0]
+    est = [1.6e308, 1.7e308, 1.5e308, 3.0]
+    value = mt.nmae(y, est)
+    assert value is not None and value > 0.0
+    assert value == mt.nmae(np.ldexp(y, -524), np.ldexp(est, -524))
+
+
 # Scaling by c is exact enough only on zero or normal values whose products
 # with c stay normal (c >= 0.001): a subnormal loses bits when scaled.
 SCALABLE = st.floats(-100, 100, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) >= 1e-300)

@@ -277,8 +277,8 @@ def test_import_loads_neither_requests_nor_http_modules():
         p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys; sys.modules['requests'] = None; import tabctx.cli; "
             "print(sorted(m for m in ('http.client', 'ssl', 'urllib.request') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -13,7 +13,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_script(name: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    # pytest's warning filters do not reach a child process, so it gets its own
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
