@@ -37,7 +37,6 @@ def test_pearson_categorical_indicator_match():
     assert imp.pearson_importance(d, [0, 1, 2, 3])["f"] == pytest.approx(1.0, abs=1e-12)
 
 
-
 def test_regression_pps_scales_labels_near_the_float_maximum():
     # six labels of 1.7e308 at x = 0.5: the tree costs of the labels as given
     # overflow a float, those of the same table times 2**-524 do not
@@ -52,6 +51,7 @@ def test_regression_pps_scales_labels_near_the_float_maximum():
         small = imp.pps_importance(make_dataset(num={"x": x}, label=np.ldexp(y, -524),
                                                 task="regression"), rows)
     assert {k: v.hex() for k, v in huge.items()} == {k: v.hex() for k, v in small.items()}
+
 
 def test_pearson_scale_invariance():
     rng = rng_for(0, "scale")

@@ -74,7 +74,6 @@ def test_column_near_the_float_limit_keeps_a_finite_spread(mode):
         assert top == 1.0
 
 
-
 @pytest.mark.parametrize("mode", [nz.MODE_STANDARD, nz.MODE_MINMAX])
 def test_standard_and_minmax_give_the_same_values_at_any_scale(mode):
     col = np.array([1.5, -2.25, 3.0, 0.0, 0.75, np.nan])
@@ -83,6 +82,7 @@ def test_standard_and_minmax_give_the_same_values_at_any_scale(mode):
     for k in (400, 498, 520, 1021):
         s = fit(np.ldexp(col, k), mode)
         assert [nz.apply_array(s, np.ldexp(v, k)).tobytes() for v in (col, queries)] == expected
+
 
 def test_none_mode_is_identity():
     s = fit([1, 2, 3], nz.MODE_NONE)
