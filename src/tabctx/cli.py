@@ -4,10 +4,10 @@ Verbs: run, compare, ablate, boundary, scaling, fit-powerlaw,
 validate-config. A run is driven by one declarative JSON config; CLI flags
 override scalar fields. Sub-seeds of the run seed give the split (unless a
 dataset sets its own), the training subsets, the random policy and the prompt
-order; ``retrieval.seed``, which ``--seed`` does not set, gives the PPS
-folds. The manifest records the config and the split seeds, not the
-sub-seeds. Reruns with deterministic predictors are byte-identical apart from
-manifest timestamps.
+order; the PPS folds are fixed, so the feature weights depend on a training
+subset's rows alone. The manifest records the config and the split seeds, not
+the sub-seeds. Reruns with deterministic predictors are byte-identical apart
+from manifest timestamps.
 """
 from __future__ import annotations
 
@@ -113,6 +113,11 @@ def _unknown(where: str, entry: dict, allowed: set[str]) -> list[str]:
     return [f"{where}{k}" for k in sorted(entry.keys() - allowed)]
 
 
+def _positive_int(value) -> bool:
+    """Whether the value is an integer of at least 1."""
+    return type(value) is int and value >= 1
+
+
 def _repeats(values: list) -> list:
     """Each value given more than once, in first-seen order."""
     return [v for i, v in enumerate(values) if values.count(v) > 1 and values.index(v) == i]
@@ -126,10 +131,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if not cfg.predictors:
         problems.append("no predictors configured")
     for key in ("context_sizes", "train_sizes"):
-        sizes = getattr(cfg, key)
-        if sizes is None:
+        if (sizes := getattr(cfg, key)) is None:
             continue
-        if not (isinstance(sizes, list) and sizes and all(type(v) is int and v >= 1 for v in sizes)):
+        if not (isinstance(sizes, list) and sizes and all(map(_positive_int, sizes))):
             problems.append(f"{key} must be a non-empty list of integers, each at least 1")
         elif repeated := _repeats(sizes):
             problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
@@ -140,8 +144,19 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 problems.append(f"dataset {e.id!r}: {kind} path {p!r} does not exist")
         if "file" in e.split and not Path(e.split["file"]).is_file():
             problems.append(f"dataset {e.id!r}: split file {e.split['file']!r} does not exist")
-        if "ratios" in e.split and abs(sum(e.split["ratios"]) - 1.0) > 1e-9:
-            problems.append(f"dataset {e.id!r}: split ratios must sum to 1")
+        ratios = e.split.get("ratios", DEFAULT_SPLIT_RATIOS)
+        if not (isinstance(ratios, list | tuple) and len(ratios) == 3
+                and all(type(r) in (int, float) and r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+            problems.append(f"dataset {e.id!r}: split ratios must be three numbers, each at least 0, "
+                            f"that sum to 1")
+        problems += [f"dataset {e.id!r}: {key} must be an integer of at least 1"
+                     for key in ("train_cap", "test_cap") if not _positive_int(getattr(e, key))]
+    try:
+        _prompt_template(cfg)
+    except (OSError, TypeError, ValueError) as exc:
+        problems.append(f"prompt: {exc}")
+    if not _positive_int(cfg.prompt.get("token_budget", DEFAULT_TOKEN_BUDGET)):
+        problems.append("prompt: token_budget must be an integer of at least 1")
     try:
         _resolve_retrieval(cfg.retrieval, {})
         base_ok = True
@@ -161,10 +176,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 problems.append(f"predictor {pid!r}: llm endpoint needs base_url")
             elif problem := url_problem(str(p["base_url"])):
                 problems.append(f"predictor {pid!r}: llm {problem}")
-        if ptype == "ensemble":
-            missing = [m for m in p.get("members", []) if m not in ids]
-            if missing or not p.get("members"):
-                problems.append(f"predictor {pid!r}: members must be previously defined ids")
+        if ptype == "ensemble" and (not p.get("members") or any(m not in ids for m in p["members"])):
+            problems.append(f"predictor {pid!r}: members must be previously defined ids")
         ids.append(pid)
     problems += [f"duplicate predictor id {pid!r}" for pid in _repeats(ids)]
     pol_ids = [_policy_id(pol) for pol in cfg.policies]
@@ -178,6 +191,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
         elif "quota" in pol:
             problems.append(f"policy {_policy_id(pol)!r}: quota cannot be set per policy; "
                             f"set the context sizes with context_sizes")
+        elif pol_type == "random" and (keys := sorted(pol.keys() - {"id", "type"})):
+            problems.append(f"policy {_policy_id(pol)!r}: a random policy takes no retrieval "
+                            f"keys, got {', '.join(keys)}")
         elif pol_type == "rag" and base_ok:
             try:
                 _resolve_retrieval(cfg.retrieval, pol)
@@ -267,7 +283,7 @@ def _contexts(cfg: RunConfig, entry_id: str, d: ds.Dataset, pol: dict, train_siz
               subset: np.ndarray, test_rows: list[int], fitted: dict) -> tuple[dict, dict | None]:
     """Each test row's contexts under the policy, one per context size, and
     the weights of the policy's pool (None when it has none). ``fitted`` holds
-    the weights already fitted on ``subset`` by (pps_folds, seed). The pool
+    the weights already fitted on ``subset``, shared by every policy. The pool
     lives only here, so it is freed before prediction."""
     scope = f"{entry_id} {_policy_id(pol)} n{train_size}"
     if pol.get("type", "rag") == "random":
@@ -277,7 +293,7 @@ def _contexts(cfg: RunConfig, entry_id: str, d: ds.Dataset, pol: dict, train_siz
                 for size in cfg.context_sizes) for row in test_rows}, None
     rcfg = _resolve_retrieval(cfg.retrieval, pol)
     with _stage(f"{scope} weights"):
-        pool = build_pool(d, subset, rcfg, fitted.setdefault((rcfg.pps_folds, rcfg.seed), {}))
+        pool = build_pool(d, subset, rcfg, fitted)
     weights = ({"pearson": pool.pearson_weights, "pps": pool.pps_weights}
                if pool.pearson_weights or pool.pps_weights else None)
     with _stage(f"{scope} retrieve"):
@@ -315,7 +331,7 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
     token_budget = cfg.prompt.get("token_budget", DEFAULT_TOKEN_BUDGET)
     shuffle_ctx = cfg.prompt.get("shuffle_context", False)
     for train_size, subset in zip(sizes, subsets):
-        fitted: dict[tuple[int, int], dict] = {}  # (pps_folds, seed) -> weights on this subset
+        fitted: dict[str, dict] = {}  # the weights on this subset, by measure
         # the regression stand-in for an empty context (subset rows are sorted)
         fallback_mean = finite_mean(d.labels()[subset]) if d.task == ds.TASK_REGRESSION else None
         for pol in cfg.policies:
@@ -362,11 +378,8 @@ def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, 
                                     label_name, token_budget)
         except PromptOverflowError:
             text, used = None, 0
-        if d.task == ds.TASK_REGRESSION:
-            ctx_labels = [float(v) for _, v in rows_lab[:used]]
-            ctx_mean = finite_mean(ctx_labels) if ctx_labels else fallback_mean
-        else:
-            ctx_mean = 0.0
+        ctx_labels = [float(v) for _, v in rows_lab[:used]] if d.task == ds.TASK_REGRESSION else []
+        ctx_mean = finite_mean(ctx_labels) if ctx_labels else fallback_mean
         if text is None:
             overflowed[row] = fallback_record(d.task, d.class_labels, ctx_mean, row, 0,
                                               p["id"], FLAG_PROMPT_OVERFLOW)
@@ -558,10 +571,8 @@ def _median_errors(run_dir: Path) -> dict[tuple[str, int, str], list[tuple[int, 
         err = 1.0 - r["value"] if r["metric"] == mt.METRIC_AUROC else r["value"]
         key = (r["policy"], r["context_size"], r["predictor"])
         grouped.setdefault(key, {}).setdefault(r["train_size"], []).append(err)
-    out = {}
-    for key, per_size in grouped.items():
-        out[key] = sorted((size, float(np.median(v))) for size, v in per_size.items())
-    return out
+    return {key: sorted((size, float(np.median(v))) for size, v in per_size.items())
+            for key, per_size in grouped.items()}
 
 
 def fit_run_dir(run_dir: str | Path) -> dict:
@@ -571,11 +582,9 @@ def fit_run_dir(run_dir: str | Path) -> dict:
     fits = {}
     for (policy, ctx_size, predictor), pts in sorted(_median_errors(Path(run_dir)).items()):
         usable = [(d, l) for d, l in pts if l > 0]
-        key = f"{policy}/{predictor}/c{ctx_size}"
-        if len(usable) >= 2:
-            fits[key] = mt.fit_power_law(usable).to_dict()
-        else:
-            fits[key] = {"error": "fewer than 2 positive-error points", "points": pts}
+        fits[f"{policy}/{predictor}/c{ctx_size}"] = (
+            mt.fit_power_law(usable).to_dict() if len(usable) >= 2
+            else {"error": "fewer than 2 positive-error points", "points": pts})
     return fits
 
 

@@ -7,8 +7,9 @@ Two measures per feature:
   features are one-hot encoded, classification labels use per-class
   indicators).
 * ``pps_importance`` captures non-linear relationships: a depth-limited
-  decision tree on the single feature is scored under k-fold cross
-  validation against a naive baseline, clipped at zero.
+  decision tree on the single feature is scored under ``CV_FOLDS``-fold
+  cross validation on a fixed partition of the training rows against a
+  naive baseline, clipped at zero.
 
 Single-feature tree contract (the exact fitting semantics, needed for
 reproducibility):
@@ -127,7 +128,7 @@ from .util import headroom, kfold_indices, subseed
 IMPORTANCE_MODES = ("dual", "pearson_only", "pps_only", "uniform")
 
 TREE_DEPTH = 4
-DEFAULT_CV_FOLDS = 4
+CV_FOLDS = 4
 QUANTILE_STEP = 0.02
 _QUANTILES = np.linspace(QUANTILE_STEP, 1.0 - QUANTILE_STEP, int(round(1.0 / QUANTILE_STEP)) - 1)
 _UNIT = 2.0 ** -53
@@ -569,26 +570,21 @@ def _pps_single(values: np.ndarray, numeric: bool, cv: _Folds) -> float:
     return cv.score(table[fold_of, cells])
 
 
-def pps_importance(d: ds.Dataset, train_rows, cv_folds: int = DEFAULT_CV_FOLDS,
-                   seed: int = 0) -> dict[str, float]:
+def pps_importance(d: ds.Dataset, train_rows, seed: int = 0) -> dict[str, float]:
     """Cross-validated tree-vs-naive score per feature, clipped to [0, 1]."""
     rows = np.asarray(train_rows, dtype=np.int64)
-    if cv_folds < 2:
-        raise ValueError("cv_folds must be at least 2")
-    if len(rows) < cv_folds:
-        raise ValueError("need at least cv_folds training rows")
     fold_of = np.empty(len(rows), dtype=np.int64)
-    for f, val_idx in enumerate(kfold_indices(len(rows), cv_folds, subseed(seed, "pps-folds"))):
+    for f, val_idx in enumerate(kfold_indices(len(rows), CV_FOLDS, subseed(seed, "pps-folds"))):
         fold_of[val_idx] = f
     if d.task == ds.TASK_REGRESSION:
         y = _scaled(np.asarray(d.labels()[rows], dtype=np.float64))
         n_classes = None
-        fallback = np.asarray([np.median(y[fold_of != f]) for f in range(cv_folds)])
+        fallback = np.asarray([np.median(y[fold_of != f]) for f in range(CV_FOLDS)])
     else:
         y = d.class_codes[rows].astype(np.int64)
         n_classes = len(d.class_labels)
-        counts = np.bincount(fold_of * n_classes + y, minlength=cv_folds * n_classes
-                             ).reshape(cv_folds, n_classes)
+        counts = np.bincount(fold_of * n_classes + y, minlength=CV_FOLDS * n_classes
+                             ).reshape(CV_FOLDS, n_classes)
         fallback = np.argmax(counts.sum(axis=0) - counts, axis=1)
     cv = _Folds(y, n_classes, fold_of, fallback, _quality(y, fallback[fold_of], n_classes))
     out = {}

@@ -54,11 +54,7 @@ def auroc(labels, prob_matrix, class_labels) -> float | None:
     present = [i for i, c in enumerate(class_labels) if np.any(labels == c)]
     if len(present) < 2:
         return None
-    vals = []
-    for i in present:
-        v = auroc_binary(labels == class_labels[i], P[:, i])
-        if v is not None:
-            vals.append(v)
+    vals = [v for i in present if (v := auroc_binary(labels == class_labels[i], P[:, i])) is not None]
     return float(np.mean(vals)) if vals else None
 
 

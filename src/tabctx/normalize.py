@@ -87,10 +87,8 @@ def fit_stats(d: ds.Dataset, train_rows, mode: str = MODE_QUANTILE,
     """Fit stats for every numerical feature from training rows only."""
     overrides = overrides or {}
     rows = np.asarray(train_rows, dtype=np.int64)
-    out = {}
-    for name in d.numerical_features:
-        out[name] = fit_column(name, d.column(name)[rows], overrides.get(name, mode))
-    return out
+    return {name: fit_column(name, d.column(name)[rows], overrides.get(name, mode))
+            for name in d.numerical_features}
 
 
 def apply_array(stats: ColumnStats, values) -> np.ndarray:

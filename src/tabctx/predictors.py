@@ -51,7 +51,7 @@ class PredictionRecord:
             probs = self.class_probabilities
             if probs is None:
                 raise ValueError("classification record needs probabilities")
-            if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
+            if not (min(probs) >= 0 and abs(sum(probs) - 1.0) <= 1e-9):  # NaN fails both
                 raise ValueError(f"invalid probability vector {probs}")
         else:
             if self.point_estimate is None or not math.isfinite(self.point_estimate):
@@ -93,6 +93,8 @@ class PromptTemplate:
 
     def __post_init__(self):
         _rows_fields(self.layout)
+        if not (isinstance(self.chars_per_token, int | float) and self.chars_per_token > 0):
+            raise ValueError(f"chars_per_token must be a number above 0, not {self.chars_per_token!r}")
 
     @classmethod
     def from_file(cls, path: str | Path, **kwargs) -> "PromptTemplate":

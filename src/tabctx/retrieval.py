@@ -65,7 +65,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import normalize as nz
-from .importance import DEFAULT_CV_FOLDS, IMPORTANCE_MODES, pearson_importance, pps_importance
+from .importance import IMPORTANCE_MODES, pearson_importance, pps_importance
 from .util import headroom, rng_for
 
 TAG_PEARSON = "pearson-half"
@@ -89,19 +89,13 @@ class RetrievalConfig:
     per_feature_norm: dict = field(default_factory=dict)
     distance_minmax_rescale: bool = True
     match_constraints: tuple[str, ...] = ()
-    pps_folds: int = DEFAULT_CV_FOLDS
-    seed: int = 0
 
     def __post_init__(self):
         if self.quota < 1:
             raise ValueError("quota must be at least 1")
-        if self.pps_folds < 2:
-            raise ValueError("pps_folds must be at least 2")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise ValueError(f"unknown importance mode {self.importance_mode!r}")
-        if self.numeric_norm not in nz.MODES:
-            raise ValueError(f"unknown normalization mode {self.numeric_norm!r}")
-        for mode in self.per_feature_norm.values():
+        for mode in (self.numeric_norm, *self.per_feature_norm.values()):
             if mode not in nz.MODES:
                 raise ValueError(f"unknown normalization mode {mode!r}")
         object.__setattr__(self, "match_constraints", tuple(self.match_constraints))
@@ -158,9 +152,9 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
                weights: dict[str, dict[str, float]] | None = None) -> ContextPool:
     """Fit normalization stats on the training rows. ``weights``, as
     ``{"pearson": ..., "pps": ...}``, holds scores already fitted on these rows
-    with this config's ``pps_folds`` and ``seed``; a measure the mode needs and
-    the dict lacks is fitted and added to it. The pool keeps only the measures
-    its mode consumes. A match constraint must name a categorical feature."""
+    (they depend on the rows alone); a measure the mode needs and the dict
+    lacks is fitted and added to it. The pool keeps only the measures its mode
+    consumes. A match constraint must name a categorical feature."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if (rows[1:] < rows[:-1]).any():  # sorted rows are kept as given, not copied
         rows = np.sort(rows)
@@ -177,7 +171,7 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
     if use_pearson and "pearson" not in weights:
         weights["pearson"] = pearson_importance(dataset, rows)
     if use_pps and "pps" not in weights:
-        weights["pps"] = pps_importance(dataset, rows, cv_folds=cfg.pps_folds, seed=cfg.seed)
+        weights["pps"] = pps_importance(dataset, rows)
     return ContextPool(dataset, rows, cfg, stats, weights["pearson"] if use_pearson else None,
                        weights["pps"] if use_pps else None)
 

@@ -55,7 +55,7 @@ def finite_mean(values) -> float:
     stays finite, so such a mean keeps its bits, else the mean of the values
     scaled by the power of two that ``headroom`` picks, scaled back."""
     x = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # partial sums may overflow with both signs
         mean = float(np.mean(x))
     if math.isfinite(mean) or not np.isfinite(x).all():
         return mean

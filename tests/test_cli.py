@@ -7,17 +7,24 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabctx import cli
 from tabctx import dataset as ds
+from tabctx import normalize as nz
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
-from tabctx.util import dump_json, load_json
+from tabctx.importance import IMPORTANCE_MODES
+from tabctx.util import dump_json, finite_mean, load_json
+from conftest import make_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,7 +56,7 @@ def write_config(tmp_path, cfg, name="config.json"):
     return tmp_path / name
 
 
-def test_validate_config_catches_problems(tmp_path):
+def test_validate_config_catches_problems(tmp_path, capsys):
     write_toy_files(tmp_path)
     cfg = base_config(tmp_path)
     cfg["datasets"][0]["schema"] = str(tmp_path / "missing.json")
@@ -59,8 +66,8 @@ def test_validate_config_catches_problems(tmp_path):
     assert cli.main(["validate-config", str(zero)]) == 1
     one_fold = write_config(tmp_path, base_config(tmp_path, retrieval={"pps_folds": 1}), "one_fold.json")
     assert cli.main(["validate-config", str(one_fold)]) == 1
-    assert cli.validate_config(cli.RunConfig.from_file(one_fold)) == [
-        "retrieval config: pps_folds must be at least 2"]
+    [problem] = cli.validate_config(cli.RunConfig.from_file(one_fold))
+    assert problem.startswith("retrieval config: ") and "'pps_folds'" in problem
     twice = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 8, 4]), "twice.json")
     assert cli.main(["validate-config", str(twice)]) == 1
     assert cli.validate_config(cli.RunConfig.from_file(twice)) == ["context_sizes repeats 4"]
@@ -84,6 +91,35 @@ def test_validate_config_catches_problems(tmp_path):
     assert cli.main(["validate-config", str(typo)]) == 1
     [problem] = cli.validate_config(cli.RunConfig.from_file(typo))
     assert problem.startswith("policy 'near': ") and "'quotaa'" in problem
+    # each of these validated once and then failed or misled at run time
+    (tmp_path / "odd_layout.txt").write_text("{preamble}\n{rows}\n{query}{answer}", encoding="utf-8")
+    llm = [{"id": "llm", "type": "llm", "base_url": "http://127.0.0.1:9/v1/chat/completions"}]
+    ratios = "dataset 'toy': split ratios must be three numbers, each at least 0, that sum to 1"
+    capsys.readouterr()
+    for entry, over, want in (
+            ({"split": {"ratios": [1.2, -0.1, -0.1]}}, {}, ratios),
+            ({"split": {"ratios": [0.5, 0.5]}}, {}, ratios),
+            ({"train_cap": 0}, {}, "dataset 'toy': train_cap must be an integer of at least 1"),
+            ({"test_cap": -5}, {}, "dataset 'toy': test_cap must be an integer of at least 1"),
+            ({}, {"prompt": {"file": str(tmp_path / "no_layout.txt")}}, "no_layout.txt"),
+            ({}, {"prompt": {"file": str(tmp_path / "odd_layout.txt")}}, "{answer} is unknown"),
+            ({}, {"prompt": {"chars_per_token": 0}, "predictors": llm},
+             "prompt: chars_per_token must be a number above 0, not 0"),
+            ({}, {"prompt": {"chars_per_token": "4"}}, "prompt: chars_per_token must be a number above 0"),
+            ({}, {"prompt": {"token_budget": "big"}, "predictors": llm},
+             "prompt: token_budget must be an integer of at least 1"),
+            ({}, {"policies": [{"id": "random", "type": "random", "importance_mode": "bogus"}]},
+             "policy 'random': a random policy takes no retrieval keys, got importance_mode"),
+            ({}, {"retrieval": {"seed": 0}}, "'seed'"),
+            ({}, {"policies": [{"id": "rag", "seed": 3}]}, "'seed'"),
+            ({}, {"policies": [{"id": "rag", "pps_folds": 4}]}, "'pps_folds'")):
+        odd = base_config(tmp_path, **over)
+        odd["datasets"][0].update(entry)
+        path3 = write_config(tmp_path, odd, "odd.json")
+        assert cli.main(["validate-config", str(path3)]) == 1
+        [problem] = cli.validate_config(cli.RunConfig.from_file(path3))
+        assert want in problem, (entry, over, problem)
+        assert capsys.readouterr().err == f"error: {problem}\n"
     ok = base_config(tmp_path)
     path2 = write_config(tmp_path, ok, "ok.json")
     assert cli.main(["validate-config", str(path2)]) == 0
@@ -305,6 +341,55 @@ def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
     assert len(state.requests) == len(bare) - len(over)
 
 
+def test_llm_regression_run_writes_replies_and_label_mean_fallbacks(tmp_path):
+    from llm_stub import stub_server
+    from tabctx.predictors import PromptTemplate, serialize_prompt
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.0, 1.0, size=60)
+    y = 3.0 * x + rng.normal(scale=0.1, size=60)
+    note = np.where(np.arange(60) % 4 == 0, "n" * 200, "s")  # a long note overflows any budget
+    d = make_dataset(num={"x": x}, cat={"note": note}, label=y, task=ds.TASK_REGRESSION)
+    ds.save_table(d, tmp_path / "toy.csv")
+    ds.save_schema(d.schema, d.task, tmp_path / "toy.schema.json")
+    (tmp_path / "layout.txt").write_text("{preamble}\n--\n{rows}\n--\n{query}", encoding="utf-8")
+    tmpl = PromptTemplate.from_file(tmp_path / "layout.txt", chars_per_token=1.0)
+    split = ds.make_split(d, (0.6, 0.0, 0.4), 3)
+    bare = {int(i): len(serialize_prompt(tmpl, [], d.feature_row(int(i)), ["x", "note"], "target"))
+            for i in split.test}
+    over = {i for i in bare if note[i] != "s"}
+    budget = max(bare[i] for i in bare if i not in over) + 100  # room for two or more short rows
+    assert over and len(over) < len(bare) and budget < min(bare[i] for i in over)
+    with stub_server() as (state, url):
+        state.default = (200, "42")
+        state.script = [(200, "no idea")]
+        cfg = base_config(tmp_path, retrieval={"importance_mode": "uniform", "match_constraints": ["note"]},
+                          context_sizes=[8], write_traces=True,
+                          prompt={"file": str(tmp_path / "layout.txt"), "chars_per_token": 1.0,
+                                  "token_budget": budget},
+                          predictors=[{"id": "llm", "type": "llm", "base_url": url, "max_retries": 0}])
+        cfg["datasets"][0]["split"] = {"ratios": [0.6, 0.0, 0.4], "seed": 3}
+        out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    assert load_json(out / "manifest.json")["datasets"]["toy"]["status"] == "ok"
+    assert all(r["body"]["messages"][0]["content"].count("\n--\n") == 2 for r in state.requests)
+    with open(out / "predictions.csv", encoding="utf-8") as fh:
+        rows = {int(r["row_index"]): r for r in csv.DictReader(fh)}
+    with open(out / "traces.jsonl", encoding="utf-8") as fh:
+        selected = {t["query"]: t["selected"] for t in map(json.loads, fh)}
+    assert sorted(rows) == sorted(bare)
+    assert [r["flag"] for r in rows.values()].count("parse_failure") == 1
+    for i, r in rows.items():
+        used = int(r["context_used"])
+        if i in over:
+            assert (r["flag"], used) == ("prompt_overflow", 0)
+            assert r["estimate"] == repr(finite_mean(y[split.train]))
+            continue
+        assert 0 < used < 8
+        if r["flag"] == "parse_failure":
+            assert r["estimate"] == repr(finite_mean(y[selected[i][:used]]))
+        else:
+            assert (r["flag"], r["estimate"]) == ("", "42")
+
+
 def test_manifest_counts_flags_per_predictor(tmp_path):
     from tabctx.predictors import PromptTemplate, serialize_prompt
     d = write_toy_files(tmp_path, n=40)
@@ -497,7 +582,7 @@ def test_ablate_failing_dataset_errors_in_every_variant(tmp_path):
     write_toy_files(tmp_path)
     write_toy_files(tmp_path, name="tiny", n=6)
     cfg = add_bad_dataset(tmp_path, base_config(tmp_path, retrieval={}))
-    # 3 training rows, fewer than pps_folds: PPS fails, and with it the whole sweep
+    # 3 training rows, fewer than PPS's 4 folds: PPS fails, and with it the whole sweep
     # of this dataset, also in the variants that use no PPS weights
     cfg["datasets"].append({"id": "tiny", "table": str(tmp_path / "tiny.csv"),
                             "schema": str(tmp_path / "tiny.schema.json"),
@@ -508,7 +593,7 @@ def test_ablate_failing_dataset_errors_in_every_variant(tmp_path):
         assert statuses["toy"]["status"] == "ok"
         assert statuses["bad"]["status"] == "error"
         assert statuses["tiny"] == {"status": "error",
-                                    "error": "ValueError: need at least cv_folds training rows"}
+                                    "error": "ValueError: cannot split 3 rows into 4 folds"}
         assert {r["dataset"] for r in load_json(out / name / "metrics.json")["metrics"]} == {"toy"}
     assert (out / "ablation.json").is_file()
 
@@ -859,6 +944,58 @@ def test_labels_near_the_float_maximum_lose_no_dataset(tmp_path):
     clear = [key for key in huge if not selected[key[1]] & set(big)]
     assert len(clear) >= 3 * 8
     assert [huge[k] for k in clear] == [plain[k] for k in clear]
+
+
+# finite values at and near both float limits, exact zeros of both signs and
+# subnormals; NaN is a missing numerical cell
+EXTREME = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 1e300, -1e300, 3e150, 1e-308, 5e-324, -5e-324, 0.0, -0.0]),
+    st.builds(lambda v, scale: v * scale, st.floats(-3.0, 3.0), st.sampled_from([1e300, 1e-300])))
+
+
+@st.composite
+def extreme_tables(draw):
+    """(numerical columns, categorical columns, labels, task) of 8 to 60 rows."""
+    n = draw(st.integers(8, 60))
+    column = st.lists(st.one_of(EXTREME, st.just(math.nan)), min_size=n, max_size=n)
+    num = {f"x{i}": draw(column) for i in range(draw(st.integers(1, 3)))}
+    tokens = st.lists(st.sampled_from(["a", "b", ds.MISSING_TOKEN]), min_size=n, max_size=n)
+    cat = {f"c{i}": draw(tokens) for i in range(draw(st.integers(0, 2)))}
+    if draw(st.booleans()):
+        return num, cat, draw(st.lists(EXTREME, min_size=n, max_size=n)), ds.TASK_REGRESSION
+    return num, cat, draw(st.lists(st.sampled_from("pqr"), min_size=n, max_size=n)), ds.TASK_CLASSIFICATION
+
+
+@settings(max_examples=12, deadline=None)
+@given(extreme_tables())
+# labels at both float limits: the partial sums of their mean overflow to +inf and -inf
+@example(({"x0": [float(i) for i in range(40)]}, {}, [1.7e308, -1.7e308] * 20, ds.TASK_REGRESSION))
+def test_extreme_finite_tables_lose_no_dataset(table):
+    num, cat, labels, task = table
+    policies = [{"id": f"{mode}-{norm}-{rescale}", "importance_mode": mode, "numeric_norm": norm,
+                 "distance_minmax_rescale": rescale}
+                for mode in IMPORTANCE_MODES for norm in nz.MODES for rescale in (True, False)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        d = make_dataset(num=num, cat=cat, label=labels, task=task)
+        ds.save_table(d, tmp / "toy.csv")
+        ds.save_schema(d.schema, task, tmp / "toy.schema.json")
+        cfg = base_config(tmp, retrieval={}, context_sizes=[1, 3, 50],
+                          policies=[*policies, {"id": "random", "type": "random"}],
+                          predictors=[{"id": "knn", "type": "knn"}, {"id": "knn2", "type": "knn"},
+                                      {"id": "ens", "type": "ensemble", "members": ["knn", "knn2"]}])
+        cfg["datasets"][0]["split"] = {"ratios": [0.7, 0.0, 0.3], "seed": 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = cli.run(cli.RunConfig.from_file(write_config(tmp, cfg)))
+        status = load_json(out / "manifest.json")["datasets"]["toy"]
+        assert status["status"] == "ok", status
+        with open(out / "predictions.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 3 * (len(policies) + 1) * (len(labels) - int(len(labels) * 0.7))
+    for r in rows:
+        cells = [r["estimate"]] if task == ds.TASK_REGRESSION else r["probs"].split("|")
+        assert all(math.isfinite(float(v)) for v in cells), r
 
 
 def test_benchmark_workloads_set_up_with_this_library(tmp_path, monkeypatch):

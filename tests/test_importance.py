@@ -404,9 +404,7 @@ def test_weights_ignore_categories_absent_from_training_rows():
 def test_pps_preconditions():
     d = make_dataset(num={"f": [1, 2, 3]}, label=[1, 2, 3], task="regression")
     with pytest.raises(ValueError):
-        imp.pps_importance(d, [0, 1, 2], cv_folds=1)
-    with pytest.raises(ValueError):
-        imp.pps_importance(d, [0, 1], cv_folds=4)
+        imp.pps_importance(d, [0, 1])
 
 
 def _exact_only():

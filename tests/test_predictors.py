@@ -59,8 +59,9 @@ def test_knn_matches_multiset_frequencies(context_labels):
 
 
 def test_prediction_record_validation():
-    with pytest.raises(ValueError):
-        pr.PredictionRecord(0, ds.TASK_CLASSIFICATION, "p", 1, class_probabilities=(0.6, 0.6))
+    for probs in ((0.6, 0.6), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            pr.PredictionRecord(0, ds.TASK_CLASSIFICATION, "p", 1, class_probabilities=probs)
     with pytest.raises(ValueError):
         pr.PredictionRecord(0, ds.TASK_REGRESSION, "p", 1, point_estimate=float("inf"))
 
