@@ -28,7 +28,7 @@ from . import dataset as ds
 from . import metrics as mt
 from . import normalize as nz
 from .importance import IMPORTANCE_MODES
-from .predictors import (DEFAULT_TOKEN_BUDGET, FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
+from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
                          PredictionRecord, PromptOverflowError, PromptTemplate,
                          context_rows_for_prompt, ensemble, fallback_record,
                          fit_prompt, ingest_predictions, knn_predict, url_problem)
@@ -51,7 +51,7 @@ PREDICTIONS_HEADER = ["dataset", "policy", "train_size", "context_size", "predic
 
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
 SPLIT_KEYS = {"ratios", "seed", "file"}
-PROMPT_KEYS = {"preamble", "anonymize", "chars_per_token", "file", "token_budget", "shuffle_context"}
+PROMPT_KEYS = {f.name for f in fields(PromptTemplate)} - {"layout"} | {"file"}
 LLM_KEYS = {f.name for f in fields(EndpointConfig)} - {"retry_backoff"}
 PREDICTOR_KEYS = {"knn": set(), "llm": LLM_KEYS, "external": {"path"}, "ensemble": {"members"}}
 
@@ -155,8 +155,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
         _prompt_template(cfg)
     except (OSError, TypeError, ValueError) as exc:
         problems.append(f"prompt: {exc}")
-    if not _positive_int(cfg.prompt.get("token_budget", DEFAULT_TOKEN_BUDGET)):
-        problems.append("prompt: token_budget must be an integer of at least 1")
     try:
         _resolve_retrieval(cfg.retrieval, {})
         base_ok = True
@@ -233,14 +231,15 @@ def _load_split(entry: DatasetEntry, d: ds.Dataset, run_seed: int) -> ds.SplitAs
 
 def _prompt_template(cfg: RunConfig) -> PromptTemplate:
     p = cfg.prompt
-    kwargs = {k: p[k] for k in ("preamble", "anonymize", "chars_per_token") if k in p}
+    kwargs = {k: p[k] for k in PROMPT_KEYS - {"file"} if k in p}
     if p.get("file"):
         return PromptTemplate.from_file(p["file"], **kwargs)
     return PromptTemplate(**kwargs)
 
 
 def _score_records(d: ds.Dataset, records: list[PredictionRecord],
-                   dataset_id: str, predictor_id: str) -> mt.MetricReport:
+                   dataset_id: str, predictor_id: str) -> dict:
+    """The metric report of ``records``, as ``metrics.json`` lists it."""
     if d.task == ds.TASK_CLASSIFICATION:
         labels = [d.class_labels[d.class_codes[r.row_index]] for r in records]
         P = [r.class_probabilities for r in records]
@@ -251,7 +250,8 @@ def _score_records(d: ds.Dataset, records: list[PredictionRecord],
         value = mt.nmae(labels, [r.point_estimate for r in records])
         kind = mt.METRIC_NMAE
     flag = None if value is not None else "undefined"
-    return mt.MetricReport(dataset_id, predictor_id, kind, value, len(records), flag)
+    return {"dataset": dataset_id, "predictor": predictor_id, "metric": kind, "value": value,
+            "n_test": len(records), "flag": flag}
 
 
 def _prediction_row(dataset_id, policy_id, train_size, ctx_size, rec: PredictionRecord) -> list:
@@ -317,7 +317,7 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
         """Rows and a report for ``recs``; ``scope`` is (policy, train size, context size) or none."""
         pol_id, train_size, ctx_size = scope or ("external", 0, 0)
         out.pred_rows.extend(_prediction_row(entry.id, pol_id, train_size, ctx_size, r) for r in recs)
-        out.reports.append({**_score_records(d, recs, entry.id, predictor_id).to_dict(),
+        out.reports.append({**_score_records(d, recs, entry.id, predictor_id),
                             **dict(zip(("policy", "train_size", "context_size"), scope))})
 
     external = {p["id"]: ingest_predictions(p["path"], d, p["id"], valid_rows=test_rows)
@@ -328,8 +328,6 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
     sizes = sorted(cfg.train_sizes or [len(split.train)])
     subsets = generate_scaling_pools(split.train, sizes, subseed(cfg.seed, "subsets", entry.id))
     tmpl = _prompt_template(cfg)
-    token_budget = cfg.prompt.get("token_budget", DEFAULT_TOKEN_BUDGET)
-    shuffle_ctx = cfg.prompt.get("shuffle_context", False)
     for train_size, subset in zip(sizes, subsets):
         fitted: dict[str, dict] = {}  # the weights on this subset, by measure
         # the regression stand-in for an empty context (subset rows are sorted)
@@ -354,8 +352,7 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
                             recs = [knn_predict(contexts[r], d, fallback_mean, p["id"], r)
                                     for r in test_rows]
                         elif p["type"] == "llm":
-                            recs = _llm_records(p, d, fallback_mean, contexts, test_rows, tmpl,
-                                                token_budget, shuffle_ctx, cfg.seed)
+                            recs = _llm_records(p, d, fallback_mean, contexts, test_rows, tmpl, cfg.seed)
                         else:
                             recs = ensemble([records[m] for m in p["members"]], p["id"])
                     records[p["id"]] = recs
@@ -364,18 +361,16 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
 
 
 def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, test_rows,
-                 tmpl: PromptTemplate, token_budget: int, shuffle_ctx: bool,
-                 run_seed: int) -> list[PredictionRecord]:
+                 tmpl: PromptTemplate, run_seed: int) -> list[PredictionRecord]:
     client = LlmClient(EndpointConfig(**{k: p[k] for k in LLM_KEYS if k in p}))
     features = [c.name for c in d.feature_columns]
     label_name = d.label_column.name
     jobs, overflowed = [], {}
     for row in test_rows:
-        seed = subseed(run_seed, "prompt-order", row) if shuffle_ctx else None
+        seed = subseed(run_seed, "prompt-order", row) if tmpl.shuffle_context else None
         rows_lab = context_rows_for_prompt(contexts[row], d, shuffle_seed=seed)
         try:
-            text, used = fit_prompt(tmpl, rows_lab, d.feature_row(row), features,
-                                    label_name, token_budget)
+            text, used = fit_prompt(tmpl, rows_lab, d.feature_row(row), features, label_name)
         except PromptOverflowError:
             text, used = None, 0
         ctx_labels = [float(v) for _, v in rows_lab[:used]] if d.task == ds.TASK_REGRESSION else []

@@ -45,6 +45,8 @@ class ColumnSchema:
     role: str = ROLE_FEATURE
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"column name {self.name!r} is not a string")
         if self.kind not in (KIND_NUMERICAL, KIND_CATEGORICAL):
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.role not in (ROLE_FEATURE, ROLE_LABEL, ROLE_IGNORED):
@@ -70,15 +72,8 @@ class Dataset:
     def __init__(self, schema: list[ColumnSchema], columns: dict[str, np.ndarray | Coded],
                  task: str, class_labels: tuple[str, ...] = (),
                  coerced_cells: dict[str, int] | None = None):
-        names = [c.name for c in schema]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate column names in schema")
-        labels = [c for c in schema if c.role == ROLE_LABEL]
-        if len(labels) != 1:
-            raise ValueError(f"expected exactly one label column, got {len(labels)}")
-        if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
-            raise ValueError(f"unknown task {task!r}")
-        if set(columns) != set(names):
+        label = _check_schema(schema, task)
+        if set(columns) != {c.name for c in schema}:
             raise ValueError("column storage does not match schema names")
         lengths = {len(v.codes) if isinstance(v, Coded) else len(v) for v in columns.values()}
         if len(lengths) > 1:
@@ -86,12 +81,6 @@ class Dataset:
         n = lengths.pop() if lengths else 0
         if n == 0:
             raise ValueError("empty table")
-
-        label = labels[0]
-        if task == TASK_CLASSIFICATION and label.kind != KIND_CATEGORICAL:
-            raise ValueError("classification label column must be categorical")
-        if task == TASK_REGRESSION and label.kind != KIND_NUMERICAL:
-            raise ValueError("regression label column must be numerical")
 
         self.schema = list(schema)
         self.task = task
@@ -171,21 +160,60 @@ class Dataset:
         return i if i < len(vocabulary) and vocabulary[i] == token else -1
 
 
+def _check_schema(schema: list[ColumnSchema], task: str) -> ColumnSchema:
+    """The label column of a schema for ``task``; raises ValueError unless
+    the names are distinct, there is exactly one label column, and its kind
+    suits the task."""
+    names = [c.name for c in schema]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate column names in schema")
+    labels = [c for c in schema if c.role == ROLE_LABEL]
+    if len(labels) != 1:
+        raise ValueError(f"expected exactly one label column, got {len(labels)}")
+    if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
+        raise ValueError(f"unknown task {task!r}")
+    label = labels[0]
+    if task == TASK_CLASSIFICATION and label.kind != KIND_CATEGORICAL:
+        raise ValueError("classification label column must be categorical")
+    if task == TASK_REGRESSION and label.kind != KIND_NUMERICAL:
+        raise ValueError("regression label column must be numerical")
+    return label
+
+
 def category_token(value) -> str:
     """The categorical token of a cell or query value: ``None`` is the missing token."""
     return MISSING_TOKEN if value is None else str(value)
 
 
 def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:
+    """The columns and task of a schema sidecar. Content that is not such a
+    schema, or that ``_check_schema`` rejects, raises ValueError naming the
+    file (and the column entry, where there is one)."""
     raw = load_json(schema_file)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{schema_file}: the top level must be a JSON object")
+    entries = raw.get("columns", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{schema_file}: columns must be a list, not {entries!r}")
+    for i, c in enumerate(entries):
+        if not isinstance(c, dict):
+            raise ValueError(f"{schema_file}: columns[{i}] is {c!r}, not an object")
     missing = [key for key in ("task", "columns") if key not in raw]
-    missing += [f"columns[{i}].{key}" for i, c in enumerate(raw.get("columns", []))
+    missing += [f"columns[{i}].{key}" for i, c in enumerate(entries)
                 for key in ("name", "kind") if key not in c]
     if missing:
         raise ValueError(f"{schema_file}: schema lacks {', '.join(missing)}")
-    cols = [ColumnSchema(c["name"], c["kind"], c.get("role", ROLE_FEATURE)) for c in raw["columns"]]
-    task = raw["task"]
-    return cols, task
+    cols = []
+    for i, c in enumerate(entries):
+        try:
+            cols.append(ColumnSchema(c["name"], c["kind"], c.get("role", ROLE_FEATURE)))
+        except ValueError as exc:
+            raise ValueError(f"{schema_file}: columns[{i}]: {exc}") from None
+    try:
+        _check_schema(cols, raw["task"])
+    except ValueError as exc:
+        raise ValueError(f"{schema_file}: {exc}") from None
+    return cols, raw["task"]
 
 
 def save_schema(schema: list[ColumnSchema], task: str, schema_file: str | Path) -> None:
@@ -419,9 +447,33 @@ def load_external_split(train, validation, test, seed: int, n_rows: int,
 
 def load_split_file(path: str | Path, n_rows: int,
                     train_cap: int = DEFAULT_TRAIN_CAP, test_cap: int = DEFAULT_TEST_CAP) -> SplitAssignment:
+    """A split file's sets, with the cap rules of ``load_external_split``.
+    ``train``, ``validation`` and ``test`` are lists of JSON integers from 0
+    to ``n_rows - 1``, and ``seed``, 0 when left out, is a JSON integer; any
+    other content raises ``ValueError`` naming the file and the key, and the
+    entry where there is one."""
     raw = load_json(path)
-    return load_external_split(raw["train"], raw["validation"], raw["test"],
-                               int(raw.get("seed", 0)), n_rows, train_cap, test_cap)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object")
+    missing = [key for key in ("train", "validation", "test") if key not in raw]
+    if missing:
+        raise ValueError(f"{path}: split file lacks {', '.join(missing)}")
+    for key in ("train", "validation", "test"):
+        rows = raw[key]
+        if not isinstance(rows, list):
+            raise ValueError(f"{path}: {key} must be a list of row indices, not {rows!r}")
+        for i, row in enumerate(rows):
+            if not (type(row) is int and 0 <= row < n_rows):
+                raise ValueError(f"{path}: {key}[{i}] is {row!r}, not a row index "
+                                 f"(an integer from 0 to {n_rows - 1})")
+    seed = raw.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"{path}: seed must be an integer, not {seed!r}")
+    try:
+        return load_external_split(raw["train"], raw["validation"], raw["test"], seed, n_rows,
+                                   train_cap, test_cap)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_split_file(split: SplitAssignment, path: str | Path) -> None:

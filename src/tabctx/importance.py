@@ -52,11 +52,13 @@ per-leaf formulas, which ``tests/oracles.py`` keeps as references):
   its pairwise sum. Column means need no such care: the indicator columns
   sum 0/1 values, which is exact in any order.
 * Regression segment medians come from order statistics, not one
-  ``np.median`` per segment. The fold's labels are ranked once (one
-  argsort; the order among equal labels changes no median and no bound
-  below) and cut into buckets of ``_RANK_BUCKET`` ranks. Two small tables
-  hold, for every boundary and bucket, the count and the label sum of the
-  rows before the boundary with a rank below the bucket. A vectorized binary
+  ``np.median`` per segment. The fold's labels are ranked by one argsort
+  in each ``_segment_halves`` call, so once per numerical feature and fold,
+  and once more when that fold's tree is refitted on exact costs (the order
+  among equal labels changes no median and no bound below), and cut into
+  buckets of ``_RANK_BUCKET`` ranks. Two small tables hold, for every
+  boundary and bucket, the count and the label sum of the rows before the
+  boundary with a rank below the bucket. A vectorized binary
   search over all segments finds the bucket of each middle rank, and a scan
   of that bucket the rank itself. An odd segment's median is its middle
   value; an even one's is the mean of the two, as ``np.median`` takes it.

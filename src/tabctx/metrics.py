@@ -13,21 +13,6 @@ METRIC_AUROC = "auroc"
 METRIC_NMAE = "nmae"
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    dataset_id: str
-    predictor_id: str
-    metric: str
-    value: float | None
-    n_test: int
-    flag: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset_id, "predictor": self.predictor_id,
-                "metric": self.metric, "value": self.value, "n_test": self.n_test,
-                "flag": self.flag}
-
-
 def auroc_binary(y: np.ndarray, scores: np.ndarray) -> float | None:
     """Rank-based (Mann-Whitney) AUROC; tied scores contribute one half.
     Returns None when either class is absent. NaN scores, which no predictor

@@ -31,8 +31,6 @@ FLAG_PARSE_FAILURE = "parse_failure"
 FLAG_TRANSPORT_ERROR = "transport_error"
 FLAG_PROMPT_OVERFLOW = "prompt_overflow"
 
-DEFAULT_TOKEN_BUDGET = 16384
-
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -86,15 +84,23 @@ def knn_predict(ctx: RetrievedContext, d: ds.Dataset, fallback_mean: float | Non
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """The whole prompt section of a run config: its fields are the
+    ``prompt.*`` keys, with ``file`` (read by ``from_file``) in place of
+    ``layout``. ``token_budget`` caps each prompt's token estimate, and
+    ``shuffle_context`` shuffles the context rows from a seed per test row."""
     preamble: str = "Predict the label of the final row from the labeled rows above it."
     layout: str = "{preamble}\n\n{rows}\n{query}"
     anonymize: bool = False
     chars_per_token: float = 4.0
+    token_budget: int = 16384
+    shuffle_context: bool = False
 
     def __post_init__(self):
         _rows_fields(self.layout)
         if not (isinstance(self.chars_per_token, int | float) and self.chars_per_token > 0):
             raise ValueError(f"chars_per_token must be a number above 0, not {self.chars_per_token!r}")
+        if not (type(self.token_budget) is int and self.token_budget >= 1):
+            raise ValueError("token_budget must be an integer of at least 1")
 
     @classmethod
     def from_file(cls, path: str | Path, **kwargs) -> "PromptTemplate":
@@ -162,9 +168,8 @@ class PromptOverflowError(ValueError):
 
 
 def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dict,
-               features: list[str], label_name: str,
-               token_budget: int = DEFAULT_TOKEN_BUDGET) -> tuple[str, int]:
-    """Render within the token budget, keeping the longest nearest-first
+               features: list[str], label_name: str) -> tuple[str, int]:
+    """Render within ``tmpl.token_budget``, keeping the longest nearest-first
     prefix of the context rows (rows are ordered nearest first). Raises
     PromptOverflowError if the bare query overflows. The cut comes from the
     lengths of the row lines, so the prompt is rendered once."""
@@ -174,7 +179,7 @@ def fit_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]], query: dic
     # joined[k]: length of the first k lines joined by newlines, plus one
     joined = [0, *accumulate(len(line) + 1 for line in lines)]
     kept = len(lines)
-    while _tokens(bare + per_copy * max(joined[kept] - 1, 0), tmpl.chars_per_token) > token_budget:
+    while _tokens(bare + per_copy * max(joined[kept] - 1, 0), tmpl.chars_per_token) > tmpl.token_budget:
         if kept == 0:
             raise PromptOverflowError("query row alone exceeds the token budget")
         kept -= 1

@@ -319,7 +319,7 @@ def test_c11_llm_client_conformance():
     rows = [({f: float(i * 10 + j) for j, f in enumerate(features)}, "yes" if i % 2 else "no")
             for i in range(128)]
     query = {f: -1.0 for f in features}
-    tmpl = PromptTemplate()
+    tmpl = PromptTemplate(token_budget=16384)
 
     a = serialize_prompt(tmpl, rows, query, features, "label")
     b = serialize_prompt(tmpl, rows, query, features, "label")
@@ -328,11 +328,11 @@ def test_c11_llm_client_conformance():
     wide_rows = [({f: "v" * 120 for f in features}, "yes") for _ in range(128)]
     full = serialize_prompt(tmpl, wide_rows, query, features, "label")
     assert math.ceil(len(full) / tmpl.chars_per_token) > 16384
-    text, used = fit_prompt(tmpl, wide_rows, query, features, "label", token_budget=16384)
+    text, used = fit_prompt(tmpl, wide_rows, query, features, "label")
     assert used < 128
     assert math.ceil(len(text) / tmpl.chars_per_token) <= 16384
     with pytest.raises(ValueError, match="budget"):
-        fit_prompt(tmpl, [], {f: "w" * 900 for f in features}, features, "label", token_budget=16)
+        fit_prompt(PromptTemplate(token_budget=16), [], {f: "w" * 900 for f in features}, features, "label")
 
     with stub_server() as (state, url):
         cfg = EndpointConfig(base_url=url, model="stub", retry_backoff=0.01,

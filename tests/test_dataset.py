@@ -141,6 +141,33 @@ def test_schema_error_names_file_and_missing_keys(tmp_path):
         assert "columns[0]" not in msg
 
 
+def _schema(task="classification", column=0, **change):
+    """_write_cls's schema with ``change`` made to one column entry."""
+    columns = [{"name": "f1", "kind": "numerical"}, {"name": "g", "kind": "categorical"},
+               {"name": "y", "kind": "categorical", "role": "label"}]
+    columns[column] = {**columns[column], **change}
+    return {"task": task, "columns": columns}
+
+
+@pytest.mark.parametrize("raw, want", [
+    (_schema(kind="text"), "columns[0]: unknown column kind 'text'"),
+    (_schema(column=2, role="target"), "columns[2]: unknown column role 'target'"),
+    (_schema(name=1), "columns[0]: column name 1 is not a string"),
+    (_schema(column=2, role="feature"), "expected exactly one label column, got 0"),
+    (_schema("ranking"), "unknown task 'ranking'"),
+    (_schema("regression"), "regression label column must be numerical"),
+    ({"task": "classification", "columns": 5}, "columns must be a list, not 5"),
+    ({"task": "classification", "columns": ["f1"]}, "columns[0] is 'f1', not an object"),
+    ([{"name": "f1", "kind": "numerical"}], "the top level must be a JSON object"),
+])
+def test_malformed_schema_content_names_the_schema_file(tmp_path, raw, want):
+    table, schema = _write_cls(tmp_path, [["1", "u", "a"]])
+    schema.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        ds.load_dataset(table, schema)
+    assert str(err.value) == f"{schema}: {want}"
+
+
 def test_ragged_row_error_names_file_row_and_column(tmp_path):
     table, schema = _write_cls(tmp_path, [["1", "u", "a"], ["2", "v", "b"], ["3", "w"]])
     with pytest.raises(ValueError) as err:
@@ -477,3 +504,25 @@ def test_split_file_round_trip(tmp_path):
     ds.save_split_file(s, tmp_path / "split.json")
     s2 = ds.load_split_file(tmp_path / "split.json", n_rows=4)
     assert np.array_equal(s.train, s2.train) and np.array_equal(s.test, s2.test)
+
+
+@pytest.mark.parametrize("raw, want", [
+    ({"validation": [], "test": [1]}, "split file lacks train"),
+    ({"train": 5, "validation": [], "test": [1]}, "train must be a list of row indices, not 5"),
+    ({"train": ["a", 0], "validation": [], "test": [1]}, "train[0] is 'a', not a row index"),
+    ({"train": [0.5, 3], "validation": [], "test": [1]}, "train[0] is 0.5, not a row index"),
+    ({"train": [0, 3], "validation": [2.0], "test": [1]}, "validation[0] is 2.0, not a row index"),
+    ({"train": [0, 3], "validation": [], "test": [1, True]}, "test[1] is True, not a row index"),
+    ({"train": [0, 10], "validation": [], "test": [1]},
+     "train[1] is 10, not a row index (an integer from 0 to 9)"),
+    ({"train": [0, 3], "validation": [], "test": [1], "seed": "x"}, "seed must be an integer, not 'x'"),
+    ({"train": [0, 3], "validation": [], "test": [1], "seed": 1.5}, "seed must be an integer, not 1.5"),
+    ({"train": [0, 3], "validation": [], "test": [3]}, "split sets overlap"),
+    ([[0, 3], [], [1]], "the top level must be a JSON object"),
+])
+def test_malformed_split_file_names_the_file(tmp_path, raw, want):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        ds.load_split_file(path, n_rows=10)
+    assert str(err.value).startswith(f"{path}: {want}"), err.value

@@ -98,7 +98,8 @@ def test_prompt_truncates_farthest_rows():
     rows = rows_fixture(128)
     full = pr.serialize_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
     budget = math.ceil(len(full) / 4.0) // 2
-    text, used = pr.fit_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y", budget)
+    text, used = pr.fit_prompt(pr.PromptTemplate(token_budget=budget), rows, {"size": 0.0, "color": "c0"},
+                               FEATURES, "y")
     assert used < 128
     assert math.ceil(len(text) / 4.0) <= budget
     # nearest rows survive
@@ -114,15 +115,15 @@ LAYOUTS = [pr.PromptTemplate.layout, "{rows}\n---\n{preamble}\n{rows}\n{query}",
        st.sampled_from([4.0, 3.5, 1.0]))
 def test_fit_prompt_matches_drop_one_reference(n_rows, budget, layout, anonymize, cpt):
     # the layouts insert the rows once, twice and not at all
-    tmpl = pr.PromptTemplate(layout=layout, anonymize=anonymize, chars_per_token=cpt)
+    tmpl = pr.PromptTemplate(layout=layout, anonymize=anonymize, chars_per_token=cpt, token_budget=budget)
     rows = [({"size": i * 1.25, "color": "c" * (i % 7)}, i % 3) for i in range(n_rows)]
     query = {"size": 0.5, "color": "c1"}
     want = fit_prompt_reference(pr.serialize_prompt, tmpl, rows, query, FEATURES, "y", budget)
     if want is None:
         with pytest.raises(pr.PromptOverflowError):
-            pr.fit_prompt(tmpl, rows, query, FEATURES, "y", budget)
+            pr.fit_prompt(tmpl, rows, query, FEATURES, "y")
     else:
-        assert pr.fit_prompt(tmpl, rows, query, FEATURES, "y", budget) == want
+        assert pr.fit_prompt(tmpl, rows, query, FEATURES, "y") == want
 
 
 def test_fit_prompt_renders_once(monkeypatch):
@@ -133,7 +134,8 @@ def test_fit_prompt_renders_once(monkeypatch):
     full = pr.serialize_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
     for budget in (math.ceil(len(full) / 4.0) // 3, math.ceil(len(full) / 4.0)):
         calls.clear()
-        pr.fit_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y", budget)
+        tmpl = pr.PromptTemplate(token_budget=budget)
+        pr.fit_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
         assert len(calls) == 1
 
 
@@ -162,9 +164,9 @@ def test_prompt_renders_numpy_scalars_as_plain_numbers():
 
 
 def test_prompt_query_alone_over_budget():
-    tmpl = pr.PromptTemplate()
+    tmpl = pr.PromptTemplate(token_budget=2)
     with pytest.raises(ValueError, match="budget"):
-        pr.fit_prompt(tmpl, [], {"size": 1.0, "color": "c1"}, FEATURES, "y", token_budget=2)
+        pr.fit_prompt(tmpl, [], {"size": 1.0, "color": "c1"}, FEATURES, "y")
 
 
 def test_template_file_placeholders(tmp_path):
