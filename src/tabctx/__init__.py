@@ -1,8 +1,8 @@
 """Retrieval of supporting context rows for tabular in-context prediction,
 plus the benchmark harness around it."""
 
-from .dataset import (ColumnSchema, Dataset, SplitAssignment, load_dataset, load_external_split,
-                      load_split_file, make_split, save_schema, save_split_file, save_table)
+from .dataset import (ColumnSchema, Dataset, SplitAssignment, load_dataset, load_split_file, make_split,
+                      save_schema, save_split_file, save_table)
 from .importance import pearson_importance, pps_importance
 from .metrics import PowerLawFit, auroc, auroc_binary, fit_power_law, minmax_normalize, nmae
 from .normalize import ColumnStats, apply_array, fit_stats

@@ -138,10 +138,16 @@ def validate_config(cfg: RunConfig) -> list[str]:
         elif repeated := _repeats(sizes):
             problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
     problems += [f"duplicate dataset id {i!r}" for i in _repeats([e.id for e in cfg.datasets])]
+    schemas = []  # (entry, columns) of each schema that loads
     for e in cfg.datasets:
         for p, kind in ((e.table, "table"), (e.schema, "schema")):
             if not Path(p).is_file():
                 problems.append(f"dataset {e.id!r}: {kind} path {p!r} does not exist")
+        if Path(e.schema).is_file():
+            try:
+                schemas.append((e, ds.load_schema(e.schema)[0]))
+            except (OSError, ValueError) as exc:
+                problems.append(f"dataset {e.id!r}: {exc}")
         if "file" in e.split and not Path(e.split["file"]).is_file():
             problems.append(f"dataset {e.id!r}: split file {e.split['file']!r} does not exist")
         ratios = e.split.get("ratios", DEFAULT_SPLIT_RATIOS)
@@ -155,12 +161,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
         _prompt_template(cfg)
     except (OSError, TypeError, ValueError) as exc:
         problems.append(f"prompt: {exc}")
+    sections = []  # (where, raw section, its resolved config) of each retrieval section that resolves
     try:
-        _resolve_retrieval(cfg.retrieval, {})
-        base_ok = True
+        sections.append(("retrieval", cfg.retrieval, _resolve_retrieval(cfg.retrieval, {})))
     except (TypeError, ValueError) as exc:
         problems.append(f"retrieval config: {exc}")
-        base_ok = False
     ids = []
     for p in cfg.predictors:
         pid, ptype = p.get("id"), p.get("type")
@@ -174,6 +179,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 problems.append(f"predictor {pid!r}: llm endpoint needs base_url")
             elif problem := url_problem(str(p["base_url"])):
                 problems.append(f"predictor {pid!r}: llm {problem}")
+            try:
+                _endpoint({"base_url": "", **p})  # the URL is checked above
+            except ValueError as exc:
+                problems.append(f"predictor {pid!r}: llm {exc}")
         if ptype == "ensemble" and (not p.get("members") or any(m not in ids for m in p["members"])):
             problems.append(f"predictor {pid!r}: members must be previously defined ids")
         ids.append(pid)
@@ -192,11 +201,20 @@ def validate_config(cfg: RunConfig) -> list[str]:
         elif pol_type == "random" and (keys := sorted(pol.keys() - {"id", "type"})):
             problems.append(f"policy {_policy_id(pol)!r}: a random policy takes no retrieval "
                             f"keys, got {', '.join(keys)}")
-        elif pol_type == "rag" and base_ok:
+        elif pol_type == "rag" and sections:  # once the base section resolves
             try:
-                _resolve_retrieval(cfg.retrieval, pol)
+                sections.append((f"policy {_policy_id(pol)!r}", pol, _resolve_retrieval(cfg.retrieval, pol)))
             except (TypeError, ValueError) as exc:
                 problems.append(f"policy {_policy_id(pol)!r}: {exc}")
+    # each feature name a section sets must be a feature of every schema, of the kind its key needs
+    for e, columns in schemas:
+        features = {kind: [c.name for c in columns if c.role == ds.ROLE_FEATURE and c.kind == kind]
+                    for kind in (ds.KIND_CATEGORICAL, ds.KIND_NUMERICAL)}
+        for where, raw, rc in sections:
+            for key, kind, names in (("match_constraints", ds.KIND_CATEGORICAL, rc.match_constraints),
+                                     ("per_feature_norm", ds.KIND_NUMERICAL, rc.per_feature_norm)):
+                problems += [f"dataset {e.id!r}: {where} {key} names {n!r}, which is not a {kind} "
+                             f"feature in {e.schema}" for n in names if key in raw and n not in features[kind]]
     return problems
 
 
@@ -207,6 +225,11 @@ def _policy_id(pol: dict) -> str:
 def _resolve_retrieval(base: dict, overrides: dict) -> RetrievalConfig:
     merged = {**base, **{k: v for k, v in overrides.items() if k not in ("id", "type")}}
     return RetrievalConfig(**merged)
+
+
+def _endpoint(p: dict) -> EndpointConfig:
+    """The endpoint settings of an ``llm`` predictor entry."""
+    return EndpointConfig(**{k: p[k] for k in LLM_KEYS if k in p})
 
 
 def _context_sizes(cfg: RunConfig) -> list[int]:
@@ -362,7 +385,7 @@ def _process_dataset(cfg: RunConfig, entry: DatasetEntry) -> DatasetResult:
 
 def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, test_rows,
                  tmpl: PromptTemplate, run_seed: int) -> list[PredictionRecord]:
-    client = LlmClient(EndpointConfig(**{k: p[k] for k in LLM_KEYS if k in p}))
+    client = LlmClient(_endpoint(p))
     features = [c.name for c in d.feature_columns]
     label_name = d.label_column.name
     jobs, overflowed = [], {}

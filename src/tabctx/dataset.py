@@ -430,24 +430,9 @@ def make_split(d: Dataset, ratios: tuple[float, float, float], seed: int,
     return SplitAssignment(train=train, validation=np.sort(val), test=test, seed=seed)
 
 
-def load_external_split(train, validation, test, seed: int, n_rows: int,
-                        train_cap: int = DEFAULT_TRAIN_CAP, test_cap: int = DEFAULT_TEST_CAP) -> SplitAssignment:
-    """Wrap externally supplied index lists, applying the same cap rules."""
-    for part, name in ((train, "train"), (validation, "validation"), (test, "test")):
-        arr = np.asarray(list(part), dtype=np.int64)
-        if len(arr) and (arr.min() < 0 or arr.max() >= n_rows):
-            raise ValueError(f"{name} indices out of range for {n_rows} rows")
-    assignment = SplitAssignment(train=np.asarray(list(train), dtype=np.int64),
-                                 validation=np.asarray(list(validation), dtype=np.int64),
-                                 test=np.asarray(list(test), dtype=np.int64), seed=seed)
-    train_idx = _downsample(assignment.train, train_cap, seed, "train-cap")
-    test_idx = _downsample(assignment.test, test_cap, seed, "test-cap")
-    return SplitAssignment(train=train_idx, validation=assignment.validation, test=test_idx, seed=seed)
-
-
 def load_split_file(path: str | Path, n_rows: int,
                     train_cap: int = DEFAULT_TRAIN_CAP, test_cap: int = DEFAULT_TEST_CAP) -> SplitAssignment:
-    """A split file's sets, with the cap rules of ``load_external_split``.
+    """A split file's sets, with ``make_split``'s train cap and test downsample.
     ``train``, ``validation`` and ``test`` are lists of JSON integers from 0
     to ``n_rows - 1``, and ``seed``, 0 when left out, is a JSON integer; any
     other content raises ``ValueError`` naming the file and the key, and the
@@ -470,8 +455,10 @@ def load_split_file(path: str | Path, n_rows: int,
     if type(seed) is not int:
         raise ValueError(f"{path}: seed must be an integer, not {seed!r}")
     try:
-        return load_external_split(raw["train"], raw["validation"], raw["test"], seed, n_rows,
-                                   train_cap, test_cap)
+        split = SplitAssignment(train=raw["train"], validation=raw["validation"], test=raw["test"], seed=seed)
+        return SplitAssignment(train=_downsample(split.train, train_cap, seed, "train-cap"),
+                               validation=split.validation,
+                               test=_downsample(split.test, test_cap, seed, "test-cap"), seed=seed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -216,6 +216,14 @@ class EndpointConfig:
     chat: bool = True
     retry_backoff: float = 0.2
 
+    def __post_init__(self):
+        if not (type(self.concurrency) is int and self.concurrency >= 1):
+            raise ValueError(f"concurrency must be an integer of at least 1, not {self.concurrency!r}")
+        if not (type(self.max_retries) is int and self.max_retries >= 0):
+            raise ValueError(f"max_retries must be an integer of at least 0, not {self.max_retries!r}")
+        if not (isinstance(self.timeout, int | float) and 0 < self.timeout < math.inf):
+            raise ValueError(f"timeout must be a finite number above 0, not {self.timeout!r}")
+
 
 def url_problem(base_url: str) -> str | None:
     """Why the client cannot post to ``base_url``, or None when it is an
@@ -271,7 +279,7 @@ class LlmClient:
     def __init__(self, cfg: EndpointConfig, api_key: str | None = None):
         self.cfg = cfg
         self.api_key = api_key
-        self._gate = threading.BoundedSemaphore(max(1, cfg.concurrency))
+        self._gate = threading.BoundedSemaphore(cfg.concurrency)
         self._rng = rng_for(0, "retry-jitter")
         self._rng_lock = threading.Lock()
 
@@ -373,7 +381,7 @@ class LlmClient:
     def predict_many(self, jobs: list[dict], predictor_id: str = "llm") -> list[PredictionRecord]:
         """Run predict() for each job dict concurrently (bounded by the
         configured concurrency); results keep job order."""
-        with ThreadPoolExecutor(max_workers=max(1, self.cfg.concurrency)) as pool:
+        with ThreadPoolExecutor(max_workers=self.cfg.concurrency) as pool:
             futures = [pool.submit(self.predict, predictor_id=predictor_id, **job) for job in jobs]
             return [f.result() for f in futures]
 

@@ -98,6 +98,9 @@ class RetrievalConfig:
         for mode in (self.numeric_norm, *self.per_feature_norm.values()):
             if mode not in nz.MODES:
                 raise ValueError(f"unknown normalization mode {mode!r}")
+        if isinstance(self.match_constraints, str):  # tuple() would split it into letters
+            raise ValueError(f"match_constraints must be a list of feature names, "
+                             f"not {self.match_constraints!r}")
         object.__setattr__(self, "match_constraints", tuple(self.match_constraints))
 
 
@@ -286,10 +289,10 @@ def _eligible_rows(pool: ContextPool, query: dict) -> np.ndarray:
 
 
 def _top(distances: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` nearest rows of each query (one row of
-    ``distances`` per query), sorted by (distance, position). Every row tied
-    with a query's k-th distance is sorted too, so the position breaks ties at
-    the cut-off as a full sort would."""
+    """Positions of the ``k`` nearest rows of each query (one row of ``distances``
+    per query), sorted by (distance, position); rows tied with the k-th distance
+    are sorted too, as in a full sort. The candidates, in position order, are
+    sorted stably by distance, then in a block by query as 8- or 16-bit keys."""
     n_queries, n_rows = distances.shape
     k = min(k, n_rows)
     if k <= 0:
@@ -297,10 +300,10 @@ def _top(distances: np.ndarray, k: int) -> np.ndarray:
     cut = np.partition(distances, k - 1, axis=1)[:, k - 1:k]
     candidates = (distances <= cut).ravel().nonzero()[0]
     query, pos = np.divmod(candidates, n_rows)
-    # candidates come query by query in position order, and lexsort is
-    # stable, so equal distances stay in position order
-    pos = pos[np.lexsort((distances.take(candidates), query))]
-    return pos[query.searchsorted(np.arange(n_queries))[:, None] + np.arange(k)]
+    order = np.argsort(distances.take(candidates), kind="stable")
+    if n_queries > 1:  # a lone query's candidates need no sort by query
+        order = order[np.argsort(query[order].astype(np.min_scalar_type(n_queries)), kind="stable")]
+    return pos[order][query.searchsorted(np.arange(n_queries))[:, None] + np.arange(k)]
 
 
 class Selection(NamedTuple):

@@ -167,16 +167,16 @@ def write_grid(grid: BoundaryGrid, csv_path: str | Path, json_path: str | Path) 
     """CSV of (x, y, p_<class>...) cell centers in row-major order plus a JSON
     header with ranges and resolution; plotting happens elsewhere."""
     nx, ny = grid.resolution
-    xs = np.linspace(grid.x_range[0], grid.x_range[1], nx)
+    x_text = [repr(v) for v in np.linspace(grid.x_range[0], grid.x_range[1], nx).tolist()]
     ys = np.linspace(grid.y_range[0], grid.y_range[1], ny)
-    x_text = [repr(v) for v in xs.tolist()]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"] + [f"p_{c}" for c in grid.class_labels])
-        for y, row in zip(ys.tolist(), grid.probabilities):
-            y_text = repr(y)
-            writer.writerows([x, y_text] + [repr(p) for p in cell]
-                             for x, cell in zip(x_text, row.tolist()))
+        csv.writer(fh).writerow(["x", "y"] + [f"p_{c}" for c in grid.class_labels])  # labels may need quotes
+        for y, row in zip(ys.tolist(), np.ascontiguousarray(grid.probabilities, dtype=np.float64)):
+            # one text per distinct cell, told apart by its bytes; float reprs need no quotes
+            _, first, inverse = np.unique(row.view((np.void, 8 * row.shape[1])), return_index=True,
+                                          return_inverse=True)
+            ends = [f",{y!r}," + ",".join(map(repr, c)) + "\r\n" for c in row[first].tolist()]  # csv's "\r\n"
+            fh.writelines(map(str.__add__, x_text, [ends[i] for i in inverse.ravel().tolist()]))
     dump_json(json_path, {"x_range": list(grid.x_range), "y_range": list(grid.y_range),
                           "resolution": list(grid.resolution),
                           "class_labels": list(grid.class_labels)})

@@ -227,6 +227,22 @@ def boundary_grid_reference(pool, resolution) -> np.ndarray:
     return probs
 
 
+def write_grid_reference(grid, csv_path) -> None:
+    """The grid CSV written with one ``csv.writer`` row per cell and one
+    ``repr`` per probability."""
+    nx, ny = grid.resolution
+    xs = np.linspace(grid.x_range[0], grid.x_range[1], nx)
+    ys = np.linspace(grid.y_range[0], grid.y_range[1], ny)
+    x_text = [repr(v) for v in xs.tolist()]
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"] + [f"p_{c}" for c in grid.class_labels])
+        for y, row in zip(ys.tolist(), grid.probabilities):
+            y_text = repr(y)
+            writer.writerows([x, y_text] + [repr(p) for p in cell]
+                             for x, cell in zip(x_text, row.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Pearson: the dense indicator formula
 

@@ -23,6 +23,7 @@ from tabctx import normalize as nz
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.importance import IMPORTANCE_MODES
+from tabctx.predictors import EndpointConfig
 from tabctx.util import dump_json, finite_mean, load_json
 from conftest import make_dataset
 
@@ -721,7 +722,7 @@ def test_llm_base_url_needs_http_scheme(tmp_path):
     assert cli.main(["validate-config", str(path)]) == 1
 
 
-def test_bad_match_constraint_fails_only_its_dataset(tmp_path):
+def test_match_constraint_absent_from_one_schema_is_rejected(tmp_path):
     write_toy_files(tmp_path)
     rows = [[str(i % 7), "uv"[i % 2], "ab"[i % 3 == 0]] for i in range(40)]
     (tmp_path / "g.csv").write_text("x,g,y\n" + "".join(",".join(r) + "\n" for r in rows),
@@ -732,12 +733,66 @@ def test_bad_match_constraint_fails_only_its_dataset(tmp_path):
     cfg = base_config(tmp_path, retrieval={"importance_mode": "uniform", "match_constraints": ["g"]})
     cfg["datasets"].append({"id": "grouped", "table": str(tmp_path / "g.csv"),
                             "schema": str(tmp_path / "g.schema.json")})
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
+    assert err.value.problems == [
+        f"dataset 'toy': retrieval match_constraints names 'g', which is not a categorical feature "
+        f"in {tmp_path / 'toy.schema.json'}"]
+    assert not (tmp_path / "out").exists()
+    cfg["datasets"].pop(0)
     out = cli.run(cli.RunConfig.from_file(write_config(tmp_path, cfg)))
-    manifest = load_json(out / "manifest.json")["datasets"]
-    assert manifest["grouped"]["status"] == "ok"
-    assert manifest["toy"] == {"status": "error", "error":
-                               "ValueError: match constraint(s) 'g' not a categorical feature"}
-    assert {r["dataset"] for r in load_json(out / "metrics.json")["metrics"]} == {"grouped"}
+    assert load_json(out / "manifest.json")["datasets"]["grouped"]["status"] == "ok"
+
+
+def test_retrieval_names_are_checked_against_the_schema(tmp_path, capsys):
+    write_toy_files(tmp_path)  # features x1 and x2 are numerical; label is the categorical label
+    schema = tmp_path / "toy.schema.json"
+    (tmp_path / "odd.schema.json").write_text('{"columns": []}', encoding="utf-8")
+    for over, entry, want in (
+            ({"retrieval": {"match_constraints": ["x1"]}}, {},
+             f"dataset 'toy': retrieval match_constraints names 'x1', which is not a categorical "
+             f"feature in {schema}"),
+            ({"retrieval": {"per_feature_norm": {"label": "minmax"}}}, {},
+             f"dataset 'toy': retrieval per_feature_norm names 'label', which is not a numerical "
+             f"feature in {schema}"),
+            ({"policies": [{"id": "near", "match_constraints": ["g"]}]}, {},
+             f"dataset 'toy': policy 'near' match_constraints names 'g', which is not a categorical "
+             f"feature in {schema}"),
+            ({"policies": [{"id": "near", "per_feature_norm": {"x3": "standard"}}]}, {},
+             f"dataset 'toy': policy 'near' per_feature_norm names 'x3', which is not a numerical "
+             f"feature in {schema}"),
+            ({}, {"schema": str(tmp_path / "odd.schema.json")},
+             f"dataset 'toy': {tmp_path / 'odd.schema.json'}: schema lacks task"),
+            ({"retrieval": {"match_constraints": "x1"}}, {},
+             "retrieval config: match_constraints must be a list of feature names, not 'x1'")):
+        cfg = base_config(tmp_path, **over)
+        cfg["datasets"][0].update(entry)
+        path = write_config(tmp_path, cfg, "names.json")
+        assert cli.main(["validate-config", str(path)]) == 1
+        assert cli.validate_config(cli.RunConfig.from_file(path)) == [want]
+        assert capsys.readouterr().err == f"error: {want}\n"
+    ok = base_config(tmp_path, retrieval={"per_feature_norm": {"x2": "minmax"}},
+                     policies=[{"id": "rag"}, {"id": "std", "per_feature_norm": {"x1": "standard"}}])
+    assert cli.validate_config(cli.RunConfig.from_file(write_config(tmp_path, ok, "names.json"))) == []
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("concurrency", 0, "concurrency must be an integer of at least 1, not 0"),
+    ("concurrency", "x", "concurrency must be an integer of at least 1, not 'x'"),
+    ("max_retries", -1, "max_retries must be an integer of at least 0, not -1"),
+    ("timeout", 0, "timeout must be a finite number above 0, not 0"),
+    ("timeout", "5", "timeout must be a finite number above 0, not '5'"),
+])
+def test_endpoint_ranges_are_checked_before_the_run(tmp_path, capsys, key, value, want):
+    write_toy_files(tmp_path)
+    url = "http://127.0.0.1:9/v1/chat/completions"
+    with pytest.raises(ValueError, match=want):
+        EndpointConfig(base_url=url, **{key: value})
+    cfg = base_config(tmp_path, predictors=[{"id": "llm", "type": "llm", "base_url": url, key: value}])
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate-config", str(path)]) == 1
+    assert cli.validate_config(cli.RunConfig.from_file(path)) == [f"predictor 'llm': llm {want}"]
+    assert capsys.readouterr().err == f"error: predictor 'llm': llm {want}\n"
 
 
 def test_missing_config_keys_are_named(tmp_path, capsys):

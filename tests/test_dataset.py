@@ -452,19 +452,26 @@ def test_split_errors():
         ds.make_split(d3, (0.8, 0.1, 0.2), seed=0)
 
 
-def test_external_split_identity_and_errors():
-    s = ds.load_external_split([0, 1], [2], [3], seed=0, n_rows=4)
+def write_split(path, train, validation, test, seed=0):
+    path.write_text(json.dumps({"train": train, "validation": validation, "test": test, "seed": seed}),
+                    encoding="utf-8")
+    return path
+
+
+def test_external_split_identity_and_errors(tmp_path):
+    s = ds.load_split_file(write_split(tmp_path / "s.json", [0, 1], [2], [3]), n_rows=4)
     assert s.train.tolist() == [0, 1] and s.validation.tolist() == [2] and s.test.tolist() == [3]
     with pytest.raises(ValueError, match="overlap"):
-        ds.load_external_split([0, 1], [], [1], seed=0, n_rows=4)
-    with pytest.raises(ValueError, match="range"):
-        ds.load_external_split([0], [], [9], seed=0, n_rows=4)
+        ds.load_split_file(write_split(tmp_path / "s.json", [0, 1], [], [1]), n_rows=4)
+    with pytest.raises(ValueError, match="not a row index"):
+        ds.load_split_file(write_split(tmp_path / "s.json", [0], [], [9]), n_rows=4)
 
 
-def test_external_split_test_cap():
+def test_external_split_test_cap(tmp_path):
     test_idx = list(range(400, 1000))
-    s1 = ds.load_external_split(range(400), [], test_idx, seed=5, n_rows=1000)
-    s2 = ds.load_external_split(range(400), [], test_idx, seed=5, n_rows=1000)
+    path = write_split(tmp_path / "s.json", list(range(400)), [], test_idx, seed=5)
+    s1 = ds.load_split_file(path, n_rows=1000)
+    s2 = ds.load_split_file(path, n_rows=1000)
     assert len(s1.test) == 512
     assert np.array_equal(s1.test, s2.test)
     assert set(s1.test.tolist()) <= set(test_idx)

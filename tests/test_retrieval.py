@@ -594,3 +594,14 @@ def test_none_categorical_query_is_the_missing_token():
     assert d.column("g").tolist() == ["", "u", ""]
     cfg = rt.RetrievalConfig(quota=2, importance_mode="uniform", match_constraints=("g",))
     assert rt.retrieve(rt.build_pool(d, range(3), cfg), {"g": None}).indices.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("n_queries", [1, 255, 256, 300])  # uint8 and uint16 query keys
+def test_top_orders_as_a_stable_argsort(n_queries):
+    rng = np.random.default_rng(n_queries)
+    for n_rows in (1, 7, 40):
+        # four distinct distances, so most rows tie with others of their query
+        distances = rng.choice([0.0, 0.5, 1.0, np.inf], size=(n_queries, n_rows))
+        want = np.argsort(distances, axis=1, kind="stable")
+        for k in range(1, n_rows + 3):
+            assert np.array_equal(rt._top(distances, k), want[:, :k]), (n_rows, k)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,7 @@ from tabctx import synthgen as sg
 from tabctx.predictors import knn_predict
 from tabctx.importance import IMPORTANCE_MODES
 from conftest import make_dataset
-from oracles import boundary_grid_reference, nearest_neighbor_index
+from oracles import boundary_grid_reference, nearest_neighbor_index, write_grid_reference
 
 
 def euclid_config(quota):
@@ -184,3 +186,18 @@ def test_grid_export_files(tmp_path):
     assert len(rows) == 1 + 16
     header = json.loads((tmp_path / "g.json").read_text())
     assert header["resolution"] == [4, 4]
+
+
+def test_write_grid_matches_the_csv_writer_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    # repeats, both zeros, 1.0 and reprs in exponent form; cells are told apart by their bytes
+    values = np.array([0.0, -0.0, 1.0, 0.25, 1 / 3, 1e-05, 2.5e-300, 7e22])
+    probs = rng.choice(values, size=(3, 5, 3))
+    probs[0, :2] = probs[0, 2]  # a row with repeated cells
+    probs[1, :2] = [[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0]]  # equal cells with different bytes
+    grid = sg.BoundaryGrid((-1.5, 2e-07), (0.1, 3.0), (5, 3), ("a,b", 'say "hi"', "c"), probs)
+    for g in (grid, replace(grid, probabilities=np.asfortranarray(probs))):
+        sg.write_grid(g, tmp_path / "g.csv", tmp_path / "g.json")
+        write_grid_reference(g, tmp_path / "ref.csv")
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "g.csv").read_bytes().startswith(b'x,y,"p_a,b","p_say ""hi""",p_c\r\n')
