@@ -18,9 +18,9 @@ import logging
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Annotated, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
                          fit_prompt, ingest_predictions, knn_predict, url_problem)
 from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
-from .util import dump_json, finite_mean, fmt_float, load_json, subseed
+from .util import dump_json, finite_mean, fmt_float, json_problems, load_json, subseed
 
 log = logging.getLogger(__name__)
 
@@ -50,15 +50,17 @@ PREDICTIONS_HEADER = ["dataset", "policy", "train_size", "context_size", "predic
                       "row_index", "context_used", "flag", "estimate", "probs"]
 
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
-SPLIT_KEYS = {"ratios", "seed", "file"}
-PROMPT_KEYS = {f.name for f in fields(PromptTemplate)} - {"layout"} | {"file"}
-LLM_KEYS = {f.name for f in fields(EndpointConfig)} - {"retry_backoff"}
-PREDICTOR_KEYS = {"knn": set(), "llm": LLM_KEYS, "external": {"path"}, "ensemble": {"members"}}
+# the specs of the config sections held as dicts; a predictor's or policy's type picks its other keys
+_SPLIT_SPEC = {"ratios": list[float], "seed": int, "file": str}
+_PROMPT_SPEC = {"file" if k == "layout" else k: t for k, t in get_type_hints(PromptTemplate).items()}
+_PREDICTOR_SPECS = {"knn": {}, "external": {"path": str}, "ensemble": {"members": list[str]},
+                    "llm": {k: t for k, t in get_type_hints(EndpointConfig).items() if k != "retry_backoff"}}
+_POLICY_SPECS = {"rag": get_type_hints(RetrievalConfig), "random": {}}
 
 
-def _required_keys(cls) -> list[str]:
-    """The fields of a config dataclass that have no default."""
-    return [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+def _by_type(specs: dict):
+    """The spec of a predictor or policy entry, whose type (``rag`` when left out) picks its keys."""
+    return lambda entry: {"id": str, "type": str, **specs.get(str(entry.get("type", "rag")), {})}
 
 
 @dataclass
@@ -66,7 +68,7 @@ class DatasetEntry:
     id: str
     table: str
     schema: str
-    split: dict = field(default_factory=lambda: {"ratios": list(DEFAULT_SPLIT_RATIOS)})
+    split: Annotated[dict, _SPLIT_SPEC] = field(default_factory=lambda: {"ratios": list(DEFAULT_SPLIT_RATIOS)})
     train_cap: int = ds.DEFAULT_TRAIN_CAP
     test_cap: int = ds.DEFAULT_TEST_CAP
 
@@ -74,48 +76,25 @@ class DatasetEntry:
 @dataclass
 class RunConfig:
     datasets: list[DatasetEntry]
-    predictors: list[dict]
-    retrieval: dict = field(default_factory=dict)
-    policies: list[dict] = field(default_factory=lambda: [{"id": "rag"}])
+    predictors: list[Annotated[dict, _by_type(_PREDICTOR_SPECS)]]
+    retrieval: Annotated[dict, RetrievalConfig] = field(default_factory=dict)
+    policies: list[Annotated[dict, _by_type(_POLICY_SPECS)]] = field(default_factory=lambda: [{"id": "rag"}])
     context_sizes: list[int] | None = None
     train_sizes: list[int] | None = None
     seed: int = 0
     output_dir: str = "run_out"
     write_traces: bool = False
-    prompt: dict = field(default_factory=dict)
+    prompt: Annotated[dict, _PROMPT_SPEC] = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = load_json(path)
-        entries = raw.get("datasets", [])
-        unknown = _unknown("", raw, {f.name for f in fields(cls)})
-        for i, e in enumerate(entries):
-            unknown += _unknown(f"datasets[{i}].", e, {f.name for f in fields(DatasetEntry)})
-            unknown += _unknown(f"datasets[{i}].split.", e.get("split", {}), SPLIT_KEYS)
-        unknown += _unknown("prompt.", raw.get("prompt", {}), PROMPT_KEYS)
-        for i, p in enumerate(raw.get("predictors", [])):
-            if p.get("type") in PREDICTOR_KEYS:
-                unknown += _unknown(f"predictors[{i}].", p, {"id", "type", *PREDICTOR_KEYS[p["type"]]})
-        missing = [k for k in _required_keys(cls) if k not in raw] + [
-            f"datasets[{i}].{k}" for i, e in enumerate(entries)
-            for k in _required_keys(DatasetEntry) if k not in e]
-        problems = [f"{what} config key(s): {', '.join(keys)}"
-                    for what, keys in (("unknown", unknown), ("missing", missing)) if keys]
-        if problems:
-            raise ValueError(f"{path}: {'; '.join(problems)}")
+        if problems := json_problems("", cls, raw):
+            raise ConfigError([f"{path}: {p}" for p in problems])
         return cls(datasets=[DatasetEntry(**e) for e in raw.pop("datasets")], **raw)
 
     def to_dict(self) -> dict:
         return {**vars(self), "datasets": [vars(e) for e in self.datasets]}
-
-
-def _unknown(where: str, entry: dict, allowed: set[str]) -> list[str]:
-    return [f"{where}{k}" for k in sorted(entry.keys() - allowed)]
-
-
-def _positive_int(value) -> bool:
-    """Whether the value is an integer of at least 1."""
-    return type(value) is int and value >= 1
 
 
 def _repeats(values: list) -> list:
@@ -133,7 +112,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
     for key in ("context_sizes", "train_sizes"):
         if (sizes := getattr(cfg, key)) is None:
             continue
-        if not (isinstance(sizes, list) and sizes and all(map(_positive_int, sizes))):
+        if not sizes or min(sizes) < 1:
             problems.append(f"{key} must be a non-empty list of integers, each at least 1")
         elif repeated := _repeats(sizes):
             problems.append(f"{key} repeats {', '.join(map(str, repeated))}")
@@ -151,12 +130,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
         if "file" in e.split and not Path(e.split["file"]).is_file():
             problems.append(f"dataset {e.id!r}: split file {e.split['file']!r} does not exist")
         ratios = e.split.get("ratios", DEFAULT_SPLIT_RATIOS)
-        if not (isinstance(ratios, list | tuple) and len(ratios) == 3
-                and all(type(r) in (int, float) and r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        if not (len(ratios) == 3 and min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9):
             problems.append(f"dataset {e.id!r}: split ratios must be three numbers, each at least 0, "
                             f"that sum to 1")
         problems += [f"dataset {e.id!r}: {key} must be an integer of at least 1"
-                     for key in ("train_cap", "test_cap") if not _positive_int(getattr(e, key))]
+                     for key in ("train_cap", "test_cap") if getattr(e, key) < 1]
     try:
         _prompt_template(cfg)
     except (OSError, TypeError, ValueError) as exc:
@@ -169,7 +147,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
     ids = []
     for p in cfg.predictors:
         pid, ptype = p.get("id"), p.get("type")
-        if not pid or ptype not in PREDICTOR_KEYS:
+        if not pid or ptype not in _PREDICTOR_SPECS:
             problems.append(f"bad predictor entry {p}")
             continue
         if ptype == "external" and not Path(p.get("path", "")).is_file():
@@ -198,9 +176,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
         elif "quota" in pol:
             problems.append(f"policy {_policy_id(pol)!r}: quota cannot be set per policy; "
                             f"set the context sizes with context_sizes")
-        elif pol_type == "random" and (keys := sorted(pol.keys() - {"id", "type"})):
-            problems.append(f"policy {_policy_id(pol)!r}: a random policy takes no retrieval "
-                            f"keys, got {', '.join(keys)}")
         elif pol_type == "rag" and sections:  # once the base section resolves
             try:
                 sections.append((f"policy {_policy_id(pol)!r}", pol, _resolve_retrieval(cfg.retrieval, pol)))
@@ -229,7 +204,7 @@ def _resolve_retrieval(base: dict, overrides: dict) -> RetrievalConfig:
 
 def _endpoint(p: dict) -> EndpointConfig:
     """The endpoint settings of an ``llm`` predictor entry."""
-    return EndpointConfig(**{k: p[k] for k in LLM_KEYS if k in p})
+    return EndpointConfig(**{k: v for k, v in p.items() if k not in ("id", "type")})
 
 
 def _context_sizes(cfg: RunConfig) -> list[int]:
@@ -253,10 +228,9 @@ def _load_split(entry: DatasetEntry, d: ds.Dataset, run_seed: int) -> ds.SplitAs
 
 
 def _prompt_template(cfg: RunConfig) -> PromptTemplate:
-    p = cfg.prompt
-    kwargs = {k: p[k] for k in PROMPT_KEYS - {"file"} if k in p}
-    if p.get("file"):
-        return PromptTemplate.from_file(p["file"], **kwargs)
+    kwargs = {k: v for k, v in cfg.prompt.items() if k != "file"}
+    if cfg.prompt.get("file"):
+        return PromptTemplate.from_file(cfg.prompt["file"], **kwargs)
     return PromptTemplate(**kwargs)
 
 
@@ -729,8 +703,8 @@ def _dispatch(args) -> int:
     if args.verb in ("run", "validate-config", "ablate", "scaling"):
         try:
             cfg = _load_config(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:  # a ConfigError lists its problems
+            print("\n".join(f"error: {p}" for p in getattr(exc, "problems", [exc])), file=sys.stderr)
             return 1
     if args.verb == "validate-config":
         problems = validate_config(cfg)

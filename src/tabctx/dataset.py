@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import dump_json, load_json, rng_for
+from .util import dump_json, json_problems, load_json, rng_for
 
 KIND_NUMERICAL = "numerical"
 KIND_CATEGORICAL = "categorical"
@@ -45,8 +45,6 @@ class ColumnSchema:
     role: str = ROLE_FEATURE
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"column name {self.name!r} is not a string")
         if self.kind not in (KIND_NUMERICAL, KIND_CATEGORICAL):
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.role not in (ROLE_FEATURE, ROLE_LABEL, ROLE_IGNORED):
@@ -190,23 +188,12 @@ def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:
     schema, or that ``_check_schema`` rejects, raises ValueError naming the
     file (and the column entry, where there is one)."""
     raw = load_json(schema_file)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{schema_file}: the top level must be a JSON object")
-    entries = raw.get("columns", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"{schema_file}: columns must be a list, not {entries!r}")
-    for i, c in enumerate(entries):
-        if not isinstance(c, dict):
-            raise ValueError(f"{schema_file}: columns[{i}] is {c!r}, not an object")
-    missing = [key for key in ("task", "columns") if key not in raw]
-    missing += [f"columns[{i}].{key}" for i, c in enumerate(entries)
-                for key in ("name", "kind") if key not in c]
-    if missing:
-        raise ValueError(f"{schema_file}: schema lacks {', '.join(missing)}")
+    if problems := json_problems("", {"columns": list[ColumnSchema], "task": str}, raw, ("columns", "task")):
+        raise ValueError(f"{schema_file}: {'; '.join(problems)}")
     cols = []
-    for i, c in enumerate(entries):
+    for i, c in enumerate(raw["columns"]):
         try:
-            cols.append(ColumnSchema(c["name"], c["kind"], c.get("role", ROLE_FEATURE)))
+            cols.append(ColumnSchema(**c))
         except ValueError as exc:
             raise ValueError(f"{schema_file}: columns[{i}]: {exc}") from None
     try:
@@ -432,28 +419,19 @@ def make_split(d: Dataset, ratios: tuple[float, float, float], seed: int,
 
 def load_split_file(path: str | Path, n_rows: int,
                     train_cap: int = DEFAULT_TRAIN_CAP, test_cap: int = DEFAULT_TEST_CAP) -> SplitAssignment:
-    """A split file's sets, with ``make_split``'s train cap and test downsample.
-    ``train``, ``validation`` and ``test`` are lists of JSON integers from 0
-    to ``n_rows - 1``, and ``seed``, 0 when left out, is a JSON integer; any
-    other content raises ``ValueError`` naming the file and the key, and the
-    entry where there is one."""
+    """A split file's sets of row indices from 0 to ``n_rows - 1``, with
+    ``make_split``'s train cap and test downsample; ``seed`` is 0 when left
+    out. Other content raises ``ValueError`` naming the file and the key."""
     raw = load_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: the top level must be a JSON object")
-    missing = [key for key in ("train", "validation", "test") if key not in raw]
-    if missing:
-        raise ValueError(f"{path}: split file lacks {', '.join(missing)}")
-    for key in ("train", "validation", "test"):
-        rows = raw[key]
-        if not isinstance(rows, list):
-            raise ValueError(f"{path}: {key} must be a list of row indices, not {rows!r}")
-        for i, row in enumerate(rows):
-            if not (type(row) is int and 0 <= row < n_rows):
-                raise ValueError(f"{path}: {key}[{i}] is {row!r}, not a row index "
+    sets = ("train", "validation", "test")
+    if problems := json_problems("", {**dict.fromkeys(sets, list[int]), "seed": int}, raw, sets):
+        raise ValueError(f"{path}: {'; '.join(problems)}")
+    for key in sets:
+        for i, row in enumerate(raw[key]):
+            if not 0 <= row < n_rows:
+                raise ValueError(f"{path}: {key}[{i}] is {row}, not a row index "
                                  f"(an integer from 0 to {n_rows - 1})")
     seed = raw.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError(f"{path}: seed must be an integer, not {seed!r}")
     try:
         split = SplitAssignment(train=raw["train"], validation=raw["validation"], test=raw["test"], seed=seed)
         return SplitAssignment(train=_downsample(split.train, train_cap, seed, "train-cap"),

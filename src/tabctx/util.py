@@ -1,5 +1,5 @@
-"""Shared helpers: seed derivation, deterministic JSON output, fold assignment,
-and the one overflow rule.
+"""Shared helpers: seed derivation, JSON loading with its one shape check and
+deterministic output, fold assignment, and the one overflow rule.
 
 The overflow rule: values whose largest magnitude reaches 2**500 (about
 3e150) are scaled by a power of two to below it, which is exact, so that
@@ -12,7 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -69,7 +73,51 @@ def dump_json(path: str | Path, obj) -> None:
 
 
 def load_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A JSON file's content; a syntax error raises ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# the JSON values each plain type allows (int excludes bool), and its name in messages
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+               bool: ((bool,), "true or false"), dict: ((dict,), "a JSON object"),
+               list: ((list,), "a list"), tuple: ((list,), "a list")}
+
+
+def json_problems(where: str, spec, raw, required=()) -> list[str]:
+    """Each problem of the JSON value ``raw`` under ``spec``, named by its path
+    after ``where``: a value of a JSON type the spec does not allow (it is not
+    walked further), and in an object a key the spec does not name or a
+    ``required`` key it lacks. A spec is a plain type, ``list[X]``,
+    ``tuple[X, ...]``, ``X | None``, a dict of specs by key, a dataclass (its
+    fields; those without a default are required), or ``Annotated[dict, spec]``
+    with a spec or a function of the object that gives its dict of specs."""
+    if type(spec) is UnionType:  # X | None
+        return [] if raw is None else json_problems(where, get_args(spec)[0], raw)
+    if get_origin(spec) is Annotated:
+        spec = spec.__metadata__[0]
+    if isinstance(get_origin(spec) or spec, type) and not is_dataclass(spec):
+        allowed, name = _JSON_TYPES[get_origin(spec) or spec]
+        if type(raw) not in allowed:
+            return [f"{where} must be {name}, not {reprlib.repr(raw)}"]
+        if not (args := get_args(spec)):
+            return []
+        fits = _JSON_TYPES.get(args[0], ((),))[0]  # so an item's path is made only when it fails
+        return [p for i, v in enumerate(raw) if type(v) not in fits
+                for p in json_problems(f"{where}[{i}]", args[0], v)]
+    if type(raw) is not dict:
+        return [f"{where or 'the top level'} must be a JSON object, not {reprlib.repr(raw)}"]
+    if is_dataclass(spec):
+        required = [f.name for f in fields(spec) if f.default is f.default_factory is MISSING]
+        spec = get_type_hints(spec, include_extras=True)
+    elif callable(spec):
+        spec = spec(raw)
+    at = f"{where}." if where else ""
+    problems = [f"unknown key {at}{k}" for k in raw if k not in spec]
+    problems += [f"missing key {at}{k}" for k in required if k not in raw]
+    return problems + [p for k, s in spec.items() if k in raw for p in json_problems(at + k, s, raw[k])]
 
 
 def fmt_float(x) -> str:

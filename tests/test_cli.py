@@ -57,6 +57,13 @@ def write_config(tmp_path, cfg, name="config.json"):
     return tmp_path / name
 
 
+def load_problems(path):
+    """The problems ``RunConfig.from_file`` rejects the config file with."""
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_file(path)
+    return err.value.problems
+
+
 def test_validate_config_catches_problems(tmp_path, capsys):
     write_toy_files(tmp_path)
     cfg = base_config(tmp_path)
@@ -67,8 +74,7 @@ def test_validate_config_catches_problems(tmp_path, capsys):
     assert cli.main(["validate-config", str(zero)]) == 1
     one_fold = write_config(tmp_path, base_config(tmp_path, retrieval={"pps_folds": 1}), "one_fold.json")
     assert cli.main(["validate-config", str(one_fold)]) == 1
-    [problem] = cli.validate_config(cli.RunConfig.from_file(one_fold))
-    assert problem.startswith("retrieval config: ") and "'pps_folds'" in problem
+    assert load_problems(one_fold) == [f"{one_fold}: unknown key retrieval.pps_folds"]
     twice = write_config(tmp_path, base_config(tmp_path, context_sizes=[4, 8, 4]), "twice.json")
     assert cli.main(["validate-config", str(twice)]) == 1
     assert cli.validate_config(cli.RunConfig.from_file(twice)) == ["context_sizes repeats 4"]
@@ -77,11 +83,12 @@ def test_validate_config_catches_problems(tmp_path, capsys):
     assert cli.validate_config(cli.RunConfig.from_file(empty)) == [
         "train_sizes must be a non-empty list of integers, each at least 1"]
     # sizes that are not a list of integers are problems too, not a TypeError
-    for key, sizes in (("context_sizes", 4), ("context_sizes", [4, "8"]), ("train_sizes", "10")):
+    for key, sizes, want in (("context_sizes", 4, "context_sizes must be a list, not 4"),
+                             ("context_sizes", [4, "8"], "context_sizes[1] must be an integer, not '8'"),
+                             ("train_sizes", "10", "train_sizes must be a list, not '10'")):
         odd = write_config(tmp_path, base_config(tmp_path, **{key: sizes}), "odd.json")
         assert cli.main(["validate-config", str(odd)]) == 1
-        assert cli.validate_config(cli.RunConfig.from_file(odd)) == [
-            f"{key} must be a non-empty list of integers, each at least 1"]
+        assert load_problems(odd) == [f"{odd}: {want}"]
     duel = write_config(tmp_path, base_config(tmp_path, policies=[
         {"id": "rag", "importance_mode": "duel"}]), "duel.json")
     assert cli.main(["validate-config", str(duel)]) == 1
@@ -90,8 +97,7 @@ def test_validate_config_catches_problems(tmp_path, capsys):
     typo = write_config(tmp_path, base_config(tmp_path, policies=[
         {"id": "near", "type": "rag", "quotaa": 5}, {"id": "random", "type": "random"}]), "typo.json")
     assert cli.main(["validate-config", str(typo)]) == 1
-    [problem] = cli.validate_config(cli.RunConfig.from_file(typo))
-    assert problem.startswith("policy 'near': ") and "'quotaa'" in problem
+    assert load_problems(typo) == [f"{typo}: unknown key policies[0].quotaa"]
     # each of these validated once and then failed or misled at run time
     (tmp_path / "odd_layout.txt").write_text("{preamble}\n{rows}\n{query}{answer}", encoding="utf-8")
     llm = [{"id": "llm", "type": "llm", "base_url": "http://127.0.0.1:9/v1/chat/completions"}]
@@ -106,20 +112,24 @@ def test_validate_config_catches_problems(tmp_path, capsys):
             ({}, {"prompt": {"file": str(tmp_path / "odd_layout.txt")}}, "{answer} is unknown"),
             ({}, {"prompt": {"chars_per_token": 0}, "predictors": llm},
              "prompt: chars_per_token must be a number above 0, not 0"),
-            ({}, {"prompt": {"chars_per_token": "4"}}, "prompt: chars_per_token must be a number above 0"),
+            ({}, {"prompt": {"chars_per_token": "4"}}, "prompt.chars_per_token must be a number, not '4'"),
             ({}, {"prompt": {"token_budget": "big"}, "predictors": llm},
-             "prompt: token_budget must be an integer of at least 1"),
+             "prompt.token_budget must be an integer, not 'big'"),
             ({}, {"policies": [{"id": "random", "type": "random", "importance_mode": "bogus"}]},
-             "policy 'random': a random policy takes no retrieval keys, got importance_mode"),
-            ({}, {"retrieval": {"seed": 0}}, "'seed'"),
-            ({}, {"policies": [{"id": "rag", "seed": 3}]}, "'seed'"),
-            ({}, {"policies": [{"id": "rag", "pps_folds": 4}]}, "'pps_folds'")):
+             "unknown key policies[0].importance_mode"),
+            ({}, {"retrieval": {"seed": 0}}, "unknown key retrieval.seed"),
+            ({}, {"policies": [{"id": "rag", "seed": 3}]}, "unknown key policies[0].seed"),
+            ({}, {"policies": [{"id": "rag", "pps_folds": 4}]}, "unknown key policies[0].pps_folds")):
         odd = base_config(tmp_path, **over)
         odd["datasets"][0].update(entry)
         path3 = write_config(tmp_path, odd, "odd.json")
         assert cli.main(["validate-config", str(path3)]) == 1
-        [problem] = cli.validate_config(cli.RunConfig.from_file(path3))
-        assert want in problem, (entry, over, problem)
+        if want.startswith(("prompt.", "unknown key")):  # a key or a JSON type: rejected at load
+            [problem] = load_problems(path3)
+            assert problem == f"{path3}: {want}"
+        else:
+            [problem] = cli.validate_config(cli.RunConfig.from_file(path3))
+            assert want in problem, (entry, over, problem)
         assert capsys.readouterr().err == f"error: {problem}\n"
     ok = base_config(tmp_path)
     path2 = write_config(tmp_path, ok, "ok.json")
@@ -762,28 +772,34 @@ def test_retrieval_names_are_checked_against_the_schema(tmp_path, capsys):
              f"dataset 'toy': policy 'near' per_feature_norm names 'x3', which is not a numerical "
              f"feature in {schema}"),
             ({}, {"schema": str(tmp_path / "odd.schema.json")},
-             f"dataset 'toy': {tmp_path / 'odd.schema.json'}: schema lacks task"),
+             f"dataset 'toy': {tmp_path / 'odd.schema.json'}: missing key task"),
             ({"retrieval": {"match_constraints": "x1"}}, {},
-             "retrieval config: match_constraints must be a list of feature names, not 'x1'")):
+             f"{tmp_path / 'names.json'}: retrieval.match_constraints must be a list, not 'x1'")):
         cfg = base_config(tmp_path, **over)
         cfg["datasets"][0].update(entry)
         path = write_config(tmp_path, cfg, "names.json")
         assert cli.main(["validate-config", str(path)]) == 1
-        assert cli.validate_config(cli.RunConfig.from_file(path)) == [want]
+        if want.startswith(str(path)):  # a JSON type: rejected at load
+            assert load_problems(path) == [want]
+        else:
+            assert cli.validate_config(cli.RunConfig.from_file(path)) == [want]
         assert capsys.readouterr().err == f"error: {want}\n"
     ok = base_config(tmp_path, retrieval={"per_feature_norm": {"x2": "minmax"}},
                      policies=[{"id": "rag"}, {"id": "std", "per_feature_norm": {"x1": "standard"}}])
     assert cli.validate_config(cli.RunConfig.from_file(write_config(tmp_path, ok, "names.json"))) == []
 
 
-@pytest.mark.parametrize("key, value, want", [
-    ("concurrency", 0, "concurrency must be an integer of at least 1, not 0"),
-    ("concurrency", "x", "concurrency must be an integer of at least 1, not 'x'"),
-    ("max_retries", -1, "max_retries must be an integer of at least 0, not -1"),
-    ("timeout", 0, "timeout must be a finite number above 0, not 0"),
-    ("timeout", "5", "timeout must be a finite number above 0, not '5'"),
+@pytest.mark.parametrize("key, value, want, loaded", [
+    ("concurrency", 0, "concurrency must be an integer of at least 1, not 0", None),
+    ("concurrency", "x", "concurrency must be an integer of at least 1, not 'x'",
+     "predictors[0].concurrency must be an integer, not 'x'"),
+    ("max_retries", -1, "max_retries must be an integer of at least 0, not -1", None),
+    ("timeout", 0, "timeout must be a finite number above 0, not 0", None),
+    ("timeout", "5", "timeout must be a finite number above 0, not '5'",
+     "predictors[0].timeout must be a number, not '5'"),
 ])
-def test_endpoint_ranges_are_checked_before_the_run(tmp_path, capsys, key, value, want):
+def test_endpoint_ranges_are_checked_before_the_run(tmp_path, capsys, key, value, want, loaded):
+    """A value of the wrong JSON type is rejected at load, one out of range by validate_config."""
     write_toy_files(tmp_path)
     url = "http://127.0.0.1:9/v1/chat/completions"
     with pytest.raises(ValueError, match=want):
@@ -791,8 +807,12 @@ def test_endpoint_ranges_are_checked_before_the_run(tmp_path, capsys, key, value
     cfg = base_config(tmp_path, predictors=[{"id": "llm", "type": "llm", "base_url": url, key: value}])
     path = write_config(tmp_path, cfg)
     assert cli.main(["validate-config", str(path)]) == 1
-    assert cli.validate_config(cli.RunConfig.from_file(path)) == [f"predictor 'llm': llm {want}"]
-    assert capsys.readouterr().err == f"error: predictor 'llm': llm {want}\n"
+    if loaded:
+        assert load_problems(path) == [f"{path}: {loaded}"]
+        assert capsys.readouterr().err == f"error: {path}: {loaded}\n"
+    else:
+        assert cli.validate_config(cli.RunConfig.from_file(path)) == [f"predictor 'llm': llm {want}"]
+        assert capsys.readouterr().err == f"error: predictor 'llm': llm {want}\n"
 
 
 def test_missing_config_keys_are_named(tmp_path, capsys):
@@ -806,9 +826,66 @@ def test_missing_config_keys_are_named(tmp_path, capsys):
         path = write_config(tmp_path, cfg, name)
         assert cli.main(["validate-config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert str(path) in err and "missing config key(s)" in err
-        assert all(k in err for k in keys), err
-        assert "Traceback" not in err
+        assert err == "".join(f"error: {path}: missing key {k}\n" for k in keys)
+    # a file that is not JSON is named too
+    path = tmp_path / "broken.json"
+    path.write_text('{"datasets": }', encoding="utf-8")
+    assert cli.main(["validate-config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: Expecting value: line 1 column 14 (char 13)\n"
+
+
+LLM_URL = "http://127.0.0.1:9/v1/chat/completions"
+
+
+def with_dataset(cfg, **change):
+    return {**cfg, "datasets": [{**cfg["datasets"][0], **change}]}
+
+
+# a bad value set into base_config, and the problem it is rejected with at load
+BAD_VALUES = {
+    "prompt-list": (lambda c: {**c, "prompt": []}, "prompt must be a JSON object, not []"),
+    "predictor-string": (lambda c: {**c, "predictors": ["knn"]},
+                         "predictors[0] must be a JSON object, not 'knn'"),
+    "policy-string": (lambda c: {**c, "policies": ["rag"]}, "policies[0] must be a JSON object, not 'rag'"),
+    "split-list": (lambda c: with_dataset(c, split=[]), "datasets[0].split must be a JSON object, not []"),
+    "top-level-list": (lambda c: [], "the top level must be a JSON object, not []"),
+    "seed-string": (lambda c: {**c, "seed": "x"}, "seed must be an integer, not 'x'"),
+    "split-seed-float": (lambda c: with_dataset(c, split={"seed": 1.5}),
+                         "datasets[0].split.seed must be an integer, not 1.5"),
+    "write-traces-string": (lambda c: {**c, "write_traces": "no"},
+                            "write_traces must be true or false, not 'no'"),
+    "shuffle-string": (lambda c: {**c, "prompt": {"shuffle_context": "no"}},
+                       "prompt.shuffle_context must be true or false, not 'no'"),
+    "anonymize-int": (lambda c: {**c, "prompt": {"anonymize": 1}}, "prompt.anonymize must be true or false, not 1"),
+    "concurrency-bool": (lambda c: {**c, "predictors": [{"id": "llm", "type": "llm", "base_url": LLM_URL,
+                                                         "concurrency": True}]},
+                         "predictors[0].concurrency must be an integer, not True"),
+    "context-size-bool": (lambda c: {**c, "context_sizes": [4, True]},
+                          "context_sizes[1] must be an integer, not True"),
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "validate-config"])
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_values_of_the_wrong_json_type_fail_at_load(tmp_path, capsys, monkeypatch, verb, case):
+    write_toy_files(tmp_path)
+    monkeypatch.chdir(tmp_path)  # where run would write a config's default output dir
+    change, want = BAD_VALUES[case]
+    path = write_config(tmp_path, change(base_config(tmp_path)))
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([verb, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {want}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_each_bad_value_is_one_error_line(tmp_path, capsys):
+    write_toy_files(tmp_path)
+    path = write_config(tmp_path, base_config(tmp_path, seed="x", write_traces="no"))
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: seed must be an integer, not 'x'",
+        f"error: {path}: write_traces must be true or false, not 'no'"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_records_coerced_cells(tmp_path):

@@ -134,7 +134,7 @@ def test_schema_error_names_file_and_missing_keys(tmp_path):
               ["columns[1].name", "columns[2].name", "columns[2].kind"])]
     for raw, keys in cases:
         schema.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(ValueError, match="schema lacks") as err:
+        with pytest.raises(ValueError, match="missing key") as err:
             ds.load_dataset(table, schema)
         msg = str(err.value)
         assert str(schema) in msg and all(k in msg for k in keys), msg
@@ -149,20 +149,27 @@ def _schema(task="classification", column=0, **change):
     return {"task": task, "columns": columns}
 
 
+# an explicit id names the case by its input
 @pytest.mark.parametrize("raw, want", [
     (_schema(kind="text"), "columns[0]: unknown column kind 'text'"),
     (_schema(column=2, role="target"), "columns[2]: unknown column role 'target'"),
-    (_schema(name=1), "columns[0]: column name 1 is not a string"),
+    pytest.param(_schema(name=1), "columns[0].name must be a string, not 1",
+                 id="raw2-columns[0]: column name 1 is not a string"),
     (_schema(column=2, role="feature"), "expected exactly one label column, got 0"),
     (_schema("ranking"), "unknown task 'ranking'"),
     (_schema("regression"), "regression label column must be numerical"),
     ({"task": "classification", "columns": 5}, "columns must be a list, not 5"),
-    ({"task": "classification", "columns": ["f1"]}, "columns[0] is 'f1', not an object"),
-    ([{"name": "f1", "kind": "numerical"}], "the top level must be a JSON object"),
+    pytest.param({"task": "classification", "columns": ["f1"]}, "columns[0] must be a JSON object, not 'f1'",
+                 id="raw7-columns[0] is 'f1', not an object"),
+    ([{"name": "f1", "kind": "numerical"}],
+     "the top level must be a JSON object, not [{'kind': 'numerical', 'name': 'f1'}]"),
+    (_schema(rol="label"), "unknown key columns[0].rol"),
+    ({**_schema(), "version": 2}, "unknown key version"),
+    ('{"task": "classification", "columns": [}', "Expecting value: line 1 column 40 (char 39)"),
 ])
 def test_malformed_schema_content_names_the_schema_file(tmp_path, raw, want):
     table, schema = _write_cls(tmp_path, [["1", "u", "a"]])
-    schema.write_text(json.dumps(raw), encoding="utf-8")
+    schema.write_text(raw if isinstance(raw, str) else json.dumps(raw), encoding="utf-8")
     with pytest.raises(ValueError) as err:
         ds.load_dataset(table, schema)
     assert str(err.value) == f"{schema}: {want}"
@@ -513,23 +520,31 @@ def test_split_file_round_trip(tmp_path):
     assert np.array_equal(s.train, s2.train) and np.array_equal(s.test, s2.test)
 
 
+# an explicit id names the case by its input
 @pytest.mark.parametrize("raw, want", [
-    ({"validation": [], "test": [1]}, "split file lacks train"),
-    ({"train": 5, "validation": [], "test": [1]}, "train must be a list of row indices, not 5"),
-    ({"train": ["a", 0], "validation": [], "test": [1]}, "train[0] is 'a', not a row index"),
-    ({"train": [0.5, 3], "validation": [], "test": [1]}, "train[0] is 0.5, not a row index"),
-    ({"train": [0, 3], "validation": [2.0], "test": [1]}, "validation[0] is 2.0, not a row index"),
-    ({"train": [0, 3], "validation": [], "test": [1, True]}, "test[1] is True, not a row index"),
+    pytest.param({"validation": [], "test": [1]}, "missing key train", id="raw0-split file lacks train"),
+    pytest.param({"train": 5, "validation": [], "test": [1]}, "train must be a list, not 5",
+                 id="raw1-train must be a list of row indices, not 5"),
+    pytest.param({"train": ["a", 0], "validation": [], "test": [1]}, "train[0] must be an integer, not 'a'",
+                 id="raw2-train[0] is 'a', not a row index"),
+    pytest.param({"train": [0.5, 3], "validation": [], "test": [1]}, "train[0] must be an integer, not 0.5",
+                 id="raw3-train[0] is 0.5, not a row index"),
+    pytest.param({"train": [0, 3], "validation": [2.0], "test": [1]},
+                 "validation[0] must be an integer, not 2.0", id="raw4-validation[0] is 2.0, not a row index"),
+    pytest.param({"train": [0, 3], "validation": [], "test": [1, True]}, "test[1] must be an integer, not True",
+                 id="raw5-test[1] is True, not a row index"),
     ({"train": [0, 10], "validation": [], "test": [1]},
      "train[1] is 10, not a row index (an integer from 0 to 9)"),
     ({"train": [0, 3], "validation": [], "test": [1], "seed": "x"}, "seed must be an integer, not 'x'"),
     ({"train": [0, 3], "validation": [], "test": [1], "seed": 1.5}, "seed must be an integer, not 1.5"),
     ({"train": [0, 3], "validation": [], "test": [3]}, "split sets overlap"),
     ([[0, 3], [], [1]], "the top level must be a JSON object"),
+    ({"train": [0, 3], "validation": [], "test": [1], "tset": [2]}, "unknown key tset"),
+    ('{"train": [0, 3], "validation": [], "test": [1],}', "Expecting property name enclosed in double quotes"),
 ])
 def test_malformed_split_file_names_the_file(tmp_path, raw, want):
     path = tmp_path / "split.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw), encoding="utf-8")
     with pytest.raises(ValueError) as err:
         ds.load_split_file(path, n_rows=10)
     assert str(err.value).startswith(f"{path}: {want}"), err.value

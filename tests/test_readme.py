@@ -38,3 +38,22 @@ def test_run_config_example_validates(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert cli.validate_config(cli.RunConfig.from_file(path)) == []
+
+
+def test_readme_names_every_config_key():
+    """The README's list of the keys read names, for each section, the keys
+    the load walk accepts there, and no other."""
+    text = README.read_text(encoding="utf-8").split("\nThe keys read are:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for item in text.split("\n- "):
+        label, keys = item.removeprefix("- ").split(": ", 1)
+        listed[re.sub(r"^an? ", "", label)] = set(re.findall(r"`([^`]+)`", keys))
+    entry = {"id", "type"}
+    accepted = {"top level": set(cli.RunConfig.__dataclass_fields__),
+                "dataset entry": set(cli.DatasetEntry.__dataclass_fields__),
+                "`split`": set(cli._SPLIT_SPEC),
+                "`retrieval`": set(cli.RetrievalConfig.__dataclass_fields__),
+                "`prompt`": set(cli._PROMPT_SPEC)}
+    accepted |= {f"`{t}` policy": entry | set(spec) for t, spec in cli._POLICY_SPECS.items()}
+    accepted |= {f"`{t}` predictor": entry | set(spec) for t, spec in cli._PREDICTOR_SPECS.items()}
+    assert listed == accepted
