@@ -7,7 +7,7 @@ from .importance import pearson_importance, pps_importance
 from .metrics import PowerLawFit, auroc, auroc_binary, fit_power_law, minmax_normalize, nmae
 from .normalize import ColumnStats, apply_array, fit_stats
 from .predictors import (EndpointConfig, LlmClient, PredictionRecord, PromptTemplate, ensemble,
-                         fit_prompt, ingest_predictions, knn_predict, serialize_prompt)
+                         fit_prompt, ingest_predictions, knn_predict)
 from .retrieval import ContextPool, RetrievalConfig, RetrievedContext, build_pool, retrieve, retrieve_random
 from .synthgen import BoundaryGrid, ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 

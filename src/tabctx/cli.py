@@ -34,7 +34,7 @@ from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
                          fit_prompt, ingest_predictions, knn_predict, url_problem)
 from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
 from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
-from .util import dump_json, finite_mean, fmt_float, json_problems, load_json, subseed
+from .util import ConfigError, dump_json, finite_mean, fmt_float, load_json, subseed
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +88,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        raw = load_json(path)
-        if problems := json_problems("", cls, raw):
-            raise ConfigError([f"{path}: {p}" for p in problems])
+        raw = load_json(path, cls)
         return cls(datasets=[DatasetEntry(**e) for e in raw.pop("datasets")], **raw)
 
     def to_dict(self) -> dict:
@@ -126,9 +124,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
             try:
                 schemas.append((e, ds.load_schema(e.schema)[0]))
             except (OSError, ValueError) as exc:
-                problems.append(f"dataset {e.id!r}: {exc}")
-        if "file" in e.split and not Path(e.split["file"]).is_file():
-            problems.append(f"dataset {e.id!r}: split file {e.split['file']!r} does not exist")
+                problems += [f"dataset {e.id!r}: {p}" for p in getattr(exc, "problems", [exc])]
+        if "file" in e.split:
+            try:
+                ds.load_split_file(e.split["file"])  # its row range is checked against the table
+            except (OSError, ValueError) as exc:
+                problems += [f"dataset {e.id!r}: {p}" for p in getattr(exc, "problems", [exc])]
         ratios = e.split.get("ratios", DEFAULT_SPLIT_RATIOS)
         if not (len(ratios) == 3 and min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9):
             problems.append(f"dataset {e.id!r}: split ratios must be three numbers, each at least 0, "
@@ -159,8 +160,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 problems.append(f"predictor {pid!r}: llm {problem}")
             try:
                 _endpoint({"base_url": "", **p})  # the URL is checked above
-            except ValueError as exc:
-                problems.append(f"predictor {pid!r}: llm {exc}")
+            except ConfigError as exc:
+                problems += [f"predictor {pid!r}: llm {q}" for q in exc.problems]
         if ptype == "ensemble" and (not p.get("members") or any(m not in ids for m in p["members"])):
             problems.append(f"predictor {pid!r}: members must be previously defined ids")
         ids.append(pid)
@@ -382,14 +383,6 @@ def _llm_records(p: dict, d: ds.Dataset, fallback_mean: float | None, contexts, 
     return [overflowed.get(row) or next(answered) for row in test_rows]
 
 
-class ConfigError(ValueError):
-    """A config that validate_config rejects; ``problems`` lists each problem."""
-
-    def __init__(self, problems: list[str]):
-        super().__init__("invalid config: " + "; ".join(problems))
-        self.problems = problems
-
-
 def _checked(cfg: RunConfig) -> RunConfig:
     """The config with its context sizes resolved; raises ConfigError before
     any work on a bad config."""
@@ -413,6 +406,7 @@ def _sweep(cfg: RunConfig) -> tuple[dict[str, DatasetResult], dict[str, str]]:
 def run(cfg: RunConfig, output_dir: str | Path | None = None) -> Path:
     cfg = _checked(cfg)
     out = Path(output_dir or cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # before the sweep, so an -o that cannot be made wastes no work
     started = time.time()
     results, errors = _sweep(cfg)
     with _stage(f"write {out}"):
@@ -480,7 +474,7 @@ def _collect_metrics(paths) -> list[dict]:
         p = Path(p)
         mfile = p / "metrics.json" if p.is_dir() else p
         label = p.name if p.is_dir() else p.stem
-        for r in load_json(mfile)["metrics"]:
+        for r in load_json(mfile, {"metrics": list[dict]}, ("metrics",))["metrics"]:
             key = ":".join([label, r["predictor"], str(r.get("policy", "")),
                             str(r.get("train_size", "")), str(r.get("context_size", ""))])
             rows.append({**r, "method": key})
@@ -541,6 +535,7 @@ def ablate(cfg: RunConfig, output_dir: str | Path) -> Path:
     out = Path(output_dir)
     cfg = _checked(replace(cfg, policies=[{"id": name, "type": "rag", **overrides}
                                           for name, overrides in ABLATION_VARIANTS.items()]))
+    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     results, errors = _sweep(cfg)
     for name, overrides in ABLATION_VARIANTS.items():
@@ -555,9 +550,8 @@ def ablate(cfg: RunConfig, output_dir: str | Path) -> Path:
 
 def _median_errors(run_dir: Path) -> dict[tuple[str, int, str], list[tuple[int, float]]]:
     """(policy, context_size, predictor) -> [(train_size, median error across datasets)]."""
-    rows = load_json(Path(run_dir) / "metrics.json")["metrics"]
     grouped: dict = {}
-    for r in rows:
+    for r in _collect_metrics([run_dir]):
         if r["value"] is None or "train_size" not in r:
             continue
         err = 1.0 - r["value"] if r["metric"] == mt.METRIC_AUROC else r["value"]
@@ -668,8 +662,9 @@ def main(argv=None) -> int:
     _add_run_overrides(p_sca)
 
     p_fit = sub.add_parser("fit-powerlaw", help="fit (size, error) points")
-    p_fit.add_argument("--points", help="JSON file of [D, L] pairs")
-    p_fit.add_argument("--run-dir", help="run directory to pull median errors from")
+    points = p_fit.add_mutually_exclusive_group(required=True)
+    points.add_argument("--points", help="JSON file of [D, L] pairs")
+    points.add_argument("--run-dir", help="run directory to pull median errors from")
     p_fit.add_argument("--out", default=None)
 
     p_bnd = sub.add_parser("boundary", help="export a decision-boundary grid for a toy dataset")
@@ -700,56 +695,45 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.verb in ("run", "validate-config", "ablate", "scaling"):
-        try:
-            cfg = _load_config(args)
-        except (OSError, ValueError) as exc:  # a ConfigError lists its problems
-            print("\n".join(f"error: {p}" for p in getattr(exc, "problems", [exc])), file=sys.stderr)
-            return 1
-    if args.verb == "validate-config":
-        problems = validate_config(cfg)
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        print("config ok" if not problems else f"{len(problems)} problem(s)")
-        return 1 if problems else 0
+    """Run the verb. Bad input, an OSError or ValueError, is one ``error:``
+    line on stderr per problem (a ConfigError lists them) and exit 1."""
     try:
+        if args.verb == "compare":
+            return _print_json(compare(args.paths, args.target, args.baseline), args.out)
+        if args.verb == "fit-powerlaw":
+            return _print_json(mt.fit_power_law(load_json(args.points, list[list[float]])).to_dict()
+                               if args.points else fit_run_dir(args.run_dir), args.out)
+        if args.verb == "boundary":
+            spec = ToySpec(args.shape, args.noise, args.n_train, args.seed)
+            d = generate_toy(spec)
+            rcfg = RetrievalConfig(quota=args.quota, importance_mode=args.importance_mode,
+                                   numeric_norm=args.numeric_norm,
+                                   distance_minmax_rescale=not args.no_rescale)
+            pool = build_pool(d, np.arange(d.n_rows), rcfg)
+            grid = boundary_grid(pool, args.resolution)
+            out = Path(args.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            write_grid(grid, out / "grid.csv", out / "grid.json")
+            print(f"grid written: {out}")
+            return 0
+        cfg = _load_config(args)
+        if args.verb == "validate-config":
+            problems = validate_config(cfg)
+            for p in problems:
+                print(f"error: {p}", file=sys.stderr)
+            print("config ok" if not problems else f"{len(problems)} problem(s)")
+            return 1 if problems else 0
         if args.verb == "run":
             print(f"run complete: {run(cfg)}")
-            return 0
-        if args.verb == "ablate":
+        elif args.verb == "ablate":
             print(f"ablation complete: {ablate(cfg, args.output_dir or 'ablation_out')}")
-            return 0
-        if args.verb == "scaling":
+        else:
             sizes = _parse_sizes(args.sizes)
             print(f"scaling sweep complete: {scaling(cfg, sizes, args.output_dir or 'scaling_out')}")
-            return 0
-    except ConfigError as exc:
-        for p in exc.problems:
-            print(f"error: {p}", file=sys.stderr)
-        return 1
-    if args.verb == "compare":
-        return _print_json(compare(args.paths, args.target, args.baseline), args.out)
-    if args.verb == "fit-powerlaw":
-        if args.points:
-            return _print_json(mt.fit_power_law(load_json(args.points)).to_dict(), args.out)
-        if args.run_dir:
-            return _print_json(fit_run_dir(args.run_dir), args.out)
-        print("error: need --points or --run-dir", file=sys.stderr)
-        return 1
-    if args.verb == "boundary":
-        spec = ToySpec(args.shape, args.noise, args.n_train, args.seed)
-        d = generate_toy(spec)
-        rcfg = RetrievalConfig(quota=args.quota, importance_mode=args.importance_mode,
-                               numeric_norm=args.numeric_norm,
-                               distance_minmax_rescale=not args.no_rescale)
-        pool = build_pool(d, np.arange(d.n_rows), rcfg)
-        grid = boundary_grid(pool, args.resolution)
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_grid(grid, out / "grid.csv", out / "grid.json")
-        print(f"grid written: {out}")
         return 0
-    return 1
+    except (OSError, ValueError) as exc:
+        print("\n".join(f"error: {p}" for p in getattr(exc, "problems", [exc])), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import dump_json, json_problems, load_json, rng_for
+from .util import dump_json, load_json, rng_for
 
 KIND_NUMERICAL = "numerical"
 KIND_CATEGORICAL = "categorical"
@@ -187,9 +187,7 @@ def load_schema(schema_file: str | Path) -> tuple[list[ColumnSchema], str]:
     """The columns and task of a schema sidecar. Content that is not such a
     schema, or that ``_check_schema`` rejects, raises ValueError naming the
     file (and the column entry, where there is one)."""
-    raw = load_json(schema_file)
-    if problems := json_problems("", {"columns": list[ColumnSchema], "task": str}, raw, ("columns", "task")):
-        raise ValueError(f"{schema_file}: {'; '.join(problems)}")
+    raw = load_json(schema_file, {"columns": list[ColumnSchema], "task": str}, ("columns", "task"))
     cols = []
     for i, c in enumerate(raw["columns"]):
         try:
@@ -417,18 +415,17 @@ def make_split(d: Dataset, ratios: tuple[float, float, float], seed: int,
     return SplitAssignment(train=train, validation=np.sort(val), test=test, seed=seed)
 
 
-def load_split_file(path: str | Path, n_rows: int,
+def load_split_file(path: str | Path, n_rows: int | None = None,
                     train_cap: int = DEFAULT_TRAIN_CAP, test_cap: int = DEFAULT_TEST_CAP) -> SplitAssignment:
-    """A split file's sets of row indices from 0 to ``n_rows - 1``, with
-    ``make_split``'s train cap and test downsample; ``seed`` is 0 when left
-    out. Other content raises ``ValueError`` naming the file and the key."""
-    raw = load_json(path)
+    """A split file's sets of row indices, each from 0 to ``n_rows - 1`` when
+    ``n_rows`` is given, with ``make_split``'s train cap and test downsample;
+    ``seed`` is 0 when left out. Other content raises ``ValueError`` naming
+    the file and the key."""
     sets = ("train", "validation", "test")
-    if problems := json_problems("", {**dict.fromkeys(sets, list[int]), "seed": int}, raw, sets):
-        raise ValueError(f"{path}: {'; '.join(problems)}")
+    raw = load_json(path, {**dict.fromkeys(sets, list[int]), "seed": int}, sets)
     for key in sets:
         for i, row in enumerate(raw[key]):
-            if not 0 <= row < n_rows:
+            if n_rows is not None and not 0 <= row < n_rows:
                 raise ValueError(f"{path}: {key}[{i}] is {row}, not a row index "
                                  f"(an integer from 0 to {n_rows - 1})")
     seed = raw.get("seed", 0)

@@ -92,6 +92,8 @@ def fit_power_law(points) -> PowerLawFit:
     """Least squares on log L = alpha*log(d_c) - alpha*log(D). A slope within
     1e-9 of zero leaves the scale constant undefined, and so does a near-flat
     slope whose d_c = exp(intercept / alpha) overflows or underflows to 0."""
+    if bad := [p for p in points if len(p) != 2]:
+        raise ValueError(f"point {bad[0]!r} is not a [D, L] pair")
     pts = [(float(d), float(l)) for d, l in points]
     if len(pts) < 2:
         raise ValueError("need at least 2 points")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dataset as ds
 from .retrieval import RetrievedContext
-from .util import finite_mean, rng_for
+from .util import ConfigError, finite_mean, rng_for
 
 FLAG_PARSE_FAILURE = "parse_failure"
 FLAG_TRANSPORT_ERROR = "transport_error"
@@ -151,13 +151,6 @@ def _compose(tmpl: PromptTemplate, lines: list[str], query_line: str) -> str:
     return tmpl.layout.format(preamble=tmpl.preamble, rows="\n".join(lines), query=query_line)
 
 
-def serialize_prompt(tmpl: PromptTemplate, rows: list[tuple[dict, object]],
-                     query: dict, features: list[str], label_name: str) -> str:
-    """Deterministic rendering: preamble, one "name: value" line per context
-    row with its label, then the query row with an empty answer slot."""
-    return _compose(tmpl, *_row_lines(tmpl, rows, query, features, label_name))
-
-
 def _tokens(length: int, chars_per_token: float) -> int:
     """The token estimate of a text of ``length`` characters."""
     return math.ceil(length / chars_per_token)
@@ -217,12 +210,14 @@ class EndpointConfig:
     retry_backoff: float = 0.2
 
     def __post_init__(self):
-        if not (type(self.concurrency) is int and self.concurrency >= 1):
-            raise ValueError(f"concurrency must be an integer of at least 1, not {self.concurrency!r}")
-        if not (type(self.max_retries) is int and self.max_retries >= 0):
-            raise ValueError(f"max_retries must be an integer of at least 0, not {self.max_retries!r}")
-        if not (isinstance(self.timeout, int | float) and 0 < self.timeout < math.inf):
-            raise ValueError(f"timeout must be a finite number above 0, not {self.timeout!r}")
+        c, r, t = self.concurrency, self.max_retries, self.timeout
+        problems = [f"{key} must be {want}, not {value!r}" for key, value, want, ok in (
+            ("concurrency", c, "an integer of at least 1", type(c) is int and c >= 1),
+            ("max_retries", r, "an integer of at least 0", type(r) is int and r >= 0),
+            ("timeout", t, "a finite number above 0", isinstance(t, int | float) and 0 < t < math.inf))
+            if not ok]
+        if problems:
+            raise ConfigError(problems)
 
 
 def url_problem(base_url: str) -> str | None:

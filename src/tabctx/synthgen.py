@@ -140,6 +140,8 @@ def boundary_grid(pool: ContextPool, resolution: int | tuple[int, int] = 100) ->
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     nx, ny = resolution
+    if min(nx, ny) < 1:
+        raise ValueError(f"resolution must be at least 1 cell per axis, not {min(nx, ny)}")
 
     def axis_range(name):
         col = d.column(name)[pool.rows]

@@ -1,5 +1,6 @@
-"""Shared helpers: seed derivation, JSON loading with its one shape check and
-deterministic output, fold assignment, and the one overflow rule.
+"""Shared helpers: seed derivation, JSON loading with its one shape check,
+the error that lists an input's problems, deterministic output, fold
+assignment, and the one overflow rule.
 
 The overflow rule: values whose largest magnitude reaches 2**500 (about
 3e150) are scaled by a power of two to below it, which is exact, so that
@@ -72,12 +73,25 @@ def dump_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def load_json(path: str | Path):
-    """A JSON file's content; a syntax error raises ValueError naming the file."""
+class ConfigError(ValueError):
+    """Input that fails its checks; ``problems`` lists each problem."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
+def load_json(path: str | Path, spec=None, required=()):
+    """A JSON file's content; a syntax error raises ValueError naming the file,
+    and content with problems under ``spec`` (see ``json_problems``) raises
+    ConfigError naming the file in each."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if spec is not None and (problems := json_problems("", spec, raw, required)):
+        raise ConfigError([f"{path}: {p}" for p in problems])
+    return raw
 
 
 # the JSON values each plain type allows (int excludes bool), and its name in messages

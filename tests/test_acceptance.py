@@ -17,7 +17,7 @@ from tabctx import metrics as mt
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.importance import pps_importance
-from tabctx.predictors import EndpointConfig, LlmClient, PromptTemplate, fit_prompt, knn_predict, serialize_prompt
+from tabctx.predictors import EndpointConfig, LlmClient, PromptTemplate, fit_prompt, knn_predict
 from tabctx.util import dump_json, rng_for, subseed
 from conftest import make_dataset
 from llm_stub import stub_server
@@ -321,12 +321,13 @@ def test_c11_llm_client_conformance():
     query = {f: -1.0 for f in features}
     tmpl = PromptTemplate(token_budget=16384)
 
-    a = serialize_prompt(tmpl, rows, query, features, "label")
-    b = serialize_prompt(tmpl, rows, query, features, "label")
+    unbounded = PromptTemplate(token_budget=10**9)  # keeps every row
+    a = fit_prompt(unbounded, rows, query, features, "label")[0]
+    b = fit_prompt(unbounded, rows, query, features, "label")[0]
     assert a.encode("utf-8") == b.encode("utf-8")
 
     wide_rows = [({f: "v" * 120 for f in features}, "yes") for _ in range(128)]
-    full = serialize_prompt(tmpl, wide_rows, query, features, "label")
+    full = fit_prompt(unbounded, wide_rows, query, features, "label")[0]
     assert math.ceil(len(full) / tmpl.chars_per_token) > 16384
     text, used = fit_prompt(tmpl, wide_rows, query, features, "label")
     assert used < 128

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -326,11 +327,11 @@ def test_fit_powerlaw_verb(tmp_path, capsys):
 
 def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
     from llm_stub import stub_server
-    from tabctx.predictors import PromptTemplate, serialize_prompt
+    from tabctx.predictors import PromptTemplate, fit_prompt
     d = write_toy_files(tmp_path, n=40)
     split = ds.make_split(d, (0.8, 0.1, 0.1), 3)
-    bare = {int(i): math.ceil(len(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
-                                                   ["x1", "x2"], "label")) / 4.0)
+    bare = {int(i): math.ceil(len(fit_prompt(PromptTemplate(token_budget=10**9), [], d.feature_row(int(i)),
+                                             ["x1", "x2"], "label")[0]) / 4.0)
             for i in split.test}
     budget = min(bare.values())  # only the shortest query rows fit, with no context
     over = {i for i, t in bare.items() if t > budget}
@@ -354,7 +355,7 @@ def test_prompt_overflow_flags_rows_not_dataset(tmp_path):
 
 def test_llm_regression_run_writes_replies_and_label_mean_fallbacks(tmp_path):
     from llm_stub import stub_server
-    from tabctx.predictors import PromptTemplate, serialize_prompt
+    from tabctx.predictors import PromptTemplate, fit_prompt
     rng = np.random.default_rng(2)
     x = rng.uniform(0.0, 1.0, size=60)
     y = 3.0 * x + rng.normal(scale=0.1, size=60)
@@ -365,7 +366,8 @@ def test_llm_regression_run_writes_replies_and_label_mean_fallbacks(tmp_path):
     (tmp_path / "layout.txt").write_text("{preamble}\n--\n{rows}\n--\n{query}", encoding="utf-8")
     tmpl = PromptTemplate.from_file(tmp_path / "layout.txt", chars_per_token=1.0)
     split = ds.make_split(d, (0.6, 0.0, 0.4), 3)
-    bare = {int(i): len(serialize_prompt(tmpl, [], d.feature_row(int(i)), ["x", "note"], "target"))
+    unbounded = replace(tmpl, token_budget=10**9)  # keeps every row
+    bare = {int(i): len(fit_prompt(unbounded, [], d.feature_row(int(i)), ["x", "note"], "target")[0])
             for i in split.test}
     over = {i for i in bare if note[i] != "s"}
     budget = max(bare[i] for i in bare if i not in over) + 100  # room for two or more short rows
@@ -402,11 +404,11 @@ def test_llm_regression_run_writes_replies_and_label_mean_fallbacks(tmp_path):
 
 
 def test_manifest_counts_flags_per_predictor(tmp_path):
-    from tabctx.predictors import PromptTemplate, serialize_prompt
+    from tabctx.predictors import PromptTemplate, fit_prompt
     d = write_toy_files(tmp_path, n=40)
     split = ds.make_split(d, (0.8, 0.1, 0.1), 3)
-    bare = [math.ceil(len(serialize_prompt(PromptTemplate(), [], d.feature_row(int(i)),
-                                           ["x1", "x2"], "label")) / 4.0) for i in split.test]
+    bare = [math.ceil(len(fit_prompt(PromptTemplate(token_budget=10**9), [], d.feature_row(int(i)),
+                                     ["x1", "x2"], "label")[0]) / 4.0) for i in split.test]
     budget = min(bare)  # the longer query rows overflow; the others reach no endpoint
     over = sum(t > budget for t in bare)
     assert 0 < over < len(bare)
@@ -547,6 +549,9 @@ def test_traced_names_resolve_and_retrieve_runs_once_per_row(tmp_path):
     spec.loader.exec_module(tracer)
     for mod_name, qual in tracer.TRACED:
         owner = importlib.import_module(f"tabctx.{mod_name}")
+        if (mod_name, qual) == ("predictors", "serialize_prompt"):  # deleted: fit_prompt renders every
+            assert not hasattr(owner, qual)  # prompt, so its calls_per_fit reads 0 as it did before
+            continue
         for attr in qual.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), (mod_name, qual)
@@ -941,6 +946,71 @@ def test_non_integer_scaling_size_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
     assert not (tmp_path / "sc").exists()
+
+
+HERE = Path(".")  # base_config's files, named from the working directory
+BAD_ENDPOINT = {"id": "llm", "type": "llm", "base_url": LLM_URL, "concurrency": 0, "max_retries": -1, "timeout": 0}
+# a bad input: the command line, the files it reads, and a part of each error line it gives, in order
+BAD_INPUTS = {
+    "compare-without-metrics": (["compare", "m.json"], {"m.json": {"metric": []}},
+                                ["m.json: unknown key metric", "m.json: missing key metrics"]),
+    "compare-missing-path": (["compare", "nope.json"], {}, ["nope.json"]),
+    "fit-run-dir-metrics-not-a-list": (["fit-powerlaw", "--run-dir", "r"], {"r/metrics.json": {"metrics": 5}},
+                                       [f"{Path('r', 'metrics.json')}: metrics must be a list, not 5"]),
+    "fit-one-point": (["fit-powerlaw", "--points", "p.json"], {"p.json": [[1, 2]]}, ["need at least 2 points"]),
+    "fit-null-in-point": (["fit-powerlaw", "--points", "p.json"], {"p.json": [[1, None], [2, 3]]},
+                          ["p.json: [0][1] must be a number, not None"]),
+    "fit-three-numbers": (["fit-powerlaw", "--points", "p.json"], {"p.json": [[1, 2, 3], [2, 3]]},
+                          ["point [1, 2, 3] is not a [D, L] pair"]),
+    "boundary-quota-0": (["boundary", "--quota", "0"], {}, ["quota must be at least 1"]),
+    "boundary-resolution-0": (["boundary", "--resolution", "0"], {},
+                              ["resolution must be at least 1 cell per axis, not 0"]),
+    "boundary-resolution-negative": (["boundary", "--resolution", "-2"], {},
+                                     ["resolution must be at least 1 cell per axis, not -2"]),
+    **{f"{verb[0]}-output-below-a-file": ([*verb, "c.json", "-o", str(Path("afile", "out"))],
+                                          {"c.json": base_config(HERE), "afile": ""}, [str(Path("afile", "out"))])
+       for verb in (["run"], ["ablate"], ["scaling", "--sizes", "8"])},
+    **{f"{verb}-split-file-key": ([verb, "c.json"], {
+        "c.json": with_dataset(base_config(HERE), split={"file": "s.json"}),
+        "s.json": {"train": [0, 3], "validation": [], "test": [1], "tset": [2]}},
+        ["dataset 'toy': s.json: unknown key tset"]) for verb in ("validate-config", "run")},
+    "endpoint-values": (["validate-config", "c.json"], {"c.json": base_config(HERE, predictors=[BAD_ENDPOINT])},
+                        ["predictor 'llm': llm concurrency must be an integer of at least 1, not 0",
+                         "predictor 'llm': llm max_retries must be an integer of at least 0, not -1",
+                         "predictor 'llm': llm timeout must be a finite number above 0, not 0"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line_per_problem(tmp_path, capsys, monkeypatch, case):
+    """Exit 1 and one error line per problem, naming the file, flag or key,
+    before any table is read and with no output left behind."""
+    argv, files, want = BAD_INPUTS[case]
+    write_toy_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        Path(name).parent.mkdir(exist_ok=True)
+        if isinstance(content, str):
+            Path(name).write_text(content, encoding="utf-8")
+        else:
+            dump_json(name, content)
+    before = sorted(tmp_path.rglob("*"))
+    loads = count_calls(monkeypatch, ds, "load_dataset")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    errors = err.splitlines()
+    assert len(errors) == len(want) and "Traceback" not in err, err
+    for line, part in zip(errors, want):
+        assert line.startswith("error: ") and part in line, (line, part)
+    assert sorted(tmp_path.rglob("*")) == before and not loads
+
+
+@pytest.mark.parametrize("argv", [["fit-powerlaw"], ["fit-powerlaw", "--points", "p.json", "--run-dir", "r"]])
+def test_fit_powerlaw_takes_one_source_of_points(capsys, argv):
+    """Neither or both of --points and --run-dir is a usage error, as a missing --sizes is."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2 and "--points" in capsys.readouterr().err
 
 
 def assert_one_config_error(tmp_path, capsys, cfg, *named):

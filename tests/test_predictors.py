@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,34 +70,39 @@ def test_prediction_record_validation():
 FEATURES = ["size", "color"]
 
 
+def whole_prompt(tmpl, rows, query, features, label_name):
+    """The whole prompt: ``fit_prompt`` with a budget that keeps every row."""
+    return pr.fit_prompt(replace(tmpl, token_budget=10**9), rows, query, features, label_name)[0]
+
+
 def rows_fixture(n):
     return [({"size": float(i), "color": f"c{i % 3}"}, "yes" if i % 2 else "no") for i in range(n)]
 
 
 def test_prompt_zero_rows_is_query_only():
     tmpl = pr.PromptTemplate(preamble="Guess.")
-    text = pr.serialize_prompt(tmpl, [], {"size": 1.0, "color": "c1"}, FEATURES, "label")
+    text = whole_prompt(tmpl, [], {"size": 1.0, "color": "c1"}, FEATURES, "label")
     assert text == "Guess.\n\n\nsize: 1.0, color: c1, label:"
 
 
 def test_prompt_anonymization_consistent():
     tmpl = pr.PromptTemplate(anonymize=True)
-    text = pr.serialize_prompt(tmpl, rows_fixture(2), {"size": 9.0, "color": "c0"}, FEATURES, "target")
+    text = whole_prompt(tmpl, rows_fixture(2), {"size": 9.0, "color": "c0"}, FEATURES, "target")
     assert "f1: 0.0" in text and "f2: c0" in text and "size" not in text and "target" not in text
     assert text.count("f1:") == 3  # two context rows plus the query
 
 
 def test_prompt_byte_determinism():
     tmpl = pr.PromptTemplate()
-    a = pr.serialize_prompt(tmpl, rows_fixture(5), {"size": 2.0, "color": "c2"}, FEATURES, "y")
-    b = pr.serialize_prompt(tmpl, rows_fixture(5), {"size": 2.0, "color": "c2"}, FEATURES, "y")
+    a = whole_prompt(tmpl, rows_fixture(5), {"size": 2.0, "color": "c2"}, FEATURES, "y")
+    b = whole_prompt(tmpl, rows_fixture(5), {"size": 2.0, "color": "c2"}, FEATURES, "y")
     assert a.encode() == b.encode()
 
 
 def test_prompt_truncates_farthest_rows():
     tmpl = pr.PromptTemplate()
     rows = rows_fixture(128)
-    full = pr.serialize_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
+    full = whole_prompt(tmpl, rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
     budget = math.ceil(len(full) / 4.0) // 2
     text, used = pr.fit_prompt(pr.PromptTemplate(token_budget=budget), rows, {"size": 0.0, "color": "c0"},
                                FEATURES, "y")
@@ -118,7 +124,7 @@ def test_fit_prompt_matches_drop_one_reference(n_rows, budget, layout, anonymize
     tmpl = pr.PromptTemplate(layout=layout, anonymize=anonymize, chars_per_token=cpt, token_budget=budget)
     rows = [({"size": i * 1.25, "color": "c" * (i % 7)}, i % 3) for i in range(n_rows)]
     query = {"size": 0.5, "color": "c1"}
-    want = fit_prompt_reference(pr.serialize_prompt, tmpl, rows, query, FEATURES, "y", budget)
+    want = fit_prompt_reference(whole_prompt, tmpl, rows, query, FEATURES, "y", budget)
     if want is None:
         with pytest.raises(pr.PromptOverflowError):
             pr.fit_prompt(tmpl, rows, query, FEATURES, "y")
@@ -131,7 +137,7 @@ def test_fit_prompt_renders_once(monkeypatch):
     render = pr._row_lines
     monkeypatch.setattr(pr, "_row_lines", lambda *a: calls.append(1) or render(*a))
     rows = rows_fixture(64)
-    full = pr.serialize_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
+    full = whole_prompt(pr.PromptTemplate(), rows, {"size": 0.0, "color": "c0"}, FEATURES, "y")
     for budget in (math.ceil(len(full) / 4.0) // 3, math.ceil(len(full) / 4.0)):
         calls.clear()
         tmpl = pr.PromptTemplate(token_budget=budget)
@@ -157,8 +163,8 @@ def test_layout_names_only_preamble_rows_and_query(layout, field):
 def test_prompt_renders_numpy_scalars_as_plain_numbers():
     d = sg.generate_toy(sg.ToySpec("circle", 0.1, 8, 0))
     query = d.feature_row(0)
-    text = pr.serialize_prompt(pr.PromptTemplate(), [(d.feature_row(1), np.float64(2.5))],
-                               query, ["x1", "x2"], "y")
+    text = whole_prompt(pr.PromptTemplate(), [(d.feature_row(1), np.float64(2.5))],
+                        query, ["x1", "x2"], "y")
     assert "np." not in text
     assert f"x1: {float(query['x1'])!r}" in text and "y: 2.5\n" in text
 
@@ -173,7 +179,7 @@ def test_template_file_placeholders(tmp_path):
     f = tmp_path / "tmpl.txt"
     f.write_text("PREFIX {preamble} | {rows} | {query}<ans> SUFFIX", encoding="utf-8")
     tmpl = pr.PromptTemplate.from_file(f, preamble="p!")
-    text = pr.serialize_prompt(tmpl, rows_fixture(1), {"size": 1.0, "color": "c0"}, FEATURES, "y")
+    text = whole_prompt(tmpl, rows_fixture(1), {"size": 1.0, "color": "c0"}, FEATURES, "y")
     assert text.startswith("PREFIX p! | ") and text.endswith("label:<ans> SUFFIX".replace("label", "y"))
 
 
