@@ -33,7 +33,7 @@ from .predictors import (FLAG_PROMPT_OVERFLOW, EndpointConfig, LlmClient,
                          context_rows_for_prompt, ensemble, fallback_record,
                          fit_prompt, ingest_predictions, knn_predict, url_problem)
 from .retrieval import RetrievalConfig, build_pool, context_trace, retrieve, retrieve_random
-from .synthgen import ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
+from .synthgen import SHAPES, ToySpec, boundary_grid, generate_scaling_pools, generate_toy, write_grid
 from .util import ConfigError, dump_json, finite_mean, fmt_float, load_json, subseed
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
 _SPLIT_SPEC = {"ratios": list[float], "seed": int, "file": str}
 _PROMPT_SPEC = {"file" if k == "layout" else k: t for k, t in get_type_hints(PromptTemplate).items()}
 _PREDICTOR_SPECS = {"knn": {}, "external": {"path": str}, "ensemble": {"members": list[str]},
-                    "llm": {k: t for k, t in get_type_hints(EndpointConfig).items() if k != "retry_backoff"}}
+                    "llm": get_type_hints(EndpointConfig)}
 _POLICY_SPECS = {"rag": get_type_hints(RetrievalConfig), "random": {}}
 
 
@@ -279,10 +279,10 @@ class DatasetResult(NamedTuple):
 
 def _contexts(cfg: RunConfig, entry_id: str, d: ds.Dataset, pol: dict, train_size: int,
               subset: np.ndarray, test_rows: list[int], fitted: dict) -> tuple[dict, dict | None]:
-    """Each test row's contexts under the policy, one per context size, and
-    the weights of the policy's pool (None when it has none). ``fitted`` holds
-    the weights already fitted on ``subset``, shared by every policy. The pool
-    lives only here, so it is freed before prediction."""
+    """Each test row's contexts under the policy, one per context size, and its
+    pool's weights (None when it has none, null for a measure it does not rank
+    by). ``fitted`` holds the weights already fitted on ``subset``, shared by
+    every policy. The pool lives only here, so it is freed before prediction."""
     scope = f"{entry_id} {_policy_id(pol)} n{train_size}"
     if pol.get("type", "rag") == "random":
         with _stage(f"{scope} retrieve"):
@@ -292,8 +292,7 @@ def _contexts(cfg: RunConfig, entry_id: str, d: ds.Dataset, pol: dict, train_siz
     rcfg = _resolve_retrieval(cfg.retrieval, pol)
     with _stage(f"{scope} weights"):
         pool = build_pool(d, subset, rcfg, fitted)
-    weights = ({"pearson": pool.pearson_weights, "pps": pool.pps_weights}
-               if pool.pearson_weights or pool.pps_weights else None)
+    weights = dict.fromkeys(("pearson", "pps")) | pool.weights if any(pool.weights.values()) else None
     with _stage(f"{scope} retrieve"):
         return {row: retrieve(pool, d.feature_row(row), tuple(cfg.context_sizes))
                 for row in test_rows}, weights
@@ -468,13 +467,26 @@ def _write_run(cfg: RunConfig, out: Path, results: dict[str, DatasetResult],
 # compare / ablate / scaling
 
 
+@dataclass
+class _Report:  # the keys of one metrics.json report, a spec for load_json only
+    dataset: str
+    predictor: str
+    metric: str
+    value: float | None
+    policy: str = ""
+    train_size: int = 0
+    context_size: int = 0
+    n_test: int = 0
+    flag: str | None = None
+
+
 def _collect_metrics(paths) -> list[dict]:
     rows = []
     for p in paths:
         p = Path(p)
         mfile = p / "metrics.json" if p.is_dir() else p
         label = p.name if p.is_dir() else p.stem
-        for r in load_json(mfile, {"metrics": list[dict]}, ("metrics",))["metrics"]:
+        for r in load_json(mfile, {"metrics": list[_Report]}, ("metrics",))["metrics"]:
             key = ":".join([label, r["predictor"], str(r.get("policy", "")),
                             str(r.get("train_size", "")), str(r.get("context_size", ""))])
             rows.append({**r, "method": key})
@@ -668,7 +680,7 @@ def main(argv=None) -> int:
     p_fit.add_argument("--out", default=None)
 
     p_bnd = sub.add_parser("boundary", help="export a decision-boundary grid for a toy dataset")
-    p_bnd.add_argument("--shape", choices=("circle", "moon", "linear_rotation"), default="circle")
+    p_bnd.add_argument("--shape", choices=SHAPES, default="circle")
     p_bnd.add_argument("--noise", type=float, default=0.1)
     p_bnd.add_argument("--n-train", type=int, default=64)
     p_bnd.add_argument("--seed", type=int, default=0)

@@ -1,6 +1,8 @@
 """Feature relevance scoring on the training pool.
 
-Two measures per feature:
+``MEASURES`` maps each importance mode to the measures it ranks by, in order
+(``dual``: Pearson, then PPS; ``uniform``: none; ``weights.json`` writes null
+for a measure the mode does not rank by). Two measures per feature:
 
 * ``pearson_importance`` captures linear relationships as the maximum
   absolute Pearson correlation over indicator encodings (categorical
@@ -127,7 +129,8 @@ import numpy as np
 from . import dataset as ds
 from .util import headroom, kfold_indices, subseed
 
-IMPORTANCE_MODES = ("dual", "pearson_only", "pps_only", "uniform")
+MEASURES = {"dual": ("pearson", "pps"), "pearson_only": ("pearson",), "pps_only": ("pps",), "uniform": ()}
+IMPORTANCE_MODES = tuple(MEASURES)
 
 TREE_DEPTH = 4
 CV_FOLDS = 4

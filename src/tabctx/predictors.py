@@ -30,6 +30,7 @@ from .util import ConfigError, finite_mean, rng_for
 FLAG_PARSE_FAILURE = "parse_failure"
 FLAG_TRANSPORT_ERROR = "transport_error"
 FLAG_PROMPT_OVERFLOW = "prompt_overflow"
+RETRY_BACKOFF = 0.2  # seconds: retry n waits n times this, plus a jitter below it
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -207,7 +208,6 @@ class EndpointConfig:
     concurrency: int = 4
     max_output_tokens: int = 64
     chat: bool = True
-    retry_backoff: float = 0.2
 
     def __post_init__(self):
         c, r, t = self.concurrency, self.max_retries, self.timeout
@@ -271,15 +271,14 @@ class LlmClient:
     request opens its own connection through ``urllib.request``, which is
     imported on the first request."""
 
-    def __init__(self, cfg: EndpointConfig, api_key: str | None = None):
+    def __init__(self, cfg: EndpointConfig):
         self.cfg = cfg
-        self.api_key = api_key
         self._gate = threading.BoundedSemaphore(cfg.concurrency)
         self._rng = rng_for(0, "retry-jitter")
         self._rng_lock = threading.Lock()
 
     def _headers(self) -> dict:
-        key = self.api_key if self.api_key is not None else os.environ.get(self.cfg.api_key_env, "")
+        key = os.environ.get(self.cfg.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if key:
             headers["Authorization"] = f"Bearer {key}"
@@ -296,8 +295,8 @@ class LlmClient:
 
     def _sleep_before_retry(self, attempt: int) -> None:
         with self._rng_lock:
-            jitter = float(self._rng.uniform(0.0, self.cfg.retry_backoff))
-        time.sleep(self.cfg.retry_backoff * attempt + jitter)
+            jitter = float(self._rng.uniform(0.0, RETRY_BACKOFF))
+        time.sleep(RETRY_BACKOFF * attempt + jitter)
 
     def _post(self, body: bytes) -> bytes:
         """One POST of ``body`` to the endpoint; the response body."""

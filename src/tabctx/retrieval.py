@@ -11,13 +11,14 @@ farthest at 1. A missing numerical value on either side yields distance
 they contribute 0). Feature distances aggregate into a row distance via
 ``sqrt(sum(d_i^2 * w_i))``.
 
-Dual-importance selection: the ceil(quota/2) nearest rows under the
-Pearson-weighted ranking, plus the floor(quota/2) nearest under the
-tree-score ranking minus duplicates, topped up from a merged ranking
-(per-row minimum of the two distances) until the quota or the eligible
-pool is exhausted. All orderings break ties by (distance, row index).
-One call ranks the query once and selects a context for every requested
-size from the same candidates.
+Selection ranks by the mode's measures (``importance.MEASURES``). Two: the
+ceil(quota/2) nearest rows under the Pearson-weighted ranking, plus the
+floor(quota/2) nearest under the tree-score ranking minus duplicates, topped
+up from a merged ranking (per-row minimum of the two distances) until the
+quota or the eligible pool is exhausted. One: its nearest rows, each tagged
+``pearson-half`` or ``pps-half``; none: unit weights, tagged ``merged``.
+All orderings break ties by (distance, row index). One call ranks the query
+once and selects a context for every requested size from the same candidates.
 
 Block ranking: ``select_block`` ranks a block of queries over ``(queries,
 rows)`` arrays (distances, per-query rescale, row distances, partial
@@ -65,7 +66,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import normalize as nz
-from .importance import IMPORTANCE_MODES, pearson_importance, pps_importance
+from .importance import IMPORTANCE_MODES, MEASURES, pearson_importance, pps_importance
 from .util import headroom, rng_for
 
 TAG_PEARSON = "pearson-half"
@@ -131,33 +132,30 @@ class ContextPool:
     same token in the pool, in the query and in the feature weights."""
 
     def __init__(self, dataset: ds.Dataset, rows: np.ndarray, cfg: RetrievalConfig,
-                 stats: dict[str, nz.ColumnStats],
-                 pearson_weights: dict[str, float] | None,
-                 pps_weights: dict[str, float] | None):
+                 stats: dict[str, nz.ColumnStats], weights: dict[str, dict[str, float]]):
         self.dataset = dataset
         self.rows = rows
         self.size = len(rows)
         self.cfg = cfg
         self.stats = stats
-        self.pearson_weights = pearson_weights
-        self.pps_weights = pps_weights
+        self.weights = weights  # the mode's measures, in MEASURES order
         self.features = [c.name for c in dataset.feature_columns]
         # per feature, the pool rows' normalized numbers or categorical codes
         self.normalized = {name: nz.apply_array(stats[name], dataset.column(name)[rows])
                            for name in dataset.numerical_features}
         self.codes = {name: dataset.codes(name)[rows] for name in dataset.categorical_features}
-        # the kept measures as weight vectors, Pearson first; all ones when the mode keeps none
-        self.vectors = [np.asarray([w[f] for f in self.features]) for w in (pearson_weights, pps_weights)
-                        if w is not None] or [np.ones(len(self.features))]
+        # one weight vector per measure; all ones when the mode has none
+        self.vectors = ([np.asarray([w[f] for f in self.features]) for w in weights.values()]
+                        or [np.ones(len(self.features))])
 
 
 def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
                weights: dict[str, dict[str, float]] | None = None) -> ContextPool:
     """Fit normalization stats on the training rows. ``weights``, as
     ``{"pearson": ..., "pps": ...}``, holds scores already fitted on these rows
-    (they depend on the rows alone); a measure the mode needs and the dict
-    lacks is fitted and added to it. The pool keeps only the measures its mode
-    consumes. A match constraint must name a categorical feature."""
+    (they depend on the rows alone); a measure of ``MEASURES[mode]`` that the
+    dict lacks is fitted and added to it. The pool keeps exactly the mode's
+    measures. A match constraint must name a categorical feature."""
     rows = np.asarray(train_rows, dtype=np.int64)
     if (rows[1:] < rows[:-1]).any():  # sorted rows are kept as given, not copied
         rows = np.sort(rows)
@@ -169,14 +167,11 @@ def build_pool(dataset: ds.Dataset, train_rows, cfg: RetrievalConfig,
                          f"not a categorical feature")
     stats = nz.fit_stats(dataset, rows, mode=cfg.numeric_norm, overrides=cfg.per_feature_norm)
     weights = {} if weights is None else weights
-    use_pearson = cfg.importance_mode in ("dual", "pearson_only")
-    use_pps = cfg.importance_mode in ("dual", "pps_only")
-    if use_pearson and "pearson" not in weights:
-        weights["pearson"] = pearson_importance(dataset, rows)
-    if use_pps and "pps" not in weights:
-        weights["pps"] = pps_importance(dataset, rows)
-    return ContextPool(dataset, rows, cfg, stats, weights["pearson"] if use_pearson else None,
-                       weights["pps"] if use_pps else None)
+    measures = MEASURES[cfg.importance_mode]
+    for m in measures:
+        if m not in weights:  # each fitter is read by its name at call time, which a tracer rebinds
+            weights[m] = {"pearson": pearson_importance, "pps": pps_importance}[m](dataset, rows)
+    return ContextPool(dataset, rows, cfg, stats, {m: weights[m] for m in measures})
 
 
 def _query_values(pool: ContextPool, queries: Sequence[dict], feature: str) -> np.ndarray:
@@ -402,13 +397,12 @@ def select_block(pool: ContextPool, queries: Sequence[dict], sizes: Sequence[int
                           for j, f in enumerate(pool.features) for s in slabs], axis=0)
         shift = np.where(far, [headroom(0.0, v) for v in largest.tolist()], 0)[:, None]
         sums = row_sums()
-    d_primary, d_secondary = sums[0], sums[-1]  # one array outside dual mode
+    d_primary, d_secondary = sums[0], sums[-1]  # one array for a single ranking
     K = max(sizes)
 
     block = np.arange(n_queries)[:, None]
-    if cfg.importance_mode != "dual":
-        tag = TAGS.index({"pearson_only": TAG_PEARSON, "pps_only": TAG_PPS,
-                          "uniform": TAG_MERGED}[cfg.importance_mode])
+    if len(sums) == 1:  # a single ranking takes the tag of its one measure, or merged with none
+        tag = TAGS.index({(): TAG_MERGED, ("pearson",): TAG_PEARSON, ("pps",): TAG_PPS}[tuple(pool.weights)])
         top = _top(d_primary, K)
         dist = reported(d_primary[block, top])
         tags = np.full(top.shape, tag, dtype=np.int8)

@@ -14,6 +14,7 @@ import pytest
 from tabctx import cli
 from tabctx import dataset as ds
 from tabctx import metrics as mt
+from tabctx import predictors
 from tabctx import retrieval as rt
 from tabctx import synthgen as sg
 from tabctx.importance import pps_importance
@@ -314,7 +315,7 @@ def test_c10_cli_reruns_are_byte_identical(tmp_path):
           "predictions.csv and metrics.json")
 
 
-def test_c11_llm_client_conformance():
+def test_c11_llm_client_conformance(monkeypatch):
     features = [f"col{i}" for i in range(6)]
     rows = [({f: float(i * 10 + j) for j, f in enumerate(features)}, "yes" if i % 2 else "no")
             for i in range(128)]
@@ -335,10 +336,11 @@ def test_c11_llm_client_conformance():
     with pytest.raises(ValueError, match="budget"):
         fit_prompt(PromptTemplate(token_budget=16), [], {f: "w" * 900 for f in features}, features, "label")
 
+    monkeypatch.setattr(predictors, "RETRY_BACKOFF", 0.01)
+    monkeypatch.setenv("TABCTX_API_KEY", "k")
     with stub_server() as (state, url):
-        cfg = EndpointConfig(base_url=url, model="stub", retry_backoff=0.01,
-                             timeout=5.0, concurrency=4, max_retries=2)
-        client = LlmClient(cfg, api_key="k")
+        cfg = EndpointConfig(base_url=url, model="stub", timeout=5.0, concurrency=4, max_retries=2)
+        client = LlmClient(cfg)
 
         state.script = [(200, "unsure"), (200, "also unsure")]
         rec = client.predict("p", ds.TASK_CLASSIFICATION, ("yes", "no"), 0.0, 0, 4)

@@ -576,6 +576,8 @@ def test_traced_names_resolve_and_retrieve_runs_once_per_row(tmp_path):
     assert calls["retrieval.retrieve"] == n_test * 2 * 2
     assert calls["retrieval.retrieve_random"] == n_test * 2 * 2
     assert calls["retrieval.build_pool"] == 2 * 2
+    # the near policy (pearson_only) fits Pearson once per training subset
+    assert calls["importance.pearson_importance"] == 2
 
 
 def test_dual_and_pps_only_policies_share_one_pps_fit(tmp_path, monkeypatch):
@@ -957,6 +959,12 @@ BAD_INPUTS = {
     "compare-missing-path": (["compare", "nope.json"], {}, ["nope.json"]),
     "fit-run-dir-metrics-not-a-list": (["fit-powerlaw", "--run-dir", "r"], {"r/metrics.json": {"metrics": 5}},
                                        [f"{Path('r', 'metrics.json')}: metrics must be a list, not 5"]),
+    "compare-empty-report": (["compare", "a.json"], {"a.json": {"metrics": [{}]}},
+                             [f"a.json: missing key metrics[0].{k}"
+                              for k in ("dataset", "predictor", "metric", "value")]),
+    "fit-run-dir-value-not-a-number": (["fit-powerlaw", "--run-dir", "r"], {"r/metrics.json": {"metrics": [
+        {"dataset": "toy", "predictor": "knn", "metric": "nmae", "value": "x"}]}},
+        [f"{Path('r', 'metrics.json')}: metrics[0].value must be a number, not 'x'"]),
     "fit-one-point": (["fit-powerlaw", "--points", "p.json"], {"p.json": [[1, 2]]}, ["need at least 2 points"]),
     "fit-null-in-point": (["fit-powerlaw", "--points", "p.json"], {"p.json": [[1, None], [2, 3]]},
                           ["p.json: [0][1] must be a number, not None"]),

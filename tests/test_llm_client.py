@@ -4,8 +4,15 @@ import socket
 import pytest
 
 from tabctx import dataset as ds
+from tabctx import predictors
 from tabctx.predictors import EndpointConfig, LlmClient, TransportError
 from llm_stub import stub_server
+
+
+@pytest.fixture(autouse=True)
+def fast_retries_and_key(monkeypatch):
+    monkeypatch.setattr(predictors, "RETRY_BACKOFF", 0.01)
+    monkeypatch.setenv("TABCTX_API_KEY", "sekret")
 
 
 @pytest.fixture
@@ -15,8 +22,8 @@ def stub():
 
 
 def client_for(url, **kw):
-    cfg = EndpointConfig(base_url=url, model="stub-model", retry_backoff=0.01, timeout=5.0, **kw)
-    return LlmClient(cfg, api_key="sekret")
+    cfg = EndpointConfig(base_url=url, model="stub-model", timeout=5.0, **kw)
+    return LlmClient(cfg)
 
 
 def test_request_shape_and_auth(stub):
@@ -132,8 +139,7 @@ def test_unrecoverable_reply_fails_at_once(stub, reply):
 def test_timeout_is_retried(stub):
     state, url = stub
     state.delay = 0.3
-    cfg = EndpointConfig(base_url=url, model="stub-model", retry_backoff=0.01, timeout=0.05,
-                         max_retries=2)
+    cfg = EndpointConfig(base_url=url, model="stub-model", timeout=0.05, max_retries=2)
     with pytest.raises(TransportError, match="3 attempts"):
         LlmClient(cfg).complete("p")
     state.delay = 0.0

@@ -268,11 +268,12 @@ def test_ingest_error_names_file_and_line(tmp_path, row, problem):
 
 
 @pytest.mark.parametrize("reply", ["1e999", "9" * 400], ids=["inf", "400-digits"])
-def test_non_finite_number_reply_is_parse_failure(reply):
+def test_non_finite_number_reply_is_parse_failure(monkeypatch, reply):
     from llm_stub import stub_server
+    monkeypatch.setattr(pr, "RETRY_BACKOFF", 0.01)
     with stub_server() as (state, url):
         state.default = (200, f"about {reply}")
-        client = pr.LlmClient(pr.EndpointConfig(base_url=url, retry_backoff=0.01, timeout=5.0))
+        client = pr.LlmClient(pr.EndpointConfig(base_url=url, timeout=5.0))
         rec = client.predict("p", ds.TASK_REGRESSION, (), 2.5, 4, 8)
     assert rec.flag == pr.FLAG_PARSE_FAILURE and rec.point_estimate == 2.5
     assert pr.parse_number(reply) is None
